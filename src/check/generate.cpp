@@ -166,7 +166,6 @@ RouterOptions CircuitCase::router_options() const {
   // is reported as a (valid) failure outcome, which the oracle still checks.
   o.max_passes = 8;
   o.node_budget = node_budget;
-  o.threads = threads;
   if (negotiated) {
     o.mode = RouterMode::kNegotiated;
     // Negotiated mode routes whole nets only; a parsed line carrying both
@@ -184,7 +183,6 @@ std::string CircuitCase::describe() const {
      << " rows=" << rows << " cols=" << cols << " width=" << width << " nets=" << nets_2_3
      << "," << nets_4_10 << "," << nets_over_10 << " synth_seed=" << synth_seed
      << " algo=" << algorithm_name(algorithm) << " decompose=" << (decompose_two_pin ? 1 : 0);
-  if (threads != 1) os << " threads=" << threads;
   // Non-default fields are emitted only when set so historical repro lines
   // round-trip byte-identically. The fault/budget keys were parsed but
   // never emitted before this block existed — a fault-oracle repro line
@@ -248,8 +246,6 @@ std::optional<CircuitCase> CircuitCase::parse(const std::string& line) {
       c.faults.cluster_radius = std::stoi(value);
     } else if (key == "budget") {
       c.node_budget = std::stoll(value);
-    } else if (key == "threads") {
-      c.threads = std::stoi(value);
     } else if (key == "mode") {
       if (value != "negotiated" && value != "paper") return std::nullopt;
       c.negotiated = value == "negotiated";
@@ -262,7 +258,7 @@ std::optional<CircuitCase> CircuitCase::parse(const std::string& line) {
     }
   }
   if (c.rows < 1 || c.cols < 1 || c.width < 1) return std::nullopt;
-  if (!c.faults.valid() || c.node_budget < 0 || c.threads < 0) return std::nullopt;
+  if (!c.faults.valid() || c.node_budget < 0) return std::nullopt;
   if (c.repair_events < 0 || c.repair_budget < 0) return std::nullopt;
   return c;
 }
@@ -305,16 +301,14 @@ CircuitCase generate_circuit_case(std::uint64_t case_seed) {
   c.synth_seed = rng.below(0xffffffffull);
   c.algorithm = table1_algorithms()[rng.below(table1_algorithms().size())];
   c.decompose_two_pin = rng.below(8) == 0;
-  // A quarter of cases route through the net-parallel wave scheduler so the
-  // feasibility oracle continuously cross-checks its serial-equivalence
-  // contract. Appended last: earlier draws (and thus every pre-existing
-  // field of a given seed) are unchanged.
-  c.threads = rng.below(4) == 0 ? rng.range(2, 4) : 1;
+  // Discarded draw (formerly a router thread count): removing it would
+  // shift every later draw and with it the case stream seeded runs rely on.
+  if (rng.below(4) == 0) rng.range(2, 4);
   // One case in eight is promoted to a large array (>= the tile-template
   // sampling floor of 7x7) so every oracle continuously cross-checks the
   // stamped builder, not just the legacy path the small grids take. Width
   // drops and net counts stay small to keep the case budget-friendly; the
-  // override redraws are appended last like `threads` above.
+  // override redraws are appended last.
   if (rng.below(8) == 0) {
     c.rows = rng.range(12, 16);
     c.cols = rng.range(12, 16);

@@ -79,13 +79,6 @@ struct CircuitCase {
   FaultSpec faults{};
   long long node_budget = 0;
 
-  /// RouterOptions::threads for the probe (1 = serial). Drawn > 1 for a
-  /// slice of cases so the fuzzer exercises the net-parallel wave scheduler
-  /// against the same oracles; the router's determinism contract makes the
-  /// outcome identical either way, so repro lines stay thread-agnostic.
-  /// Serialized only when non-default.
-  int threads = 1;
-
   /// Route in RouterMode::kNegotiated instead of paper mode. Negotiated
   /// probes route whole nets (router_options() forces decompose off) and
   /// the feasibility oracle applies the convergence-contract checks on top

@@ -14,7 +14,6 @@ void Counters::reset() {
   parallel_waves.store(0, std::memory_order_relaxed);
   nets_speculated.store(0, std::memory_order_relaxed);
   nets_spec_accepted.store(0, std::memory_order_relaxed);
-  nets_spec_recomputed.store(0, std::memory_order_relaxed);
   negotiate_runs.store(0, std::memory_order_relaxed);
   negotiate_passes.store(0, std::memory_order_relaxed);
   pattern_attempts.store(0, std::memory_order_relaxed);

@@ -30,13 +30,12 @@ struct Counters {
   std::atomic<std::uint64_t> fuzz_cases{0};       // generated fuzz cases
   std::atomic<std::uint64_t> shrink_steps{0};     // accepted shrink mutations
 
-  // Net-parallel router observability (router/partition wave scheduler,
-  // DESIGN.md §11). accepted + recomputed == speculated at quiescence;
-  // the accepted/speculated ratio is the scheduler's quality measure.
-  std::atomic<std::uint64_t> parallel_waves{0};    // speculation waves launched
-  std::atomic<std::uint64_t> nets_speculated{0};   // concurrent speculative routes
-  std::atomic<std::uint64_t> nets_spec_accepted{0};   // footprint-clean, committed as-is
-  std::atomic<std::uint64_t> nets_spec_recomputed{0}; // conflicted, rerouted serially
+  // No longer incremented: the net-parallel wave scheduler they counted
+  // was removed (DESIGN.md §11). Kept only because the benchmark suite
+  // still reports them; they read 0.
+  std::atomic<std::uint64_t> parallel_waves{0};
+  std::atomic<std::uint64_t> nets_speculated{0};
+  std::atomic<std::uint64_t> nets_spec_accepted{0};
 
   // Negotiated-congestion mode (router/negotiate, DESIGN.md §13).
   std::atomic<std::uint64_t> negotiate_runs{0};    // route_circuit calls in negotiated mode

@@ -77,7 +77,7 @@ void run_parallel(int threads, std::size_t count,
 
 /// Resolves a thread-count request to a pool once, for callers that issue
 /// MANY parallel_for batches against the same choice (the width search's
-/// speculation rounds, the net-parallel router's waves) — run_parallel
+/// speculation rounds) — run_parallel
 /// would rebuild a dedicated pool per batch.
 ///   threads <= 0 -> the shared pool (FPR_THREADS / hardware default);
 ///   otherwise    -> the shared pool when it already has exactly `threads`

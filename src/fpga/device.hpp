@@ -75,7 +75,7 @@ class Device {
   /// at tile y sits at (2x, 2y+1). The grid spans [0, 2*cols] x [0, 2*rows]
   /// and every edge of the routing graph (connection-block or switch-block)
   /// connects nodes within Chebyshev distance 2 — the locality bound the
-  /// net-parallel router's footprint rectangles are built on (partition.hpp).
+  /// pattern router's corridor margins are built on (router/patterns.hpp).
   struct TilePos {
     int x = 0;
     int y = 0;

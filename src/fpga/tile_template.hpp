@@ -29,8 +29,8 @@ struct Arch3dSpec;
 ///
 /// Templates are cached per family (sizes sharing a family reuse one
 /// symbolic template; instantiation at concrete dimensions is cheap), so
-/// the min-channel-width search pays one compile per probed width and the
-/// wave scheduler's device copies pay none.
+/// the min-channel-width search pays one compile per probed width and
+/// repeated devices of one width pay none.
 ///
 /// Returns nullptr when the spec is too small for the template's boundary
 /// classification or when compilation/verification fails; callers must then

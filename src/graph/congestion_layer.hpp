@@ -35,8 +35,7 @@ namespace fpr {
 ///
 /// Thread-safety: const accessors are safe to read concurrently; every
 /// mutator reprices through the graph and must be called from the owning
-/// (serial commit) thread only — the same discipline the wave scheduler
-/// already imposes on graph mutation.
+/// (serial commit) thread only, like every other graph mutation.
 class CongestionLayer {
  public:
   /// Snapshots the current weights of `g` as the base costs. Construct on

@@ -31,15 +31,6 @@ std::vector<NodeId> ShortestPathTree::path_nodes_to(NodeId v) const {
 
 namespace {
 
-// fpr-lint: allow(global-state) test-only observer hook, thread-local so concurrent searches stay independent; nullptr in production
-thread_local SearchFootprintObserver* t_footprint_observer = nullptr;
-
-/// Reports the finished run's labeled set to this thread's observer (if
-/// any). Must run before the arena's next begin_run invalidates the list.
-void notify_footprint(const DijkstraArena& arena) {
-  if (t_footprint_observer != nullptr) t_footprint_observer->on_search(arena.touched_nodes());
-}
-
 /// Copies the arena's epoch-valid labels into the caller-visible tree.
 /// resize() keeps existing capacity, so reusing one tree object across runs
 /// allocates nothing once it has seen the largest graph.
@@ -90,7 +81,6 @@ void dijkstra_impl(const Graph& g, NodeId source, std::span<const NodeId> target
     // Everything untouched: exports as all-infinite, like the old engine
     // (which also skipped the target scan, leaving inactive_targets at 0).
     export_tree(arena, node_count, false, 0, kInvalidNode, out);
-    notify_footprint(arena);
     return;
   }
   if (budget != nullptr && budget->exhausted()) {
@@ -100,7 +90,6 @@ void dijkstra_impl(const Graph& g, NodeId source, std::span<const NodeId> target
     // because even the source was never relaxed).
     out.budget_aborted = true;
     export_tree(arena, node_count, true, 0, kInvalidNode, out);
-    notify_footprint(arena);
     return;
   }
 
@@ -203,16 +192,9 @@ void dijkstra_impl(const Graph& g, NodeId source, std::span<const NodeId> target
     });
   }
   export_tree(arena, node_count, stopped_early, stop_d, stop_node, out);
-  notify_footprint(arena);
 }
 
 }  // namespace
-
-SearchFootprintObserver* set_search_footprint_observer(SearchFootprintObserver* observer) {
-  SearchFootprintObserver* previous = t_footprint_observer;
-  t_footprint_observer = observer;
-  return previous;
-}
 
 ShortestPathTree dijkstra(const Graph& g, NodeId source) {
   ShortestPathTree t;

@@ -61,43 +61,6 @@ struct ShortestPathTree {
   std::vector<NodeId> path_nodes_to(NodeId v) const;
 };
 
-/// Observer of the engine's per-run read footprint. When installed on a
-/// thread (set_search_footprint_observer), every Dijkstra run that thread
-/// performs reports the exact set of nodes it labeled — the run's whole
-/// read frontier: every node whose distance, adjacency, or activity the run
-/// consulted is either labeled or adjacent to a labeled node. The
-/// net-parallel router (DESIGN.md §11) folds these into per-net footprint
-/// rectangles to validate speculative routes; the hook costs one
-/// thread-local load per run when no observer is installed.
-class SearchFootprintObserver {
- public:
-  virtual ~SearchFootprintObserver() = default;
-
-  /// `labeled` is the arena's touched list for the run that just ended —
-  /// valid only for the duration of the call.
-  virtual void on_search(std::span<const NodeId> labeled) = 0;
-};
-
-/// Installs `observer` for the CALLING thread (nullptr uninstalls) and
-/// returns the previously installed observer. Thread-local by design, like
-/// the DijkstraArena itself: each pool worker observes only its own runs,
-/// so no synchronization is needed.
-SearchFootprintObserver* set_search_footprint_observer(SearchFootprintObserver* observer);
-
-/// RAII installer for SearchFootprintObserver, restoring the previous
-/// observer on scope exit (exception-safe across routing attempts).
-class ScopedSearchFootprint {
- public:
-  explicit ScopedSearchFootprint(SearchFootprintObserver* observer)
-      : previous_(set_search_footprint_observer(observer)) {}
-  ~ScopedSearchFootprint() { set_search_footprint_observer(previous_); }
-  ScopedSearchFootprint(const ScopedSearchFootprint&) = delete;
-  ScopedSearchFootprint& operator=(const ScopedSearchFootprint&) = delete;
-
- private:
-  SearchFootprintObserver* previous_;
-};
-
 /// Runs Dijkstra over the usable part of g. O((V + E) log V).
 ///
 /// The engine walks the graph's CSR adjacency snapshot (Graph::csr()) with

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "graph/types.hpp"
@@ -111,12 +110,6 @@ class DijkstraArena {
   void clear_pending(NodeId v) { pending_stamp_[static_cast<std::size_t>(v)] = 0; }
 
   NodeId capacity() const { return static_cast<NodeId>(dist_.size()); }
-
-  /// The nodes the current run has labeled so far (== the run's entire read
-  /// frontier once it finishes). Valid until the next begin_run(); the
-  /// engine hands this to the thread's SearchFootprintObserver (dijkstra.hpp)
-  /// after every run.
-  std::span<const NodeId> touched_nodes() const { return dirty_; }
 
   /// Copies this run's labels for nodes [0, node_count) into the output
   /// arrays (resized to fit; reuse keeps their capacity). dist_ already

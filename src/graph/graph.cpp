@@ -247,8 +247,8 @@ bool Graph::tiled_edge_usable(EdgeId e) const {
 }
 
 std::span<const EdgeId> Graph::tiled_incident_edges(NodeId v) const {
-  // Thread-local scratch: concurrent speculative routes synthesize incident
-  // lists on the shared device graph, each thread into its own buffer. The
+  // Thread-local scratch: concurrent routes (the width search's parallel
+  // probes) synthesize incident lists, each thread into its own buffer. The
   // span is valid until this thread's next call (documented in graph.hpp).
   // fpr-lint: allow(global-state) per-thread scratch buffer, overwritten on every call; lifetime contract documented in graph.hpp
   static thread_local std::vector<EdgeId> scratch;

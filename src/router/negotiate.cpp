@@ -7,12 +7,9 @@
 #include <vector>
 
 #include "core/contract.hpp"
-#include "core/parallel.hpp"
 #include "graph/budget.hpp"
 #include "graph/congestion_layer.hpp"
-#include "graph/dijkstra.hpp"
 #include "router/internal.hpp"
-#include "router/partition.hpp"
 #include "router/patterns.hpp"
 
 namespace fpr {
@@ -50,35 +47,18 @@ struct NegotiateContext {
   WorkBudget& budget;
 };
 
-/// Pattern-probe accounting for one run; folded into the RoutingResult, so
-/// it must be counted exactly once per net per pass (at replay time in wave
-/// mode) to stay bit-identical across thread counts.
+/// Pattern-probe accounting for one run, folded into the RoutingResult.
 struct PatternStats {
   long long attempts = 0;
   long long accepts = 0;
 };
 
-/// A negotiated commit writes the committed wires' occupancy plus the
-/// repriced weights of their incident edges; every such edge endpoint sits
-/// within Chebyshev distance 2 of its wire on the half-tile grid, so the
-/// wire tiles padded by 2 cover the whole write set.
-constexpr int kWriteHalo = 2;
-
-/// Charges the net's wires to the layer (repricing as it goes, so later
-/// nets in the same pass see the updated present costs) and reports the
-/// write rectangle for wave replay dirty-tracking.
+/// Charges the net's wires to the layer, repricing as it goes, so later
+/// nets in the same pass see the updated present costs.
 void commit_occupancy(NegotiateContext& ctx, NetRouteResult& record,
-                      const std::vector<NodeId>& wires, TileRect* write_box) {
+                      const std::vector<NodeId>& wires) {
   for (const NodeId w : wires) ctx.layer.add_occupant(w);
   record.wire_nodes_used = static_cast<int>(wires.size());
-  if (write_box != nullptr) {
-    TileRect box;
-    for (const NodeId w : wires) {
-      const Device::TilePos t = ctx.device.node_tile(w);
-      box.include(t.x, t.y);
-    }
-    *write_box = box.empty() ? box : box.expanded(kWriteHalo);
-  }
 }
 
 /// A pattern accept IS the net's measurement: the probe's path cost is the
@@ -102,8 +82,7 @@ void fill_pattern_record(NetRouteResult& record, std::vector<EdgeId>&& edges, We
 /// mode-gating contract (negotiate_paper_boundary_test) pins that the
 /// paper-mode relief machinery stays disengaged.
 void route_net_live(NegotiateContext& ctx, std::size_t idx, NetRouteResult& record,
-                    std::vector<std::size_t>& failed, PatternStats& patterns,
-                    TileRect* write_box) {
+                    std::vector<std::size_t>& failed, PatternStats& patterns) {
   Device& device = ctx.device;
   const RouterOptions& options = ctx.options;
   WorkBudget& budget = ctx.budget;
@@ -122,7 +101,7 @@ void route_net_live(NegotiateContext& ctx, std::size_t idx, NetRouteResult& reco
       ++patterns.accepts;
       counters().pattern_accepts.fetch_add(1, std::memory_order_relaxed);
       fill_pattern_record(record, std::move(probe.edges), probe.cost);
-      commit_occupancy(ctx, record, wire_nodes_of(device, record.edges), write_box);
+      commit_occupancy(ctx, record, wire_nodes_of(device, record.edges));
       return;
     }
     if (probe.budget_aborted) {
@@ -165,243 +144,7 @@ void route_net_live(NegotiateContext& ctx, std::size_t idx, NetRouteResult& reco
   record.optimal_max_pathlength = metrics.optimal_max_pathlength;
   record.physical_wirelength = static_cast<int>(record.edges.size());
   record.physical_max_path = tree.max_path_edge_count(net.source, net.sinks);
-  commit_occupancy(ctx, record, wire_nodes_of(device, record.edges), write_box);
-}
-
-// ---------------------------------------------------------------------------
-// Net-parallel wave scheduling, mirroring router.cpp's scheme (DESIGN.md
-// §11) over negotiated commits: speculate partition-independent nets
-// against the wave-start graph + layer state, replay in serial order, and
-// accept a speculation iff nothing committed since wave start intersects
-// the rectangle of state it read. One negotiated twist: a clean failed
-// speculation IS final (there is no retry ladder to run live), so it is
-// accepted too.
-// ---------------------------------------------------------------------------
-
-/// Collapses every Dijkstra run of a speculative route into one rectangle
-/// over the device's unified tile grid.
-class BoxFootprint final : public SearchFootprintObserver {
- public:
-  explicit BoxFootprint(const Device& device) : device_(&device) {}
-
-  void on_search(std::span<const NodeId> labeled) override {
-    for (const NodeId v : labeled) {
-      const Device::TilePos t = device_->node_tile(v);
-      box_.include(t.x, t.y);
-    }
-  }
-
-  const TileRect& box() const { return box_; }
-
- private:
-  const Device* device_;
-  TileRect box_;
-};
-
-/// Same locality argument as paper mode: every read of a corridor-confined
-/// search sits within Chebyshev distance 2 of a labeled node (or, for
-/// pattern probes, inside the probed corridor rectangles, which the read
-/// box also folds in).
-constexpr int kReadHalo = 2;
-
-struct Speculation {
-  std::size_t pos = 0;  // position in the pass order
-  std::size_t idx = 0;  // net index
-  bool spans = false;
-  bool pattern_attempted = false;  // probe ran (counts as an attempt)
-  bool pattern = false;            // probe accepted: edges/cost are the route
-  long long work = 0;              // expansions a serial route would charge
-  TileRect read_box;
-  std::vector<EdgeId> edges;
-  TreeMetrics metrics;  // engine route measurement (unused for patterns)
-  Weight pattern_cost = 0;
-  int physical_max_path = 0;
-};
-
-/// Read-only speculative mirror of route_net_live against the wave-start
-/// state. Runs on pool workers; outputs only `spec`.
-void speculate_net(const Device& device, const Circuit& circuit, const RouterOptions& options,
-                   const CongestionLayer& layer, Speculation& spec) {
-  const Graph& g = device.graph();
-  BoxFootprint footprint(device);
-  ScopedSearchFootprint guard(&footprint);
-  const Net net = to_graph_net(device, circuit.nets[spec.idx]);
-  WorkBudget local;  // unlimited: tracks expansions for work accounting
-  TileRect probe_box;
-  if (options.pattern_route && net.sinks.size() == 1) {
-    spec.pattern_attempted = true;
-    PatternProbe probe = pattern_route(device, layer, net.source, net.sinks[0], &local);
-    probe_box = probe.probed_area;
-    if (probe.accepted) {
-      spec.pattern = true;
-      spec.spans = true;
-      spec.edges = std::move(probe.edges);
-      spec.pattern_cost = probe.cost;
-      spec.physical_max_path = static_cast<int>(spec.edges.size());
-      spec.work = local.used;
-      spec.read_box = probe.probed_area.expanded(kReadHalo);
-      return;
-    }
-  }
-  PathOracle oracle(g);
-  oracle.set_budget(&local);
-  const std::vector<NodeId> terminals = net.terminals();
-  const bool critical = circuit.nets[spec.idx].critical;
-  const Algorithm algo = critical ? options.critical_algorithm : options.algorithm;
-  oracle.set_scope(terminals);
-  RoutingTree tree = route(g, net, algo, oracle, options.route_options);
-  spec.spans = tree.spans(terminals);
-  if (spec.spans) {
-    // Mirror route_net_live: measurement is unbudgeted there, so it must
-    // not count toward spec.work here either.
-    oracle.set_budget(nullptr);
-    spec.metrics = measure(g, net, tree, oracle);
-    spec.edges = tree.edges();
-    spec.physical_max_path = tree.max_path_edge_count(net.source, net.sinks);
-  }
-  spec.work = local.used;
-  TileRect box = footprint.box();
-  box.include(probe_box);
-  spec.read_box = box.expanded(kReadHalo);
-}
-
-/// Replay-time acceptance test; true when the speculation was applied.
-bool accept_speculation(NegotiateContext& ctx, Speculation& spec, NetRouteResult& record,
-                        std::vector<std::size_t>& failed, PatternStats& patterns,
-                        std::vector<TileRect>& wave_writes) {
-  for (const TileRect& w : wave_writes) {
-    if (spec.read_box.intersects(w)) return false;
-  }
-  counters().nets_spec_accepted.fetch_add(1, std::memory_order_relaxed);
-  ctx.budget.used += spec.work;
-  // Pattern accounting happens here — exactly once per net per pass, never
-  // for rejected speculations (their live recompute counts instead) — so
-  // the result's pattern fields stay bit-identical across thread counts.
-  if (spec.pattern_attempted) {
-    ++patterns.attempts;
-    counters().pattern_attempts.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (!spec.spans) {
-    // Final in negotiated mode: no retry ladder would follow a live attempt.
-    record.status = NetStatus::kFailedCongestion;
-    failed.push_back(spec.idx);
-    return true;
-  }
-  if (spec.pattern) {
-    ++patterns.accepts;
-    counters().pattern_accepts.fetch_add(1, std::memory_order_relaxed);
-    fill_pattern_record(record, std::move(spec.edges), spec.pattern_cost);
-  } else {
-    record.status = NetStatus::kRouted;
-    record.edges = std::move(spec.edges);
-    record.wirelength = spec.metrics.wirelength;
-    record.max_pathlength = spec.metrics.max_pathlength;
-    record.optimal_max_pathlength = spec.metrics.optimal_max_pathlength;
-    record.physical_wirelength = static_cast<int>(record.edges.size());
-    record.physical_max_path = spec.physical_max_path;
-  }
-  TileRect write_box;
-  commit_occupancy(ctx, record, wire_nodes_of(ctx.device, record.edges), &write_box);
-  if (!write_box.empty()) wave_writes.push_back(write_box);
-  return true;
-}
-
-// Wave shaping: fixed constants, deliberately NOT derived from the thread
-// count (router.cpp has the full argument).
-constexpr std::size_t kWaveNets = 16;
-constexpr std::size_t kWaveScan = 64;
-
-/// One full negotiation pass in wave mode, writing into `nets`.
-void route_pass_waves(NegotiateContext& ctx, const std::vector<std::size_t>& order,
-                      std::vector<NetRouteResult>& nets, std::vector<std::size_t>& failed,
-                      PatternStats& patterns, ThreadPool& pool, const PartitionTree& ptree,
-                      const std::vector<int>& net_region) {
-  Device& device = ctx.device;
-  std::vector<Speculation> wave;
-  std::vector<int> regions;
-  std::vector<TileRect> wave_writes;
-  std::size_t pos = 0;
-  while (pos < order.size()) {
-    wave.clear();
-    regions.clear();
-    const std::size_t scan_end = std::min(order.size(), pos + kWaveScan);
-    std::size_t span_end = pos + 1;
-    for (std::size_t p = pos; p < scan_end && wave.size() < kWaveNets; ++p) {
-      const int region = net_region[order[p]];
-      if (region < 0) continue;  // never speculated: routes live at replay
-      bool independent = true;
-      for (const int r : regions) {
-        if (!ptree.independent(region, r)) {
-          independent = false;
-          break;
-        }
-      }
-      if (!independent) continue;
-      regions.push_back(region);
-      Speculation spec;
-      spec.pos = p;
-      spec.idx = order[p];
-      wave.push_back(std::move(spec));
-      span_end = p + 1;
-    }
-    if (wave.size() < 2) {
-      route_net_live(ctx, order[pos], nets[order[pos]], failed, patterns, nullptr);
-      ++pos;
-      continue;
-    }
-
-    counters().parallel_waves.fetch_add(1, std::memory_order_relaxed);
-    counters().nets_speculated.fetch_add(wave.size(), std::memory_order_relaxed);
-    if (!device.graph().tiled()) device.graph().csr();
-    pool.parallel_for(wave.size(), [&](std::size_t i) {
-      speculate_net(device, ctx.circuit, ctx.options, ctx.layer, wave[i]);
-    });
-
-    wave_writes.clear();
-    std::size_t next = 0;
-    for (std::size_t p = pos; p < span_end; ++p) {
-      const std::size_t idx = order[p];
-      NetRouteResult& record = nets[idx];
-      Speculation* spec = nullptr;
-      if (next < wave.size() && wave[next].pos == p) spec = &wave[next++];
-      if (spec != nullptr &&
-          accept_speculation(ctx, *spec, record, failed, patterns, wave_writes)) {
-        continue;
-      }
-      if (spec != nullptr) {
-        counters().nets_spec_recomputed.fetch_add(1, std::memory_order_relaxed);
-      }
-      TileRect write_box;
-      route_net_live(ctx, idx, record, failed, patterns, &write_box);
-      if (!write_box.empty()) wave_writes.push_back(write_box);
-    }
-    pos = span_end;
-  }
-}
-
-/// Partition-tree region per net, or -1 for always-live nets — the same
-/// assignment rule as paper mode (router.cpp::schedule_regions): pattern
-/// probes stay inside the terminal box plus corridor margin, well within
-/// the padded scheduling region.
-std::vector<int> schedule_regions(const Circuit& circuit, const RouterOptions& options,
-                                  const PartitionTree& ptree, const TileRect& bounds) {
-  std::vector<int> regions(circuit.nets.size(), -1);
-  for (std::size_t i = 0; i < circuit.nets.size(); ++i) {
-    const CircuitNet& net = circuit.nets[i];
-    const Algorithm algo = net.critical ? options.critical_algorithm : options.algorithm;
-    if (!algorithm_supports_scoped_paths(algo)) continue;
-    TileRect box;
-    box.include(2 * net.source.x + 1, 2 * net.source.y + 1);
-    bool trivial = true;
-    for (const PinRef& p : net.sinks) {
-      if (p != net.source) trivial = false;
-      box.include(2 * p.x + 1, 2 * p.y + 1);
-    }
-    if (trivial) continue;
-    const int span = box.width() > box.height() ? box.width() : box.height();
-    regions[i] = ptree.assign(box.expanded(6 + span / 4).clipped(bounds));
-  }
-  return regions;
+  commit_occupancy(ctx, record, wire_nodes_of(device, record.edges));
 }
 
 /// End-of-pass sweep: tallies total overflow over the occupied wires and
@@ -442,19 +185,6 @@ RoutingResult route_circuit_negotiated(Device& device, const Circuit& circuit,
   std::vector<std::size_t> order(net_count);
   std::iota(order.begin(), order.end(), 0);
 
-  // Wave mode engages under the same read-confinement gate as paper mode;
-  // decompose_two_pin is already excluded above.
-  PoolLease lease(options.threads);
-  const bool wave_mode = lease.pool().size() > 1 && net_count > 1 && options.node_budget <= 0 &&
-                         options.route_options.candidates == CandidateStrategy::kCorridor;
-  PartitionTree ptree;
-  std::vector<int> net_region;
-  if (wave_mode) {
-    const TileRect bounds = device_tile_bounds(device);
-    ptree = PartitionTree::build(bounds);
-    net_region = schedule_regions(circuit, options, ptree, bounds);
-  }
-
   /// Best non-aborted pass so far, by (overflow, failed count) — restored
   /// when the loop exhausts its pass cap without converging.
   struct Snapshot {
@@ -485,23 +215,18 @@ RoutingResult route_circuit_negotiated(Device& device, const Circuit& circuit,
     failed.clear();
     result.passes = pass;
 
-    if (wave_mode) {
-      route_pass_waves(ctx, order, pass_nets, failed, patterns, lease.pool(), ptree,
-                       net_region);
-    } else {
-      for (std::size_t pos = 0; pos < order.size(); ++pos) {
-        if (budget.exhausted()) {
-          // Out of budget: everything not yet attempted this pass aborts;
-          // the committed prefix stays a consistent partial pass.
-          for (std::size_t rest = pos; rest < order.size(); ++rest) {
-            pass_nets[order[rest]].status = NetStatus::kAbortedBudget;
-            failed.push_back(order[rest]);
-          }
-          break;
+    for (std::size_t pos = 0; pos < order.size(); ++pos) {
+      if (budget.exhausted()) {
+        // Out of budget: everything not yet attempted this pass aborts;
+        // the committed prefix stays a consistent partial pass.
+        for (std::size_t rest = pos; rest < order.size(); ++rest) {
+          pass_nets[order[rest]].status = NetStatus::kAbortedBudget;
+          failed.push_back(order[rest]);
         }
-        const std::size_t idx = order[pos];
-        route_net_live(ctx, idx, pass_nets[idx], failed, patterns, nullptr);
+        break;
       }
+      const std::size_t idx = order[pos];
+      route_net_live(ctx, idx, pass_nets[idx], failed, patterns);
     }
 
     last_overflow = tally_overflow_and_accrue(layer, options.history_increment);

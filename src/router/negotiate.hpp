@@ -31,9 +31,7 @@ extern std::atomic<bool> negotiate_break_history_update;
 /// the work budget runs out. Two-pin nets try L/Z pattern probes
 /// (router/patterns.hpp) before the scoped engine. The returned solution
 /// and final device state satisfy the same exclusive-wire-ownership
-/// contract as paper mode; the outcome is bit-identical at every
-/// RouterOptions::threads value (the PR 6 wave scheduler speculates, the
-/// serial replay decides).
+/// contract as paper mode. Nets route serially, in order.
 RoutingResult route_circuit_negotiated(Device& device, const Circuit& circuit,
                                        const RouterOptions& options);
 

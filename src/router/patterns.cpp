@@ -40,13 +40,15 @@ struct Corridor {
     }
     return false;
   }
-
-  TileRect bounds() const {
-    TileRect r;
-    for (int i = 0; i < leg_count; ++i) r.include(legs[static_cast<std::size_t>(i)]);
-    return r;
-  }
 };
+
+/// The whole routable area of `device` in unified half-tile coordinates:
+/// blocks at (2x+1, 2y+1), vertical channels at even x in [0, 2*cols],
+/// horizontal channels at even y in [0, 2*rows] — see Device::node_tile.
+TileRect device_tile_bounds(const Device& device) {
+  const ArchSpec& spec = device.spec();
+  return TileRect{0, 0, 2 * spec.cols, 2 * spec.rows};
+}
 
 TileRect leg(const Device::TilePos& a, const Device::TilePos& b, const TileRect& bounds) {
   TileRect r;
@@ -135,7 +137,7 @@ bool search_corridor(const Device& device, const CongestionLayer& layer, const C
     }
     // Membership first (pure geometry), then the capacity prune, then edge
     // usability/weight — so no graph or layer STATE outside the corridor is
-    // ever read, keeping the probe's read set inside probed_area.
+    // ever read.
     for (const EdgeId e : g.incident_edges(v)) {
       const NodeId w = g.other_end(e, v);
       const Device::TilePos pos = device.node_tile(w);
@@ -163,7 +165,6 @@ PatternProbe pattern_route(const Device& device, const CongestionLayer& layer, N
   const Device::TilePos s = device.node_tile(source);
   const Device::TilePos t = device.node_tile(sink);
   for (const Corridor& corridor : candidate_corridors(s, t, bounds)) {
-    probe.probed_area.include(corridor.bounds());
     if (budget != nullptr && budget->exhausted()) {
       probe.budget_aborted = true;
       break;

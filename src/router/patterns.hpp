@@ -6,9 +6,57 @@
 #include "graph/budget.hpp"
 #include "graph/congestion_layer.hpp"
 #include "graph/types.hpp"
-#include "router/partition.hpp"
 
 namespace fpr {
+
+/// Axis-aligned rectangle over the device's unified half-tile grid (see
+/// Device::node_tile): logic blocks sit at odd (x, y), channel segments at
+/// the even coordinate of their channel axis. Coordinates are inclusive;
+/// the default-constructed rect is empty (x1 < x0). Pattern corridors are
+/// unions of these.
+struct TileRect {
+  int x0 = 0;
+  int y0 = 0;
+  int x1 = -1;
+  int y1 = -1;
+
+  bool empty() const { return x1 < x0 || y1 < y0; }
+
+  bool intersects(const TileRect& o) const {
+    return !empty() && !o.empty() && x0 <= o.x1 && o.x0 <= x1 && y0 <= o.y1 && o.y0 <= y1;
+  }
+
+  bool contains_point(int x, int y) const {
+    return !empty() && x0 <= x && x <= x1 && y0 <= y && y <= y1;
+  }
+
+  void include(int x, int y) {
+    if (empty()) {
+      x0 = x1 = x;
+      y0 = y1 = y;
+      return;
+    }
+    x0 = x < x0 ? x : x0;
+    x1 = x > x1 ? x : x1;
+    y0 = y < y0 ? y : y0;
+    y1 = y > y1 ? y : y1;
+  }
+
+  /// Grown by `margin` grid units on every side; empty stays empty.
+  TileRect expanded(int margin) const {
+    if (empty()) return *this;
+    return TileRect{x0 - margin, y0 - margin, x1 + margin, y1 + margin};
+  }
+
+  /// Intersection with `bounds` (empty when disjoint).
+  TileRect clipped(const TileRect& bounds) const {
+    if (!intersects(bounds)) return TileRect{};
+    return TileRect{x0 > bounds.x0 ? x0 : bounds.x0, y0 > bounds.y0 ? y0 : bounds.y0,
+                    x1 < bounds.x1 ? x1 : bounds.x1, y1 < bounds.y1 ? y1 : bounds.y1};
+  }
+
+  friend bool operator==(const TileRect&, const TileRect&) = default;
+};
 
 /// Outcome of a corridor pattern probe (pattern_route below).
 struct PatternProbe {
@@ -22,13 +70,6 @@ struct PatternProbe {
 
   std::vector<EdgeId> edges;  // path edges, source -> sink order
   Weight cost = 0;            // sum of live edge weights along the path
-
-  /// Union of every corridor rectangle the probe searched (half-tile
-  /// coordinates) — the probe's entire read set, which the wave scheduler
-  /// folds into the speculation's read footprint. Node membership is pure
-  /// arithmetic, so nothing outside this rectangle is ever READ either.
-  TileRect probed_area;
-
   long long expansions = 0;  // heap pops spent (also charged to the budget)
 };
 
@@ -41,8 +82,8 @@ struct PatternProbe {
 /// search, so any path that reaches the sink is acceptable by construction.
 /// Corridors are tried in a fixed order (L horizontal-first, L
 /// vertical-first, then the two Z shapes) and the first hit wins —
-/// deterministic, and bit-identical across thread counts because the probe
-/// reads only graph/layer state plus geometry.
+/// deterministic, because the probe reads only graph/layer state plus
+/// geometry.
 ///
 /// Cost guarantee the equivalence suite pins: the corridor search relaxes
 /// the same live edge weights as the engine over a SUBSET of the graph, so

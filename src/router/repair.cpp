@@ -403,8 +403,7 @@ RepairOutcome repair_route(Device& device, Circuit& circuit, RoutingResult& resu
 
   // --- 5. Re-route the cone, serially, in the result's established net
   // order (so a repaired net sees exactly the device state its position
-  // implies — and the repair is bit-identical at any threads value),
-  // under the event's own deterministic budget. ---
+  // implies), under the event's own deterministic budget. ---
   RouterOptions repair_options = options;
   if (options.mode == RouterMode::kNegotiated) {
     // Mode contract: the negotiated final state carries no penalties and

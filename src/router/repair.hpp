@@ -124,8 +124,8 @@ std::vector<std::size_t> repair_cone(const Device& device, const RoutingResult& 
 ///
 /// Requires result.commit_logs sized like circuit.nets (route with
 /// RouterOptions::record_commits = true) — FPR_CHECKed, as are event net
-/// indices and pin coordinates. Works in both router modes; determinism is
-/// trivial at any RouterOptions::threads (repair re-routes serially).
+/// indices and pin coordinates. Works in both router modes; the cone
+/// re-routes serially.
 RepairOutcome repair_route(Device& device, Circuit& circuit, RoutingResult& result,
                            const RepairEvent& event, const RouterOptions& options);
 

@@ -5,11 +5,9 @@
 #include <numeric>
 #include <utility>
 
-#include "core/parallel.hpp"
 #include "graph/dijkstra.hpp"
 #include "router/internal.hpp"
 #include "router/negotiate.hpp"
-#include "router/partition.hpp"
 
 namespace fpr {
 
@@ -139,18 +137,10 @@ class CongestionRelief {
   std::vector<Entry> touched_;
 };
 
-/// Routes one net as a whole tree with the configured algorithm
-/// (the critical-net algorithm when the net is flagged critical).
-RoutingTree route_whole_net(const Graph& g, const Net& net, bool critical,
-                            const RouterOptions& options, PathOracle& oracle) {
-  const Algorithm algo = critical ? options.critical_algorithm : options.algorithm;
-  return route(g, net, algo, oracle, options.route_options);
-}
-
-/// Baseline: each sink is an independent two-pin connection; later
-/// connections may not reuse earlier ones' wires (they are consumed by the
-/// caller between... no — within the *net* the connections stay disjoint
-/// too, which is exactly the waste the paper's Steiner routing removes).
+/// Baseline: each sink is an independent two-pin connection, committed as
+/// soon as it is routed, so later connections — even of the same net —
+/// may not reuse its wires. That per-net waste is exactly what the paper's
+/// Steiner routing removes.
 struct TwoPinOutcome {
   bool routed = false;
   bool budget_aborted = false;
@@ -292,21 +282,6 @@ void accumulate_totals(RoutingResult& result) {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Net-parallel wave scheduling (DESIGN.md §11).
-//
-// The per-pass net loop speculates partition-independent nets concurrently
-// against the wave-start device state (strictly read-only), then replays
-// them in serial order: a speculation is accepted — committed exactly as the
-// serial router would have — iff nothing committed since the wave started
-// intersects the rectangle of device state the speculative search actually
-// read; otherwise the net is recomputed on the live device. Acceptance
-// implies bit-identity (a serial route at replay time would have read
-// exactly the same state, hence computed exactly the same tree), so the
-// partition tree is purely a scheduler: it decides what to TRY in parallel,
-// never what the answer is.
-// ---------------------------------------------------------------------------
-
 /// Everything the per-net routine needs; one instance per route_circuit.
 struct NetContext {
   Device& device;
@@ -319,30 +294,11 @@ struct NetContext {
   std::vector<NetCommitLog>* commit_logs = nullptr;
 };
 
-/// Folds one commit's writes into `box`: the consumed wire nodes and both
-/// endpoints of every penalized edge — exactly the graph state (activity
-/// and weights) the commit changed.
-void include_commit_box(const Device& device, const Graph& g, const CommitLog& log,
-                        TileRect& box) {
-  for (const NodeId w : log.wires) {
-    const Device::TilePos t = device.node_tile(w);
-    box.include(t.x, t.y);
-  }
-  for (const EdgeId e : log.penalized) {
-    for (const NodeId v : {g.edge(e).u, g.edge(e).v}) {
-      const Device::TilePos t = device.node_tile(v);
-      box.include(t.x, t.y);
-    }
-  }
-}
-
 /// Routes net `idx` on the live device — the serial per-net routine: one
 /// whole-net attempt (or the decomposed baseline), the fault-retry ladder,
-/// measurement, and the commit. On failure appends idx to `failed`. When
-/// `write_box` is non-null, the commit's writes are folded into it (wave
-/// replay dirty-tracking).
+/// measurement, and the commit. On failure appends idx to `failed`.
 void route_net_live(NetContext& ctx, std::size_t idx, NetRouteResult& record,
-                    std::vector<std::size_t>& failed, TileRect* write_box) {
+                    std::vector<std::size_t>& failed) {
   Device& device = ctx.device;
   const RouterOptions& options = ctx.options;
   WorkBudget& budget = ctx.budget;
@@ -408,7 +364,7 @@ void route_net_live(NetContext& ctx, std::size_t idx, NetRouteResult& record,
   if (algorithm_supports_scoped_paths(algo)) {
     oracle.set_scope(terminals);
   }
-  RoutingTree tree = route_whole_net(g, net, critical, options, oracle);
+  RoutingTree tree = route(g, net, algo, oracle, options.route_options);
 
   // Fault-retry ladder: a defect can sever exactly the corridor the
   // congestion weights and candidate cap funnel this net into, so each
@@ -459,239 +415,8 @@ void route_net_live(NetContext& ctx, std::size_t idx, NetRouteResult& record,
   record.optimal_max_pathlength = metrics.optimal_max_pathlength;
   record.physical_wirelength = static_cast<int>(tree.edges().size());
   record.physical_max_path = tree.max_path_edge_count(net.source, net.sinks);
-  CommitLog local_log;
   CommitLog* log = ctx.commit_logs != nullptr ? &(*ctx.commit_logs)[idx] : nullptr;
-  if (log == nullptr && write_box != nullptr) log = &local_log;
   record.wire_nodes_used = commit_net(device, tree.edges(), options.congestion_penalty, log);
-  if (write_box != nullptr) include_commit_box(device, g, *log, *write_box);
-}
-
-/// Collapses every Dijkstra run of a speculative route into one rectangle
-/// over the device's unified tile grid.
-class BoxFootprint final : public SearchFootprintObserver {
- public:
-  explicit BoxFootprint(const Device& device) : device_(&device) {}
-
-  void on_search(std::span<const NodeId> labeled) override {
-    for (const NodeId v : labeled) {
-      const Device::TilePos t = device_->node_tile(v);
-      box_.include(t.x, t.y);
-    }
-  }
-
-  const TileRect& box() const { return box_; }
-
- private:
-  const Device* device_;
-  TileRect box_;
-};
-
-/// Every read a corridor-candidate whole-net construction performs sits
-/// within Chebyshev distance 2 (in unified tile units) of a node some
-/// Dijkstra run labeled: relaxation reads touch labeled endpoints, tree
-/// costs read edges between labeled nodes, and candidate enumeration reads
-/// the 1-hop neighborhood of oracle path nodes — one edge away, and a
-/// device edge spans at most 2 tile units (Device::node_tile). Padding the
-/// labeled bounding box by 2 therefore covers the whole read set.
-constexpr int kReadHalo = 2;
-
-/// One speculative net route: where it sits in the pass order, what routing
-/// it produced against the wave-start device state, and the region of the
-/// device the search observed.
-struct Speculation {
-  std::size_t pos = 0;  // position in the pass order
-  std::size_t idx = 0;  // net index
-  bool spans = false;   // the speculative tree spans its terminals
-  long long work = 0;   // node expansions the attempt performed
-  TileRect read_box;    // labeled nodes + halo: all state the attempt read
-  std::vector<EdgeId> edges;
-  TreeMetrics metrics;
-  int physical_max_path = 0;
-};
-
-/// Read-only speculative mirror of route_net_live's first whole-net attempt
-/// (the gate guarantees: non-trivial net, scoped algorithm, corridor
-/// candidates, no shared budget). Runs on pool workers against the
-/// wave-start device state; its only outputs are `spec` and this thread's
-/// footprint.
-void speculate_net(const Device& device, const Circuit& circuit, const RouterOptions& options,
-                   Speculation& spec) {
-  const Graph& g = device.graph();
-  BoxFootprint footprint(device);
-  ScopedSearchFootprint guard(&footprint);
-  const Net net = to_graph_net(device, circuit.nets[spec.idx]);
-  WorkBudget local;  // unlimited: tracks expansions for work accounting
-  PathOracle oracle(g);
-  oracle.set_budget(&local);
-  const std::vector<NodeId> terminals = net.terminals();
-  const bool critical = circuit.nets[spec.idx].critical;
-  oracle.set_scope(terminals);
-  RoutingTree tree = route_whole_net(g, net, critical, options, oracle);
-  spec.spans = tree.spans(terminals);
-  if (spec.spans) {
-    // Mirror route_net_live: measurement is unbudgeted there, so it must
-    // not count toward spec.work here either, or an accepted speculation
-    // would charge the shared budget more than the serial route it replays.
-    oracle.set_budget(nullptr);
-    spec.metrics = measure(g, net, tree, oracle);
-    spec.edges = tree.edges();
-    spec.physical_max_path = tree.max_path_edge_count(net.source, net.sinks);
-  }
-  spec.work = local.used;
-  spec.read_box = footprint.box().expanded(kReadHalo);
-}
-
-/// Replay-time acceptance test. Returns true when the speculation was
-/// accepted and fully applied (record filled, committed, write box pushed);
-/// false when the net must be recomputed on the live device.
-bool accept_speculation(NetContext& ctx, Speculation& spec, NetRouteResult& record,
-                        std::vector<std::size_t>& failed,
-                        std::vector<TileRect>& wave_writes) {
-  // Accepting requires that a serial route at this position would have read
-  // exactly the state the speculation read: everything committed since wave
-  // start must miss the speculative read footprint.
-  for (const TileRect& w : wave_writes) {
-    if (spec.read_box.intersects(w)) return false;
-  }
-  // A clean failed attempt is final only when no fault-retry ladder would
-  // follow it — the ladder relaxes GLOBAL edge weights, so it always runs
-  // live.
-  if (!spec.spans && ctx.fault_retries > 0) return false;
-  counters().nets_spec_accepted.fetch_add(1, std::memory_order_relaxed);
-  ctx.budget.used += spec.work;  // the exact expansions a serial route costs
-  if (!spec.spans) {
-    record.status = NetStatus::kFailedCongestion;
-    failed.push_back(spec.idx);
-    return true;
-  }
-  record.status = NetStatus::kRouted;
-  record.edges = std::move(spec.edges);
-  record.wirelength = spec.metrics.wirelength;
-  record.max_pathlength = spec.metrics.max_pathlength;
-  record.optimal_max_pathlength = spec.metrics.optimal_max_pathlength;
-  record.physical_wirelength = static_cast<int>(record.edges.size());
-  record.physical_max_path = spec.physical_max_path;
-  CommitLog local_log;
-  CommitLog* log =
-      ctx.commit_logs != nullptr ? &(*ctx.commit_logs)[spec.idx] : &local_log;
-  record.wire_nodes_used =
-      commit_net(ctx.device, record.edges, ctx.options.congestion_penalty, log);
-  TileRect write_box;
-  include_commit_box(ctx.device, ctx.device.graph(), *log, write_box);
-  wave_writes.push_back(write_box);
-  return true;
-}
-
-// Wave shaping: how many nets one wave may speculate and how far past the
-// cursor the scheduler may look for independent ones. Fixed constants —
-// deliberately NOT derived from the thread count, so the wave decomposition
-// (and with it every counter a test could observe) is the same whether the
-// pool has 2 workers or 32.
-constexpr std::size_t kWaveNets = 16;
-constexpr std::size_t kWaveScan = 64;
-
-/// One full routing pass in wave mode. Equivalent to the serial loop by the
-/// acceptance argument above; nets the scheduler skips (trivial, unscoped
-/// algorithm, conflicting region) simply route serially at their position.
-void route_pass_waves(NetContext& ctx, const std::vector<std::size_t>& order,
-                      RoutingResult& result, std::vector<std::size_t>& failed,
-                      ThreadPool& pool, const PartitionTree& ptree,
-                      const std::vector<int>& net_region) {
-  Device& device = ctx.device;
-  std::vector<Speculation> wave;
-  std::vector<int> regions;
-  std::vector<TileRect> wave_writes;
-  std::size_t pos = 0;
-  while (pos < order.size()) {
-    wave.clear();
-    regions.clear();
-    const std::size_t scan_end = std::min(order.size(), pos + kWaveScan);
-    std::size_t span_end = pos + 1;
-    for (std::size_t p = pos; p < scan_end && wave.size() < kWaveNets; ++p) {
-      const int region = net_region[order[p]];
-      if (region < 0) continue;  // never speculated: routes live at replay
-      bool independent = true;
-      for (const int r : regions) {
-        if (!ptree.independent(region, r)) {
-          independent = false;
-          break;
-        }
-      }
-      if (!independent) continue;
-      regions.push_back(region);
-      Speculation spec;
-      spec.pos = p;
-      spec.idx = order[p];
-      wave.push_back(std::move(spec));
-      span_end = p + 1;
-    }
-    if (wave.size() < 2) {
-      // No concurrency at this cursor: route one net live and move on.
-      route_net_live(ctx, order[pos], result.nets[order[pos]], failed, nullptr);
-      ++pos;
-      continue;
-    }
-
-    counters().parallel_waves.fetch_add(1, std::memory_order_relaxed);
-    counters().nets_speculated.fetch_add(wave.size(), std::memory_order_relaxed);
-    // Publish the adjacency snapshot once, serially. A tiled graph's
-    // speculative searches synthesize adjacency from the template instead,
-    // so building (and paying the memory for) a CSR would be pure waste.
-    if (!device.graph().tiled()) device.graph().csr();
-    pool.parallel_for(wave.size(), [&](std::size_t i) {
-      speculate_net(device, ctx.circuit, ctx.options, wave[i]);
-    });
-
-    // Serial-order replay over the wave's span.
-    wave_writes.clear();
-    std::size_t next = 0;
-    for (std::size_t p = pos; p < span_end; ++p) {
-      const std::size_t idx = order[p];
-      NetRouteResult& record = result.nets[idx];
-      Speculation* spec = nullptr;
-      if (next < wave.size() && wave[next].pos == p) spec = &wave[next++];
-      if (spec != nullptr && accept_speculation(ctx, *spec, record, failed, wave_writes)) {
-        continue;
-      }
-      if (spec != nullptr) {
-        counters().nets_spec_recomputed.fetch_add(1, std::memory_order_relaxed);
-      }
-      TileRect write_box;
-      route_net_live(ctx, idx, record, failed, &write_box);
-      if (!write_box.empty()) wave_writes.push_back(write_box);
-    }
-    pos = span_end;
-  }
-}
-
-/// Partition-tree region per net for the wave scheduler, or -1 for nets
-/// that always route live: trivial single-block nets and nets whose
-/// algorithm scans unscoped oracle trees (their reads are unbounded, so no
-/// footprint rectangle could validate them).
-std::vector<int> schedule_regions(const Circuit& circuit, const RouterOptions& options,
-                                  const PartitionTree& ptree, const TileRect& bounds) {
-  std::vector<int> regions(circuit.nets.size(), -1);
-  for (std::size_t i = 0; i < circuit.nets.size(); ++i) {
-    const CircuitNet& net = circuit.nets[i];
-    const Algorithm algo = net.critical ? options.critical_algorithm : options.algorithm;
-    if (!algorithm_supports_scoped_paths(algo)) continue;
-    TileRect box;
-    box.include(2 * net.source.x + 1, 2 * net.source.y + 1);
-    bool trivial = true;
-    for (const PinRef& p : net.sinks) {
-      if (p != net.source) trivial = false;
-      box.include(2 * p.x + 1, 2 * p.y + 1);
-    }
-    if (trivial) continue;  // no sinks after dedup: routes in O(1) anyway
-    // Expected search extent: the scoped Dijkstra radius is ~1.3x the
-    // terminal span plus slack, so pad the terminal box accordingly. The
-    // margin is a scheduling heuristic — too small shows up as rejected
-    // speculations, too large as missed parallelism, never as a wrong
-    // result.
-    const int span = box.width() > box.height() ? box.width() : box.height();
-    regions[i] = ptree.assign(box.expanded(6 + span / 4).clipped(bounds));
-  }
-  return regions;
 }
 
 }  // namespace
@@ -704,7 +429,7 @@ void route_single_net(Device& device, const Circuit& circuit, const RouterOption
                       NetRouteResult& record) {
   NetContext ctx{device, circuit, options, budget, fault_retries, commit_logs};
   std::vector<std::size_t> failed;  // single-net call: the status already says it
-  route_net_live(ctx, idx, record, failed, nullptr);
+  route_net_live(ctx, idx, record, failed);
 }
 
 }  // namespace router_internal
@@ -734,24 +459,6 @@ RoutingResult route_circuit(Device& device, const Circuit& circuit,
   const int fault_retries = faulty ? std::max(0, options.fault_retries) : 0;
   NetContext ctx{device, circuit, options, budget, fault_retries};
 
-  // Net-parallel wave mode engages only for configurations whose first
-  // attempts are read-confined: whole-net trees (no mid-attempt commits),
-  // corridor candidates (enumeration stays inside the Dijkstra footprint),
-  // and no node budget (speculative work must not depend on attempt
-  // order). The result is bit-identical either way; the gate only decides
-  // whether speculation can pay off.
-  PoolLease lease(options.threads);
-  const bool wave_mode = lease.pool().size() > 1 && net_count > 1 &&
-                         !options.decompose_two_pin && options.node_budget <= 0 &&
-                         options.route_options.candidates == CandidateStrategy::kCorridor;
-  PartitionTree ptree;
-  std::vector<int> net_region;
-  if (wave_mode) {
-    const TileRect bounds = device_tile_bounds(device);
-    ptree = PartitionTree::build(bounds);
-    net_region = schedule_regions(circuit, options, ptree, bounds);
-  }
-
   int best_failed = static_cast<int>(net_count) + 1;
   int stalled = 0;
   for (int pass = 1; pass <= options.max_passes; ++pass) {
@@ -767,24 +474,20 @@ RoutingResult route_circuit(Device& device, const Circuit& circuit,
     result.work_used = work_so_far;
     std::vector<std::size_t> failed;
 
-    if (wave_mode) {
-      route_pass_waves(ctx, order, result, failed, lease.pool(), ptree, net_region);
-    } else {
-      for (std::size_t pos = 0; pos < order.size(); ++pos) {
-        const std::size_t idx = order[pos];
-        if (budget.exhausted()) {
-          // Out of budget: everything not yet attempted this pass aborts.
-          // Nothing is half-committed (whole-net commits happen only after a
-          // spanning tree is found; the decomposed baseline rolls back), so
-          // the committed prefix is a consistent partial solution.
-          for (std::size_t rest = pos; rest < order.size(); ++rest) {
-            result.nets[order[rest]].status = NetStatus::kAbortedBudget;
-            failed.push_back(order[rest]);
-          }
-          break;
+    for (std::size_t pos = 0; pos < order.size(); ++pos) {
+      const std::size_t idx = order[pos];
+      if (budget.exhausted()) {
+        // Out of budget: everything not yet attempted this pass aborts.
+        // Nothing is half-committed (whole-net commits happen only after a
+        // spanning tree is found; the decomposed baseline rolls back), so
+        // the committed prefix is a consistent partial solution.
+        for (std::size_t rest = pos; rest < order.size(); ++rest) {
+          result.nets[order[rest]].status = NetStatus::kAbortedBudget;
+          failed.push_back(order[rest]);
         }
-        route_net_live(ctx, idx, result.nets[idx], failed, nullptr);
+        break;
       }
+      route_net_live(ctx, idx, result.nets[idx], failed);
     }
 
     result.work_used = budget.used;

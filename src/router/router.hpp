@@ -87,27 +87,21 @@ struct RouterOptions {
 
   /// Deterministic work budget for the whole route_circuit call, measured
   /// in Dijkstra node expansions (heap pops) — never wall-clock, so a
-  /// budget-aborted run is bit-identical on every machine and thread count.
+  /// budget-aborted run is bit-identical on every machine.
   /// 0 = unlimited. When the budget runs out mid-circuit the router stops
   /// where it is: nets already routed stay routed (and committed), the
   /// in-flight and unattempted nets are marked NetStatus::kAbortedBudget,
   /// and the partial RoutingResult reports budget_exhausted.
   long long node_budget = 0;
 
-  /// Worker threads for the net-parallel pass (the partition-tree wave
-  /// scheduler, DESIGN.md §11): 0 = the shared pool (FPR_THREADS /
-  /// hardware default), 1 = serial, >= 2 = a pool of that size. The result
-  /// — device state, per-net records, pass count, move-to-front order,
-  /// work_used — is bit-identical for every value; threads only change
-  /// wall-clock time. Speculation engages only for configurations whose
-  /// searches are read-confined (corridor candidates, whole-net trees, no
-  /// node budget); anything else routes serially regardless of this knob.
+  /// Ignored: routing is serial (DESIGN.md §11). Kept only because the
+  /// benchmark suite still sets it.
   int threads = 0;
 
   /// Congestion-resolution mode. kPaper preserves the historical router
   /// bit-for-bit; kNegotiated switches route_circuit to the negotiated-
   /// congestion loop, which reads only the negotiate_* / pattern_route
-  /// knobs below plus the shared algorithm/candidate/budget/thread options
+  /// knobs below plus the shared algorithm/candidate/budget options
   /// (move_to_front, congestion_penalty, fault_retries and max_passes are
   /// paper-mode machinery and are never consulted). Negotiated mode routes
   /// whole nets only: decompose_two_pin must stay false.
@@ -247,8 +241,7 @@ struct RoutingResult {
   bool budget_exhausted = false;
 
   /// The net order (indices into `nets`) the final pass routed in — the
-  /// accumulated move-to-front permutation. Part of the determinism
-  /// contract: bit-identical across RouterOptions::threads values.
+  /// accumulated move-to-front permutation.
   std::vector<std::size_t> net_order;
 
   /// RouterOptions::record_commits only: one log per net (indexed like

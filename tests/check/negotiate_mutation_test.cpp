@@ -34,7 +34,7 @@ class NegotiateMutationTest : public ::testing::Test {
 // the bug-catch does not depend on re-running the whole fuzz loop.
 constexpr const char* kPinnedRepro =
     "circuit family=xc3000 rows=2 cols=3 width=4 nets=3,1,1 synth_seed=4268943187 "
-    "algo=DJKA decompose=0 threads=2 mode=negotiated";
+    "algo=DJKA decompose=0 mode=negotiated";
 
 TEST_F(NegotiateMutationTest, OracleCatchesBrokenHistoryUpdateOnPinnedCase) {
   const auto verdict = run_case(Oracle::kNegotiate, kPinnedRepro);

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "check/oracles.hpp"
+#include "core/metrics.hpp"
 #include "netlist/profiles.hpp"
 #include "netlist/synth.hpp"
 #include "router/router.hpp"
@@ -135,6 +136,62 @@ TEST(NegotiateConvergenceTest, Term1MinWidthDeltaIsPinned) {
   EXPECT_LE(negotiated.min_width, paper_width + 1);
   EXPECT_EQ(paper_width, kTerm1PaperWidth);
   EXPECT_EQ(negotiated.min_width, kTerm1NegotiatedWidth);
+}
+
+// ---------------------------------------------------------------------------
+// Mode-gating boundary: the paper mode's relief/reordering machinery and
+// the negotiated mode's trend/pattern machinery are mutually exclusive.
+// ---------------------------------------------------------------------------
+
+TEST(NegotiateBoundaryTest, PaperMachineryNeverEngagesInNegotiatedMode) {
+  // A faulted, congested run — exactly the conditions that drive paper-mode
+  // congestion relief and move-to-front — must leave both counters at zero
+  // when routed by negotiation.
+  const CircuitProfile& profile = xc3000_profiles()[0];
+  const ArchSpec arch = ArchSpec::xc3000(profile.rows, profile.cols, profile.paper_ikmb);
+  FaultSpec faults;
+  faults.seed = 9;
+  faults.wire_permille = 30;
+  faults.switch_permille = 20;
+  counters().reset();
+  Device device(arch);
+  device.install_faults(faults);
+  RouterOptions options = negotiated_options();
+  options.negotiate_passes = 16;
+  const RoutingResult r = route_circuit(device, synthesize_circuit(profile, 31), options);
+  EXPECT_EQ(counters().congestion_reliefs.load(), 0u)
+      << "CongestionRelief engaged during a negotiated run";
+  EXPECT_EQ(counters().move_to_front_reorders.load(), 0u)
+      << "move-to-front reordering engaged during a negotiated run";
+  // Negotiated machinery did engage (the gate is directional, not dead).
+  EXPECT_GT(counters().negotiate_runs.load(), 0u);
+  EXPECT_FALSE(r.overflow_trend.empty());
+  for (const auto& net : r.nets) EXPECT_EQ(net.retries, 0);
+}
+
+TEST(NegotiateBoundaryTest, ReliefCountersAreLiveInPaperMode) {
+  // Control for the test above: the same faulted scenario in paper mode
+  // DOES build CongestionRelief guards — proving the zero assertion is
+  // checking a live counter, not a never-incremented one.
+  const CircuitProfile& profile = xc3000_profiles()[0];
+  const ArchSpec arch = ArchSpec::xc3000(profile.rows, profile.cols, profile.paper_ikmb);
+  FaultSpec faults;
+  faults.seed = 9;
+  faults.wire_permille = 30;
+  faults.switch_permille = 20;
+  counters().reset();
+  Device device(arch);
+  device.install_faults(faults);
+  RouterOptions paper;
+  paper.max_passes = 6;
+  const RoutingResult r = route_circuit(device, synthesize_circuit(profile, 31), paper);
+  EXPECT_GT(counters().congestion_reliefs.load(), 0u);
+  // And the negotiated result surface stays silent in paper mode.
+  EXPECT_TRUE(r.overflow_trend.empty());
+  EXPECT_EQ(r.pattern_attempts, 0);
+  EXPECT_EQ(r.pattern_accepts, 0);
+  EXPECT_EQ(counters().negotiate_runs.load(), 0u);
+  EXPECT_EQ(counters().pattern_attempts.load(), 0u);
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 // from DESIGN.md §14 — zero-touch events are byte-stable no-ops, killing a
 // net's only paths degrades it to kBlockedByFault without touching the
 // complement, overlapping deltas rip each cone net exactly once — plus
-// event/outcome/journal serialization round-trips, journal replay
-// reconstruction, and thread-count invariance of the repaired state.
+// event/outcome/journal serialization round-trips, and journal replay
+// reconstruction.
 
 #include <gtest/gtest.h>
 
@@ -301,37 +301,6 @@ TEST_F(RepairTest, AddedNetsRouteAndExtendTheResultVector) {
 
   const auto check = check::check_routing_feasibility(arch, circuit, result, options);
   EXPECT_TRUE(check.ok()) << check.message();
-}
-
-TEST_F(RepairTest, RepairIsThreadCountInvariant) {
-  // The seed route runs net-parallel at 1/2/4/8 threads; repair re-routes
-  // serially. The full post-repair state must be bit-identical everywhere.
-  const ArchSpec arch = ArchSpec::xc4000(4, 4, 5);
-  RepairEvent ev;
-
-  std::vector<RoutingResult> results;
-  std::vector<RepairOutcome> outcomes;
-  for (const int threads : {1, 2, 4, 8}) {
-    Circuit circuit = small_circuit();
-    Device device(arch);
-    RouterOptions options = repair_options();
-    options.threads = threads;
-    RoutingResult result = route_circuit(device, circuit, options);
-    if (ev.faults.empty()) {
-      // Derive the event once, from the serial baseline: kill the first
-      // committed wire of net 0 and change net 3's sink.
-      ev.faults.dead_wires = {result.commit_logs[0].wires.front()};
-      ev.faults.normalize();
-      ev.changed.push_back({3, CircuitNet{{0, 1}, {{3, 1}}}});
-      ev.budget = 200'000;
-    }
-    outcomes.push_back(repair_route(device, circuit, result, ev, options));
-    results.push_back(std::move(result));
-  }
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    EXPECT_EQ(outcomes[0], outcomes[i]) << "threads variant " << i;
-    expect_identical(results[0], results[i]);
-  }
 }
 
 TEST_F(RepairTest, JournalSerializationAndFileRoundTrip) {

@@ -759,7 +759,7 @@ void check_globals(FileInfo& file, const Manifest& manifest) {
     }
     add_finding(file, line_of(start_offset), "global-state",
                 "namespace-scope mutable variable '" + name +
-                    "'; hidden globals break speculate-then-validate replay — use "
+                    "'; hidden globals make results depend on what ran before — use "
                     "core/metrics counters, a testhooks namespace, or plumb the state "
                     "explicitly");
   };

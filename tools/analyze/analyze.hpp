@@ -24,8 +24,9 @@
 ///                 platforms and backends (PR 8's convergence contract).
 ///   global-state  no namespace-scope mutable variable or function-local
 ///                 static outside the allowlist (core/metrics counters,
-///                 testhooks namespaces): hidden globals are exactly what
-///                 breaks speculate-then-validate replay (PR 6/9).
+///                 testhooks namespaces): hidden globals make a result
+///                 depend on what ran earlier in the process, which breaks
+///                 memoized replay and the determinism pins.
 ///
 /// Findings reuse the fpr-lint machinery end to end: the same Finding
 /// struct, the same stripped-source view, and the same inline
