@@ -10,16 +10,21 @@
 namespace fpr {
 namespace {
 
+// Int-sized so SweepCase has no padding: gtest names each case after the
+// raw bytes of its parameter, and uninitialised padding bytes would make the
+// discovered test names differ from run to run.
+enum Family : int { kXc4000 = 0, kXc3000 = 1 };
+
 struct SweepCase {
   int rows, cols, width;
-  bool xc3000;
+  Family family;
 };
 
 class DeviceSweepTest : public ::testing::TestWithParam<SweepCase> {
  protected:
   static ArchSpec arch(const SweepCase& c) {
-    return c.xc3000 ? ArchSpec::xc3000(c.rows, c.cols, c.width)
-                    : ArchSpec::xc4000(c.rows, c.cols, c.width);
+    return c.family == kXc3000 ? ArchSpec::xc3000(c.rows, c.cols, c.width)
+                                 : ArchSpec::xc4000(c.rows, c.cols, c.width);
   }
 };
 
@@ -84,10 +89,10 @@ TEST_P(DeviceSweepTest, WireRefRoundTripsEveryWire) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, DeviceSweepTest,
-                         ::testing::Values(SweepCase{2, 2, 1, false}, SweepCase{3, 5, 2, false},
-                                           SweepCase{5, 3, 4, true}, SweepCase{4, 4, 7, true},
-                                           SweepCase{6, 7, 3, false}, SweepCase{7, 6, 5, true},
-                                           SweepCase{1, 8, 2, false}, SweepCase{8, 1, 2, true}));
+                         ::testing::Values(SweepCase{2, 2, 1, kXc4000}, SweepCase{3, 5, 2, kXc4000},
+                                           SweepCase{5, 3, 4, kXc3000}, SweepCase{4, 4, 7, kXc3000},
+                                           SweepCase{6, 7, 3, kXc4000}, SweepCase{7, 6, 5, kXc3000},
+                                           SweepCase{1, 8, 2, kXc4000}, SweepCase{8, 1, 2, kXc3000}));
 
 }  // namespace
 }  // namespace fpr
