@@ -3,7 +3,8 @@
 // stamper (DESIGN.md §12), recording peak RSS, graph-build time, and route
 // time per case. This is the committed evidence for the template builder's
 // scaling claim (BENCH_device_scale.json): same routed bits, a fraction of
-// the memory and build time.
+// the memory and build time. The record names the host's core count, the
+// build type and the git revision it was measured at.
 //
 // Each (builder, size) case runs in its OWN child process (this binary
 // re-invoked with --child) so getrusage's ru_maxrss high-water mark
@@ -11,10 +12,12 @@
 // would report every case at the footprint of the largest one. The parent
 // only parses one RESULT line per child and aggregates.
 //
-// Route-phase memory is builder-independent by design: the tiled graph
-// serves the Dijkstra engine directly from the template (no CSR snapshot),
-// so the child's peak is build-dominated for legacy and search-arena-
-// dominated for tiled.
+// A tiled graph never builds a CSR snapshot. At or below
+// Graph::kFlatAdjacencyMaxEdges (the 25x25 and 40x40 cases) it stamps a
+// structural-only flat adjacency during the build, which the graph-RSS
+// column includes; above the cut the Dijkstra engine synthesizes adjacency
+// from the template and the child's peak is search-arena-dominated. Each
+// case records which side it ran on (`tiled_adjacency`).
 //
 // CI smoke mode: `device_scale --smoke <n> --max-rss-kb <k>` runs the
 // tiled build+route at n x n in-process and fails (exit 1) if the route
@@ -26,6 +29,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -87,6 +91,7 @@ struct CaseResult {
   long long edges = 0;
   std::uint64_t digest = 0;
   int routed_nets = 0;
+  bool flat = false;  // tiled graph on the flat-adjacency side of the cut
   bool ok = false;
 };
 
@@ -95,8 +100,10 @@ struct CaseResult {
 /// "Build" ends when the device is route-ready. For the legacy builder
 /// that includes materializing the CSR snapshot — the Dijkstra engine
 /// demands it on the first search, so it is part of the representation's
-/// true footprint. The tiled build never makes one: the engine reads
-/// adjacency straight out of the template, which is most of the memory win.
+/// true footprint. The tiled build never makes one: below the size cut the
+/// build itself stamps the flat adjacency the engine walks, above it the
+/// engine reads adjacency straight out of the template, which is most of
+/// the memory win.
 CaseResult run_case(bool tiled, int n) {
   CaseResult r;
   const ArchSpec spec = ArchSpec::xc4000(n, n, kWidth);
@@ -112,6 +119,7 @@ CaseResult run_case(bool tiled, int n) {
   }
   r.nodes = device.graph().node_count();
   r.edges = device.graph().edge_count();
+  r.flat = device.graph().flat_adjacency() != nullptr;
 
   RouterOptions options;
   options.threads = 1;  // one case per child; keep the child single-threaded
@@ -131,9 +139,9 @@ int child_main(const char* builder, int n) {
   const bool tiled = std::strcmp(builder, "tiled") == 0;
   const CaseResult r = run_case(tiled, n);
   std::printf("RESULT build_s=%.6f route_s=%.6f build_rss_kib=%ld rss_kib=%ld nodes=%lld "
-              "edges=%lld digest=%016" PRIx64 " routed=%d ok=%d\n",
+              "edges=%lld digest=%016" PRIx64 " routed=%d flat=%d ok=%d\n",
               r.build_s, r.route_s, r.build_rss_kib, r.rss_kib, r.nodes, r.edges, r.digest,
-              r.routed_nets, r.ok ? 1 : 0);
+              r.routed_nets, r.flat ? 1 : 0, r.ok ? 1 : 0);
   return r.ok ? 0 : 1;
 }
 
@@ -148,17 +156,19 @@ CaseResult spawn_case(const char* self, const char* builder, int n) {
     return r;
   }
   char line[512];
+  int flat_flag = 0;
   int ok_flag = 0;
   bool parsed = false;
   while (std::fgets(line, sizeof(line), pipe) != nullptr) {
     if (std::sscanf(line,
                     "RESULT build_s=%lf route_s=%lf build_rss_kib=%ld rss_kib=%ld nodes=%lld "
-                    "edges=%lld digest=%" SCNx64 " routed=%d ok=%d",
+                    "edges=%lld digest=%" SCNx64 " routed=%d flat=%d ok=%d",
                     &r.build_s, &r.route_s, &r.build_rss_kib, &r.rss_kib, &r.nodes, &r.edges,
-                    &r.digest, &r.routed_nets, &ok_flag) == 9) {
+                    &r.digest, &r.routed_nets, &flat_flag, &ok_flag) == 10) {
       parsed = true;
     }
   }
+  r.flat = flat_flag == 1;
   const int status = pclose(pipe);
   r.ok = parsed && ok_flag == 1 && status == 0;
   return r;
@@ -210,7 +220,8 @@ int main(int argc, char** argv) {
   const char* json_path = bench::json_output_path(argc, argv);
   if (json_path == nullptr) json_path = "BENCH_device_scale.json";
 
-  const std::vector<int> sizes = {25, 50, 100, 150, 200};
+  // 25 and 40 fall below the flat-adjacency cut, 50 and up above it.
+  const std::vector<int> sizes = {25, 40, 50, 100, 150, 200};
   bench::Json rows = bench::Json::array();
   bool all_identical = true;
   bool all_ok = true;
@@ -222,7 +233,8 @@ int main(int argc, char** argv) {
     const bool identical = legacy.ok && tiled.ok && legacy.digest == tiled.digest;
     all_identical = all_identical && identical;
 
-    std::printf("%3dx%-3d w=%d  %lld nodes %lld edges\n", n, n, kWidth, tiled.nodes, tiled.edges);
+    std::printf("%3dx%-3d w=%d  %lld nodes %lld edges  tiled adjacency: %s\n", n, n, kWidth,
+                tiled.nodes, tiled.edges, tiled.flat ? "flat" : "arithmetic");
     std::printf("    legacy: build %8.1f ms  route %8.1f ms  graph rss %9ld KiB  total %9ld KiB\n",
                 legacy.build_s * 1e3, legacy.route_s * 1e3, legacy.build_rss_kib, legacy.rss_kib);
     std::printf("    tiled:  build %8.1f ms  route %8.1f ms  graph rss %9ld KiB  total %9ld KiB\n",
@@ -239,6 +251,7 @@ int main(int argc, char** argv) {
         .field("width", kWidth)
         .field("nodes", tiled.nodes)
         .field("edges", tiled.edges)
+        .field("tiled_adjacency", tiled.flat ? "flat" : "arithmetic")
         .field("legacy_build_ms", legacy.build_s * 1e3)
         .field("legacy_route_ms", legacy.route_s * 1e3)
         .field("legacy_graph_rss_kib", static_cast<long long>(legacy.build_rss_kib))
@@ -260,6 +273,10 @@ int main(int argc, char** argv) {
   bench::Json doc = bench::Json::object();
   doc.field("bench", "device_scale")
       .field("timestamp", bench::iso_timestamp())
+      .field("host_cores", static_cast<long long>(std::thread::hardware_concurrency()))
+      .field("build_type", FPR_BUILD_TYPE)
+      .field("git_rev", FPR_GIT_REV)
+      .field("flat_adjacency_max_edges", static_cast<long long>(Graph::kFlatAdjacencyMaxEdges))
       .field("width", kWidth)
       .field("template_compile_failures", static_cast<long long>(stats.compile_failures))
       .field("all_routes_bit_identical", all_identical)

@@ -101,10 +101,10 @@ class CongestionLayer {
   }
 
   /// Rewrites the weights of every edge incident to `v` from the current
-  /// node costs. Copies the incident span first: on a tiled graph
-  /// incident_edges() returns a thread-local scratch span that the next
-  /// incident_edges() call (e.g. inside cost evaluation of the other
-  /// endpoint) would clobber.
+  /// node costs. Copies the incident span first: on a tiled graph above
+  /// the flat-adjacency size cut incident_edges() returns a thread-local
+  /// scratch span that the next incident_edges() call (e.g. inside cost
+  /// evaluation of the other endpoint) would clobber.
   void reprice(NodeId v);
 
   Graph& g_;

@@ -56,7 +56,7 @@ void export_tree(const DijkstraArena& arena, NodeId node_count, bool stopped_ear
   }
 }
 
-/// Shared core: Dijkstra over the graph's CSR snapshot with this thread's
+/// Shared core: Dijkstra over the graph's adjacency backend with this thread's
 /// arena, optionally stopping once all `targets` are settled and the
 /// frontier has moved past the derived radius.
 ///
@@ -153,24 +153,42 @@ void dijkstra_impl(const Graph& g, NodeId source, std::span<const NodeId> target
     }
   };
   if (g.tiled()) {
-    // Tiled backend: adjacency is synthesized arithmetically from the tile
-    // template — no CSR snapshot is ever built, which is most of the tiled
-    // representation's memory win. Usability is an explicit activity test
-    // here (the materialized path folds it into an infinite weight).
+    // Tiled backends: no CSR snapshot and no per-slot weight stream, so
+    // usability is an explicit activity test here (the materialized path
+    // folds it into an infinite weight) and the weight is read per edge.
     const Graph::TiledView tv = g.tiled_view();
-    const TiledTopology* topo = tv.topo;
-    run([&](NodeId u, Weight d) {
-      topo->for_each_slot(u, [&](NodeId v, EdgeId e, const TiledSlot&) {
-        if (tv.edge_active[static_cast<std::size_t>(e)] == 0 ||
-            tv.node_active[static_cast<std::size_t>(v)] == 0) {
-          return;
-        }
-        const Weight nd = d + tv.weight[static_cast<std::size_t>(e)];
-        if (nd < arena.dist(v)) {
-          arena.relax(v, nd, u, e);
+    const auto relax_slot = [&](NodeId u, Weight d, NodeId v, EdgeId e) {
+      if (tv.edge_active[static_cast<std::size_t>(e)] == 0 ||
+          tv.node_active[static_cast<std::size_t>(v)] == 0) {
+        return;
+      }
+      const Weight nd = d + tv.weight[static_cast<std::size_t>(e)];
+      if (nd < arena.dist(v)) {
+        arena.relax(v, nd, u, e);
+      }
+    };
+    if (tv.flat != nullptr) {
+      // Below the size cut: walk the stamped flat slices (slot order).
+      const EdgeId* offsets = tv.flat->offsets.data();
+      const NodeId* neighbor = tv.flat->neighbor.data();
+      const EdgeId* edge_id = tv.flat->edge_id.data();
+      run([&](NodeId u, Weight d) {
+        const EdgeId begin = offsets[static_cast<std::size_t>(u)];
+        const EdgeId end = offsets[static_cast<std::size_t>(u) + 1];
+        for (EdgeId k = begin; k < end; ++k) {
+          relax_slot(u, d, neighbor[static_cast<std::size_t>(k)],
+                     edge_id[static_cast<std::size_t>(k)]);
         }
       });
-    });
+    } else {
+      // Above it: synthesize each settled node's slots from the template,
+      // which is most of the large-array memory win.
+      const TiledTopology* topo = tv.topo;
+      run([&](NodeId u, Weight d) {
+        topo->for_each_slot(u,
+                            [&](NodeId v, EdgeId e, const TiledSlot&) { relax_slot(u, d, v, e); });
+      });
+    }
   } else {
     const CsrAdjacency& csr = g.csr();
     const EdgeId* offsets = csr.offsets.data();

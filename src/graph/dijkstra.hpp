@@ -63,9 +63,11 @@ struct ShortestPathTree {
 
 /// Runs Dijkstra over the usable part of g. O((V + E) log V).
 ///
-/// The engine walks the graph's CSR adjacency snapshot (Graph::csr()) with
-/// a thread-local epoch-stamped arena and an indexed 4-ary heap with
-/// decrease-key — see DESIGN.md §8. Output is bit-identical to the
+/// The engine walks the graph's adjacency — the CSR snapshot (Graph::csr())
+/// of a materialized graph, the flat adjacency of a tiled graph below the
+/// size cut, or the tile template above it — with a thread-local
+/// epoch-stamped arena and an indexed 4-ary heap with decrease-key — see
+/// DESIGN.md §8. Output is bit-identical to the
 /// historical binary-heap engine (kept in graph/dijkstra_reference.hpp and
 /// pinned by tests/graph/dijkstra_differential_test.cpp).
 ShortestPathTree dijkstra(const Graph& g, NodeId source);

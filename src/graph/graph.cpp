@@ -13,6 +13,7 @@ void Graph::copy_logical_state(const Graph& other) {
   incident_ = other.incident_;
   traversal_weight_ = other.traversal_weight_;
   topo_ = other.topo_;
+  flat_ = other.flat_;
   tiled_weight_ = other.tiled_weight_;
   tiled_edge_active_ = other.tiled_edge_active_;
   tiled_lower_end_ = other.tiled_lower_end_;
@@ -41,6 +42,7 @@ Graph::Graph(Graph&& other) noexcept
       incident_(std::move(other.incident_)),
       traversal_weight_(std::move(other.traversal_weight_)),
       topo_(std::move(other.topo_)),
+      flat_(std::move(other.flat_)),
       tiled_weight_(std::move(other.tiled_weight_)),
       tiled_edge_active_(std::move(other.tiled_edge_active_)),
       tiled_lower_end_(std::move(other.tiled_lower_end_)),
@@ -63,6 +65,7 @@ Graph& Graph::operator=(Graph&& other) noexcept {
     incident_ = std::move(other.incident_);
     traversal_weight_ = std::move(other.traversal_weight_);
     topo_ = std::move(other.topo_);
+    flat_ = std::move(other.flat_);
     tiled_weight_ = std::move(other.tiled_weight_);
     tiled_edge_active_ = std::move(other.tiled_edge_active_);
     tiled_lower_end_ = std::move(other.tiled_lower_end_);
@@ -90,7 +93,23 @@ Graph Graph::from_tiled(std::shared_ptr<const TiledTopology> topo) {
   g.node_active_.assign(static_cast<std::size_t>(n), 1);
   g.tiled_weight_.assign(static_cast<std::size_t>(m), 0);
   g.tiled_edge_active_.assign(static_cast<std::size_t>(m), 1);
-  g.tiled_lower_end_.assign(static_cast<std::size_t>(m), kInvalidNode);
+
+  // Below the size cut the stamping pass also fills the flat adjacency,
+  // whose endpoint pairs replace tiled_lower_end_.
+  std::shared_ptr<FlatAdjacency> flat;
+  if (m <= kFlatAdjacencyMaxEdges) {
+    flat = std::make_shared<FlatAdjacency>();
+    flat->offsets.resize(static_cast<std::size_t>(n) + 1);
+    flat->neighbor.resize(static_cast<std::size_t>(m) * 2);
+    flat->edge_id.resize(static_cast<std::size_t>(m) * 2);
+    flat->endpoints.assign(static_cast<std::size_t>(m) * 2, kInvalidNode);
+  } else {
+    g.tiled_lower_end_.assign(static_cast<std::size_t>(m), kInvalidNode);
+  }
+  const auto lower_of = [&](EdgeId e) -> NodeId& {
+    return flat != nullptr ? flat->endpoints[static_cast<std::size_t>(e) * 2]
+                           : g.tiled_lower_end_[static_cast<std::size_t>(e)];
+  };
 
   // Stamping pass: one tile-row-at-a-time walk over every synthesized slot.
   // Each edge must be emitted by exactly two nodes — its smaller endpoint
@@ -99,6 +118,7 @@ Graph Graph::from_tiled(std::shared_ptr<const TiledTopology> topo) {
   // exactly, so the traversal backend can index state arrays unchecked.
   std::int64_t applied = 0;
   topo->for_each_node([&](NodeId v, const TiledTopology::Decoded& d) {
+    if (flat != nullptr) flat->offsets[static_cast<std::size_t>(v)] = static_cast<EdgeId>(applied);
     topo->apply(d, [&](NodeId nbr, EdgeId e, const TiledSlot& slot) {
       FPR_CHECK(nbr >= 0 && nbr < n,
                 "tiled template: node " << v << " synthesizes neighbor " << nbr
@@ -106,7 +126,7 @@ Graph Graph::from_tiled(std::shared_ptr<const TiledTopology> topo) {
       FPR_CHECK(nbr != v, "tiled template: self-loop at node " << v);
       FPR_CHECK(e >= 0 && e < m, "tiled template: node " << v << " synthesizes edge " << e
                                                          << " outside [0, " << m << ")");
-      NodeId& lower = g.tiled_lower_end_[static_cast<std::size_t>(e)];
+      NodeId& lower = lower_of(e);
       if (v < nbr) {
         FPR_CHECK(lower == kInvalidNode,
                   "tiled template: edge " << e << " emitted twice as a lower endpoint (nodes "
@@ -119,6 +139,19 @@ Graph Graph::from_tiled(std::shared_ptr<const TiledTopology> topo) {
                                                         << ", recorded " << lower << ")");
         FPR_CHECK(g.tiled_weight_[static_cast<std::size_t>(e)] == slot.base_weight,
                   "tiled template: edge " << e << " base weight mismatch between endpoints");
+        if (flat != nullptr) {
+          NodeId& upper = flat->endpoints[static_cast<std::size_t>(e) * 2 + 1];
+          FPR_CHECK(upper == kInvalidNode,
+                    "tiled template: edge " << e << " emitted twice as an upper endpoint (nodes "
+                                            << upper << " and " << v << ")");
+          upper = v;
+        }
+      }
+      if (flat != nullptr) {
+        // Every slot reaching here is a distinct (edge, endpoint) pair, so
+        // applied < 2m and the write stays inside the arrays.
+        flat->neighbor[static_cast<std::size_t>(applied)] = nbr;
+        flat->edge_id[static_cast<std::size_t>(applied)] = e;
       }
       ++applied;
     });
@@ -127,9 +160,9 @@ Graph Graph::from_tiled(std::shared_ptr<const TiledTopology> topo) {
             "tiled template: " << applied << " slot applications for " << m
                                << " edges (expected exactly 2 per edge)");
   for (EdgeId e = 0; e < m; ++e) {
-    FPR_CHECK(g.tiled_lower_end_[static_cast<std::size_t>(e)] != kInvalidNode,
-              "tiled template: edge id " << e << " is never emitted");
+    FPR_CHECK(lower_of(e) != kInvalidNode, "tiled template: edge id " << e << " is never emitted");
   }
+  if (flat != nullptr) flat->offsets[static_cast<std::size_t>(n)] = static_cast<EdgeId>(applied);
 
   g.usable_edges_ = m;
   g.usable_weight_sum_ = 0;
@@ -137,6 +170,7 @@ Graph Graph::from_tiled(std::shared_ptr<const TiledTopology> topo) {
     g.usable_weight_sum_ += g.tiled_weight_[static_cast<std::size_t>(e)];
   }
   g.topo_ = std::move(topo);
+  g.flat_ = std::move(flat);
   g.revision_ = 1;
   g.structural_revision_ = 1;
   return g;
@@ -146,6 +180,7 @@ void Graph::materialize() {
   if (topo_ == nullptr) return;
   const std::shared_ptr<const TiledTopology> topo = std::move(topo_);
   topo_ = nullptr;
+  flat_ = nullptr;
   const auto n = static_cast<std::size_t>(topo->node_count);
   const auto m = static_cast<std::size_t>(topo->edge_count);
   edges_.assign(m, Edge{});
@@ -175,8 +210,6 @@ void Graph::materialize() {
   tiled_edge_active_.shrink_to_fit();
   tiled_lower_end_.clear();
   tiled_lower_end_.shrink_to_fit();
-  // The logical graph is unchanged, so a published CSR snapshot (stamped
-  // from the same template) remains valid; revisions stay put.
 }
 
 NodeId Graph::add_nodes(NodeId count) {
@@ -221,7 +254,7 @@ Graph::Edge Graph::tiled_edge(EdgeId e) const {
   FPR_CHECK(e >= 0 && e < edge_count(),
             "edge " << e << " outside edge range [0, " << edge_count() << ")");
   Edge ed;
-  ed.u = tiled_lower_end_[static_cast<std::size_t>(e)];
+  ed.u = tiled_lower_end(e);
   ed.v = tiled_upper_end(e);
   ed.weight = tiled_weight_[static_cast<std::size_t>(e)];
   ed.active = tiled_edge_active_[static_cast<std::size_t>(e)] != 0;
@@ -229,6 +262,7 @@ Graph::Edge Graph::tiled_edge(EdgeId e) const {
 }
 
 NodeId Graph::tiled_upper_end(EdgeId e) const {
+  if (flat_ != nullptr) return flat_->endpoints[static_cast<std::size_t>(e) * 2 + 1];
   const NodeId u = tiled_lower_end_[static_cast<std::size_t>(e)];
   NodeId found = kInvalidNode;
   topo_->for_each_slot(u, [&](NodeId nbr, EdgeId slot_e, const TiledSlot&) {
@@ -241,12 +275,12 @@ NodeId Graph::tiled_upper_end(EdgeId e) const {
 
 bool Graph::tiled_edge_usable(EdgeId e) const {
   if (!tiled_edge_active_[static_cast<std::size_t>(e)]) return false;
-  const NodeId u = tiled_lower_end_[static_cast<std::size_t>(e)];
-  if (!node_active(u)) return false;
+  if (!node_active(tiled_lower_end(e))) return false;
   return node_active(tiled_upper_end(e));
 }
 
 std::span<const EdgeId> Graph::tiled_incident_edges(NodeId v) const {
+  if (flat_ != nullptr) return flat_->edges_of(v);
   // Thread-local scratch: concurrent routes (the width search's parallel
   // probes) synthesize incident lists, each thread into its own buffer. The
   // span is valid until this thread's next call (documented in graph.hpp).
@@ -290,10 +324,7 @@ void Graph::set_edge_weight(EdgeId e, Weight w) {
   mark_edge_touched(e);
   if (topo_ != nullptr) {
     Weight& cur = tiled_weight_[static_cast<std::size_t>(e)];
-    if (tiled_edge_usable(e)) {
-      usable_weight_sum_ += w - cur;
-      sync_csr_weight(e, w);
-    }
+    if (tiled_edge_usable(e)) usable_weight_sum_ += w - cur;
     cur = w;
     ++revision_;
     return;
@@ -317,10 +348,7 @@ void Graph::add_edge_weight(EdgeId e, Weight delta) {
     FPR_CHECK(cur + delta >= 0, "add_edge_weight edge " << e << " (weight " << cur << ") by "
                                     << delta << " would make the routing cost negative");
     cur += delta;
-    if (tiled_edge_usable(e)) {
-      usable_weight_sum_ += delta;
-      sync_csr_weight(e, cur);
-    }
+    if (tiled_edge_usable(e)) usable_weight_sum_ += delta;
     ++revision_;
     return;
   }
@@ -344,7 +372,6 @@ void Graph::remove_edge(EdgeId e) {
     if (act != 0 && tiled_edge_usable(e)) {
       --usable_edges_;
       usable_weight_sum_ -= tiled_weight_[static_cast<std::size_t>(e)];
-      sync_csr_weight(e, kInfiniteWeight);
     }
     act = 0;
     ++revision_;
@@ -364,7 +391,6 @@ void Graph::restore_edge(EdgeId e) {
       if (tiled_edge_usable(e)) {
         ++usable_edges_;
         usable_weight_sum_ += tiled_weight_[static_cast<std::size_t>(e)];
-        sync_csr_weight(e, tiled_weight_[static_cast<std::size_t>(e)]);
       }
     }
     ++revision_;
@@ -384,11 +410,10 @@ void Graph::remove_node(NodeId v) {
       // v was active, so each incident edge was usable iff it is active and
       // its far endpoint is; slot order is ascending edge id, matching the
       // materialized incident-list order (and its float-sum trajectory).
-      topo_->for_each_slot(v, [&](NodeId nbr, EdgeId e, const TiledSlot&) {
+      for_each_tiled_slot(v, [&](NodeId nbr, EdgeId e) {
         if (tiled_edge_active_[static_cast<std::size_t>(e)] != 0 && node_active(nbr)) {
           --usable_edges_;
           usable_weight_sum_ -= tiled_weight_[static_cast<std::size_t>(e)];
-          sync_csr_weight(e, kInfiniteWeight);
         }
       });
     } else {
@@ -405,11 +430,10 @@ void Graph::restore_node(NodeId v) {
     mark_node_touched(v);
     node_active_[static_cast<std::size_t>(v)] = 1;
     if (topo_ != nullptr) {
-      topo_->for_each_slot(v, [&](NodeId nbr, EdgeId e, const TiledSlot&) {
+      for_each_tiled_slot(v, [&](NodeId nbr, EdgeId e) {
         if (tiled_edge_active_[static_cast<std::size_t>(e)] != 0 && node_active(nbr)) {
           ++usable_edges_;
           usable_weight_sum_ += tiled_weight_[static_cast<std::size_t>(e)];
-          sync_csr_weight(e, tiled_weight_[static_cast<std::size_t>(e)]);
         }
       });
     } else {
@@ -437,6 +461,9 @@ void Graph::clear_touched() {
 }
 
 const CsrAdjacency& Graph::csr() const {
+  FPR_CHECK(topo_ == nullptr,
+            "csr() on a tiled graph — read incident_edges()/other_end(), flat_adjacency() or the "
+            "tiled_view() arrays instead");
   const std::uint64_t want = structural_revision_;
   if (csr_structural_.load(std::memory_order_acquire) != want) rebuild_csr(want);
   return published_csr();
@@ -444,17 +471,7 @@ const CsrAdjacency& Graph::csr() const {
 
 void Graph::rebuild_csr(std::uint64_t want) const {
   MutexLock lock(csr_mu_);
-  if (csr_structural_.load(std::memory_order_relaxed) != want) {
-    if (topo_ != nullptr) {
-      rebuild_csr_tiled();
-    } else {
-      rebuild_csr_materialized();
-    }
-    csr_structural_.store(want, std::memory_order_release);
-  }
-}
-
-void Graph::rebuild_csr_materialized() const {
+  if (csr_structural_.load(std::memory_order_relaxed) == want) return;
   const auto n = static_cast<std::size_t>(node_count());
   csr_.offsets.assign(n + 1, 0);
   std::size_t total = 0;
@@ -487,41 +504,7 @@ void Graph::rebuild_csr_materialized() const {
       ++k;
     }
   }
-}
-
-void Graph::rebuild_csr_tiled() const {
-  // Stamped assembly: exact sizes up front, then one tile-row-at-a-time
-  // fill in node order — no incremental growth, no per-node vectors. The
-  // result is byte-identical to rebuild_csr_materialized() on the
-  // materialized equivalent (the differential suite pins this).
-  const auto n = static_cast<std::size_t>(node_count());
-  const std::size_t total = static_cast<std::size_t>(edge_count()) * 2;
-  csr_.offsets.assign(n + 1, 0);
-  csr_.neighbor.resize(total);
-  csr_.edge_id.resize(total);
-  csr_.weight.resize(total);
-  csr_.slot.assign(total, kInvalidEdge);
-  std::size_t k = 0;
-  topo_->for_each_node([&](NodeId v, const TiledTopology::Decoded& d) {
-    csr_.offsets[static_cast<std::size_t>(v)] = static_cast<EdgeId>(k);
-    const bool v_active = node_active_[static_cast<std::size_t>(v)] != 0;
-    topo_->apply(d, [&](NodeId nbr, EdgeId e, const TiledSlot&) {
-      csr_.neighbor[k] = nbr;
-      csr_.edge_id[k] = e;
-      const bool usable = v_active && tiled_edge_active_[static_cast<std::size_t>(e)] != 0 &&
-                          node_active_[static_cast<std::size_t>(nbr)] != 0;
-      csr_.weight[k] = usable ? tiled_weight_[static_cast<std::size_t>(e)] : kInfiniteWeight;
-      auto& first = csr_.slot[static_cast<std::size_t>(e) * 2];
-      if (first == kInvalidEdge) {
-        first = static_cast<EdgeId>(k);
-      } else {
-        csr_.slot[static_cast<std::size_t>(e) * 2 + 1] = static_cast<EdgeId>(k);
-      }
-      ++k;
-    });
-  });
-  FPR_CHECK(k == total, "tiled CSR stamp filled " << k << " of " << total << " slots");
-  csr_.offsets[n] = static_cast<EdgeId>(total);
+  csr_structural_.store(want, std::memory_order_release);
 }
 
 }  // namespace fpr

@@ -41,6 +41,26 @@ struct CsrAdjacency {
   }
 };
 
+/// Structural-only flat adjacency of a tiled graph at or below
+/// Graph::kFlatAdjacencyMaxEdges edges, stamped once by Graph::from_tiled
+/// and shared (immutable) by every copy of that graph. It holds exactly
+/// what the template would otherwise synthesize per call: each node's slots
+/// in slot order (ascending edge id — the materialized incident-list and CSR
+/// order) and both endpoints of every edge. Weights and activity are not
+/// here; they stay in the graph's per-edge state arrays.
+struct FlatAdjacency {
+  std::vector<EdgeId> offsets;    // node_count() + 1 entries
+  std::vector<NodeId> neighbor;   // 2 * edge_count() entries, slot order
+  std::vector<EdgeId> edge_id;    // parallel to neighbor
+  std::vector<NodeId> endpoints;  // endpoints[2e] < endpoints[2e+1]: edge e's ends
+
+  std::span<const EdgeId> edges_of(NodeId v) const {
+    const auto b = static_cast<std::size_t>(offsets[static_cast<std::size_t>(v)]);
+    const auto e = static_cast<std::size_t>(offsets[static_cast<std::size_t>(v) + 1]);
+    return {edge_id.data() + b, e - b};
+  }
+};
+
 /// Weighted undirected graph with removable (deactivatable) nodes and edges
 /// and mutable edge weights.
 ///
@@ -56,24 +76,28 @@ struct CsrAdjacency {
 ///  - *Materialized* (the default): adjacency stored explicitly — an edge
 ///    table, per-node incident lists, and a flat traversal-weight array.
 ///    This is what add_nodes/add_edge incrementally grow.
-///  - *Tiled* (from_tiled()): topology is a shared immutable TiledTopology
-///    and adjacency is synthesized arithmetically on demand. Only mutable
-///    state is stored per element — true edge weights, edge/node activity —
-///    about 14 bytes/edge instead of ~90, which is what lets device sizes
-///    scale 10–100×. The logical graph (ids, order, weights, mutation
-///    semantics, aggregate trajectories) is bit-identical to the
-///    materialized equivalent; the device differential suite pins this.
-///    A tiled graph's structure is fixed; calling add_nodes/add_edge first
-///    materializes it (transparently, preserving all ids and state).
+///  - *Tiled* (from_tiled()): topology is a shared immutable TiledTopology.
+///    Only mutable state is stored per element — true edge weights,
+///    edge/node activity. Adjacency comes from one of two sides of a size
+///    cut (kFlatAdjacencyMaxEdges): at or below it, from a FlatAdjacency
+///    stamped once and shared by copies (~35 bytes/edge in all), so every
+///    adjacency read is an array read; above it, synthesized
+///    arithmetically from the template on demand (~14 bytes/edge instead of
+///    ~90), which is what lets device sizes scale 10–100×. The logical
+///    graph (ids, order, weights, mutation semantics, aggregate
+///    trajectories) is bit-identical to the materialized equivalent on both
+///    sides; the device differential suite pins this. A tiled graph's
+///    structure is fixed; calling add_nodes/add_edge first materializes it
+///    (transparently, preserving all ids and state).
 ///
 /// Two monotone revision counters drive caching:
 ///  - revision() bumps on EVERY mutation and invalidates anything derived
 ///    from weights or activity (PathOracle's shortest-path trees);
 ///  - structural_revision() bumps only when the topology itself grows
-///    (add_nodes/add_edge). The CSR adjacency snapshot (csr()) depends only
-///    on topology, so the router's per-edge congestion bumps and node
-///    removals update the flat weight streams in place without ever forcing
-///    a CSR rebuild.
+///    (add_nodes/add_edge). The CSR adjacency snapshot (csr(), materialized
+///    graphs only) depends only on topology, so the router's per-edge
+///    congestion bumps and node removals update the flat weight streams in
+///    place without ever forcing a CSR rebuild.
 class Graph {
  public:
   struct Edge {
@@ -83,6 +107,14 @@ class Graph {
     bool active = true;
   };
 
+  /// The size cut between the two tiled adjacency sides (class comment):
+  /// a tiled graph with at most this many edges stamps a FlatAdjacency.
+  /// 2^18 edges is ~6 MiB of flat arrays — every paper circuit fits with
+  /// room to spare, while the large-array sizes the tiled graph exists for
+  /// (50x50 and up at width 12) keep the compact arithmetic side
+  /// (DESIGN.md §12).
+  static constexpr EdgeId kFlatAdjacencyMaxEdges = EdgeId{1} << 18;
+
   Graph() = default;
   explicit Graph(NodeId node_count);
 
@@ -90,7 +122,8 @@ class Graph {
   /// every node/edge active, every edge at its slot's base weight. Requires
   /// the template convention that each edge's first-emitted endpoint is the
   /// smaller id (true of every device builder; verified by the stamping
-  /// pass together with id ranges and two-endpoints-per-edge).
+  /// pass together with id ranges and two-endpoints-per-edge). At or below
+  /// kFlatAdjacencyMaxEdges the same pass stamps the FlatAdjacency.
   static Graph from_tiled(std::shared_ptr<const TiledTopology> topo);
 
   // The CSR cache carries a mutex, so the compiler-generated special members
@@ -118,18 +151,24 @@ class Graph {
   const TiledTopology* tiled_topology() const { return topo_.get(); }
   bool tiled() const { return topo_ != nullptr; }
 
+  /// The stamped structural adjacency of a tiled graph at or below the
+  /// size cut, or nullptr (above the cut, or materialized).
+  const FlatAdjacency* flat_adjacency() const { return flat_.get(); }
+
   /// Raw state arrays for the tiled traversal backend (dijkstra.cpp):
-  /// weights are true per-edge weights; activity is one byte per element.
-  /// Valid only while tiled(); pointers are invalidated by materialization.
+  /// weights are true per-edge weights; activity is one byte per element;
+  /// `flat` is flat_adjacency(). Valid only while tiled(); pointers are
+  /// invalidated by materialization.
   struct TiledView {
     const TiledTopology* topo = nullptr;
+    const FlatAdjacency* flat = nullptr;
     const Weight* weight = nullptr;
     const char* edge_active = nullptr;
     const char* node_active = nullptr;
   };
   TiledView tiled_view() const {
     FPR_CHECK(topo_ != nullptr, "tiled_view() on a materialized graph");
-    return TiledView{topo_.get(), tiled_weight_.data(), tiled_edge_active_.data(),
+    return TiledView{topo_.get(), flat_.get(), tiled_weight_.data(), tiled_edge_active_.data(),
                      node_active_.data()};
   }
 
@@ -156,10 +195,11 @@ class Graph {
   }
 
   /// All edges ever attached to `v` (including inactive ones; filter with
-  /// edge_usable()). On a tiled graph the span points into a thread-local
-  /// scratch buffer synthesized per call — it stays valid until this
-  /// thread's next incident_edges() call on any tiled graph, which every
-  /// current caller satisfies (no caller holds a span across another call).
+  /// edge_usable()). On a tiled graph above the size cut the span points
+  /// into a thread-local scratch buffer synthesized per call — it stays
+  /// valid until this thread's next incident_edges() call on any tiled
+  /// graph, which every current caller satisfies (no caller holds a span
+  /// across another call). Below the cut it points into the flat adjacency.
   std::span<const EdgeId> incident_edges(NodeId v) const {
     if (topo_ != nullptr) return tiled_incident_edges(v);
     return incident_[static_cast<std::size_t>(v)];
@@ -192,14 +232,12 @@ class Graph {
   /// revision() the CSR snapshot depends on.
   std::uint64_t structural_revision() const { return structural_revision_; }
 
-  /// The flat adjacency snapshot, rebuilt lazily when structural_revision()
-  /// has moved since the last build. Safe to call from concurrent readers
-  /// (the rebuild is mutex-guarded); mutating the graph concurrently with
-  /// any reader is undefined, exactly as before. A tiled graph stamps the
-  /// snapshot from its template tile-row-at-a-time into exactly
-  /// preallocated arrays — byte-identical to the materialized rebuild —
-  /// and keeps it weight-synced afterwards; the tiled Dijkstra backend
-  /// never needs it, so large tiled devices typically never pay for one.
+  /// The flat adjacency snapshot of a materialized graph, rebuilt lazily
+  /// when structural_revision() has moved since the last build. Safe to
+  /// call from concurrent readers (the rebuild is mutex-guarded); mutating
+  /// the graph concurrently with any reader is undefined, exactly as
+  /// before. A tiled graph has no snapshot: read incident_edges() and
+  /// other_end(), flat_adjacency(), or the tiled_view() arrays instead.
   const CsrAdjacency& csr() const;
 
   /// Per-edge traversal cost, maintained in place on every mutation:
@@ -262,11 +300,10 @@ class Graph {
   /// weight stream, when a snapshot is currently built. Writes csr_ without
   /// csr_mu_: mutators run under the documented writer-exclusivity contract
   /// (no concurrent readers), which the analysis cannot express.
+  /// Materialized representation only.
   void sync_csr_weight(EdgeId e, Weight w) FPR_NO_THREAD_SAFETY_ANALYSIS;
   /// Rebuilds the CSR snapshot under csr_mu_ if it is stale at `want`.
   void rebuild_csr(std::uint64_t want) const FPR_EXCLUDES(csr_mu_);
-  void rebuild_csr_materialized() const FPR_REQUIRES(csr_mu_);
-  void rebuild_csr_tiled() const FPR_REQUIRES(csr_mu_);
   /// Reads csr_ without csr_mu_ — safe once csr_structural_ was
   /// acquire-loaded equal to structural_revision(): the builder
   /// release-stores that value only after the snapshot is complete, and a
@@ -274,13 +311,29 @@ class Graph {
   /// which guarded_by cannot express).
   const CsrAdjacency& published_csr() const FPR_NO_THREAD_SAFETY_ANALYSIS { return csr_; }
 
-  // Tiled-representation helpers (topo_ != nullptr).
+  // Tiled-representation helpers (topo_ != nullptr). Below the size cut
+  // each is an array read of flat_; above it, template arithmetic.
   Edge tiled_edge(EdgeId e) const;
-  /// The endpoint of `e` other than its recorded smaller endpoint, found by
-  /// scanning that endpoint's synthesized pattern (O(degree)).
+  NodeId tiled_lower_end(EdgeId e) const {
+    return flat_ != nullptr ? flat_->endpoints[static_cast<std::size_t>(e) * 2]
+                            : tiled_lower_end_[static_cast<std::size_t>(e)];
+  }
+  /// The endpoint of `e` other than its smaller one. Above the cut, found
+  /// by scanning the smaller endpoint's synthesized pattern (O(degree)).
   NodeId tiled_upper_end(EdgeId e) const;
   bool tiled_edge_usable(EdgeId e) const;
   std::span<const EdgeId> tiled_incident_edges(NodeId v) const;
+  /// Invokes `fn(neighbor, edge)` over `v`'s slots in slot order.
+  template <typename Fn>
+  void for_each_tiled_slot(NodeId v, Fn&& fn) const {
+    if (flat_ != nullptr) {
+      const auto b = static_cast<std::size_t>(flat_->offsets[static_cast<std::size_t>(v)]);
+      const auto end = static_cast<std::size_t>(flat_->offsets[static_cast<std::size_t>(v) + 1]);
+      for (std::size_t k = b; k < end; ++k) fn(flat_->neighbor[k], flat_->edge_id[k]);
+      return;
+    }
+    topo_->for_each_slot(v, [&](NodeId nbr, EdgeId e, const TiledSlot&) { fn(nbr, e); });
+  }
 
   void mark_node_touched(NodeId v) {
     if (track_touched_ && !node_dirty_[static_cast<std::size_t>(v)]) {
@@ -300,13 +353,16 @@ class Graph {
   std::vector<std::vector<EdgeId>> incident_;
   std::vector<Weight> traversal_weight_;  // weight or kInfiniteWeight, per edge
 
-  // Tiled representation: shared immutable template + per-element mutable
-  // state only. tiled_lower_end_ caches each edge's smaller endpoint so
-  // edge decode is O(degree of one endpoint) instead of a search.
+  // Tiled representation: shared immutable template (and, below the size
+  // cut, its shared flat adjacency) + per-element mutable state only.
+  // Above the cut, tiled_lower_end_ caches each edge's smaller endpoint so
+  // edge decode is O(degree of one endpoint) instead of a search; below it
+  // flat_->endpoints holds both ends and tiled_lower_end_ stays empty.
   std::shared_ptr<const TiledTopology> topo_;
+  std::shared_ptr<const FlatAdjacency> flat_;
   std::vector<Weight> tiled_weight_;       // true weight per edge
   std::vector<char> tiled_edge_active_;    // 1 byte per edge
-  std::vector<NodeId> tiled_lower_end_;    // smaller endpoint per edge
+  std::vector<NodeId> tiled_lower_end_;    // smaller endpoint per edge, above the cut
 
   // Shared between representations.
   std::vector<char> node_active_;

@@ -1,7 +1,8 @@
 // Differential suite for the tile-template builder (DESIGN.md §12): the
 // stamped graph must be BIT-identical to the legacy per-element builder —
 // same node ids, same edge ids in the same emission order, same weights,
-// same CSR layout — across arch families, sizes, widths, and fault specs.
+// same adjacency layout — across arch families, sizes, widths, fault specs,
+// and both sides of the flat-adjacency size cut.
 // Any divergence is a compile-time template bug, and these tests are the
 // contract that keeps the legacy builder around as the executable spec
 // (the same role dijkstra_reference.hpp plays for the search engine).
@@ -11,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/contract.hpp"
 #include "fpga/device.hpp"
 #include "fpga/device3d.hpp"
 #include "fpga/faults.hpp"
@@ -21,10 +23,54 @@
 namespace fpr {
 namespace {
 
+/// The adjacency arrays the traversal backends read. Two materialized
+/// graphs compare CSR snapshots vector by vector. A tiled graph below the
+/// size cut compares its flat slices against the other graph's (legacy CSR
+/// offsets/neighbor/edge_id, or the other tiled graph's flat slices) and
+/// its endpoint pairs against the other graph's edge records; above the cut
+/// it has no arrays, and the incident-list and edge-record loops of
+/// expect_graphs_identical are the whole check.
+void expect_adjacency_identical(const Graph& a, const Graph& b) {
+  if (!a.tiled() && !b.tiled()) {
+    const CsrAdjacency& ca = a.csr();
+    const CsrAdjacency& cb = b.csr();
+    EXPECT_EQ(ca.offsets, cb.offsets);
+    EXPECT_EQ(ca.neighbor, cb.neighbor);
+    EXPECT_EQ(ca.edge_id, cb.edge_id);
+    EXPECT_EQ(ca.weight, cb.weight);
+    EXPECT_EQ(ca.slot, cb.slot);
+    return;
+  }
+  const Graph& tiled = b.tiled() ? b : a;
+  const Graph& other = b.tiled() ? a : b;
+  const FlatAdjacency* flat = tiled.flat_adjacency();
+  ASSERT_EQ(flat != nullptr, tiled.edge_count() <= Graph::kFlatAdjacencyMaxEdges);
+  if (flat == nullptr) return;
+  if (other.tiled()) {
+    const FlatAdjacency* of = other.flat_adjacency();
+    ASSERT_NE(of, nullptr);
+    EXPECT_EQ(flat->offsets, of->offsets);
+    EXPECT_EQ(flat->neighbor, of->neighbor);
+    EXPECT_EQ(flat->edge_id, of->edge_id);
+    EXPECT_EQ(flat->endpoints, of->endpoints);
+    return;
+  }
+  const CsrAdjacency& csr = other.csr();
+  EXPECT_EQ(flat->offsets, csr.offsets);
+  EXPECT_EQ(flat->neighbor, csr.neighbor);
+  EXPECT_EQ(flat->edge_id, csr.edge_id);
+  ASSERT_EQ(flat->endpoints.size(), static_cast<std::size_t>(other.edge_count()) * 2);
+  for (EdgeId e = 0; e < other.edge_count(); ++e) {
+    const Graph::Edge ed = other.edge(e);
+    ASSERT_EQ(flat->endpoints[static_cast<std::size_t>(e) * 2], ed.u) << "edge " << e;
+    ASSERT_EQ(flat->endpoints[static_cast<std::size_t>(e) * 2 + 1], ed.v) << "edge " << e;
+  }
+}
+
 /// Full structural + state byte-compare of two graphs: counts, per-edge
 /// endpoints/weight/activity, per-node activity and incident order, and the
-/// CSR snapshot vector-by-vector. EXPECT (not ASSERT) on the scalar counts
-/// so one failing family reports everything that diverged.
+/// adjacency arrays (expect_adjacency_identical). EXPECT (not ASSERT) on
+/// the arrays so one failing family reports everything that diverged.
 void expect_graphs_identical(const Graph& a, const Graph& b) {
   ASSERT_EQ(a.node_count(), b.node_count());
   ASSERT_EQ(a.edge_count(), b.edge_count());
@@ -38,19 +84,14 @@ void expect_graphs_identical(const Graph& a, const Graph& b) {
   }
   for (NodeId v = 0; v < a.node_count(); ++v) {
     ASSERT_EQ(a.node_active(v), b.node_active(v)) << "node " << v;
+    // Copy a's list first: above the size cut a tiled graph's span is
+    // per-thread scratch that b's call would overwrite.
     const auto ia = a.incident_edges(v);
+    const std::vector<EdgeId> va(ia.begin(), ia.end());
     const auto ib = b.incident_edges(v);
-    ASSERT_EQ(std::vector<EdgeId>(ia.begin(), ia.end()),
-              std::vector<EdgeId>(ib.begin(), ib.end()))
-        << "node " << v;
+    ASSERT_EQ(va, std::vector<EdgeId>(ib.begin(), ib.end())) << "node " << v;
   }
-  const CsrAdjacency& ca = a.csr();
-  const CsrAdjacency& cb = b.csr();
-  EXPECT_EQ(ca.offsets, cb.offsets);
-  EXPECT_EQ(ca.neighbor, cb.neighbor);
-  EXPECT_EQ(ca.edge_id, cb.edge_id);
-  EXPECT_EQ(ca.weight, cb.weight);
-  EXPECT_EQ(ca.slot, cb.slot);
+  expect_adjacency_identical(a, b);
 }
 
 /// Device-level differential: the stamped device must also agree on the
@@ -257,6 +298,60 @@ TEST(DeviceDifferentialTest, RoutingBitIdenticalAcrossBuilders) {
 }
 
 // ---------------------------------------------------------------------------
+// Both sides of the flat-adjacency size cut (Graph::kFlatAdjacencyMaxEdges):
+// below it the tiled graph reads stamped flat slices, just above it the
+// template arithmetic. Each side must match the legacy build in structure,
+// in Dijkstra trees after the router's mutation vocabulary plus faults, and
+// in a routed circuit.
+
+TEST(DeviceDifferentialTest, BothSidesOfFlatAdjacencyCutMatchLegacy) {
+  struct Side {
+    ArchSpec spec;
+    bool flat;
+  };
+  // 46x46 w=12 has 253,896 edges, 47x47 w=12 265,056: they straddle the
+  // 2^18-edge cut.
+  for (const Side& side : {Side{ArchSpec::xc4000(46, 46, 12), true},
+                           Side{ArchSpec::xc4000(47, 47, 12), false}}) {
+    const int n = side.spec.rows;
+    SCOPED_TRACE(testing::Message() << n << "x" << n << (side.flat ? " flat" : " arithmetic"));
+    Device legacy(side.spec, DeviceBuild::kLegacy);
+    Device stamped(side.spec);
+    ASSERT_TRUE(stamped.tiled());
+    ASSERT_EQ(stamped.graph().edge_count() <= Graph::kFlatAdjacencyMaxEdges, side.flat);
+    ASSERT_EQ(stamped.graph().flat_adjacency() != nullptr, side.flat);
+    expect_graphs_identical(legacy.graph(), stamped.graph());
+
+    // Dijkstra trees after node removals, weight bumps and installed faults.
+    const auto mutate = [n](Device& d) {
+      Graph& g = d.graph();
+      for (NodeId v = d.block_count(); v < g.node_count(); v += 97) g.remove_node(v);
+      for (EdgeId e = 0; e < g.edge_count(); e += 53) g.add_edge_weight(e, 0.5);
+      d.install_faults(stress_faults(static_cast<std::uint64_t>(n)));
+    };
+    mutate(legacy);
+    mutate(stamped);
+    expect_graphs_identical(legacy.graph(), stamped.graph());
+    for (const NodeId source : {legacy.block_node(0, 0), legacy.block_node(n / 2, n / 3)}) {
+      const ShortestPathTree ta = dijkstra(legacy.graph(), source);
+      const ShortestPathTree tb = dijkstra(stamped.graph(), source);
+      ASSERT_EQ(ta.dist, tb.dist) << "source " << source;
+      ASSERT_EQ(ta.parent, tb.parent) << "source " << source;
+      ASSERT_EQ(ta.parent_edge, tb.parent_edge) << "source " << source;
+    }
+
+    // One routed circuit after reset(), which keeps the installed faults:
+    // every net's edges.
+    legacy.reset();
+    stamped.reset();
+    const Circuit circuit = medium_circuit(n, n);
+    const RouterOptions options;
+    expect_routing_identical(route_circuit(legacy, circuit, options),
+                             route_circuit(stamped, circuit, options));
+  }
+}
+
+// ---------------------------------------------------------------------------
 // reset() fast path: O(touched) replay must land on exactly the state the
 // historical full-scan reinit produced — including the re-applied faults.
 
@@ -345,6 +440,8 @@ TEST(DeviceDifferentialTest, StructuralMutationMaterializesInPlace) {
   stamped.graph().set_edge_weight(2, 9.0);
   legacy.graph().remove_node(5);
   stamped.graph().remove_node(5);
+  // A tiled graph has no CSR snapshot; the materialized one below does.
+  EXPECT_THROW((void)stamped.graph().csr(), ContractViolation);
 
   const EdgeId ea = legacy.graph().add_edge(0, 1, 4.0);
   const EdgeId eb = stamped.graph().add_edge(0, 1, 4.0);

@@ -200,7 +200,8 @@ TEST_F(RepairTest, OnlyPathKilledDegradesToBlockedComplementUntouched) {
   // connection-block tracks dead there is no path at all.
   const NodeId sink_block = device.block_node(3, 3);
   RepairEvent ev;
-  for (const NodeId v : device.graph().csr().neighbors_of(sink_block)) {
+  for (const EdgeId e : device.graph().incident_edges(sink_block)) {
+    const NodeId v = device.graph().other_end(e, sink_block);
     if (device.is_wire(v)) ev.faults.dead_wires.push_back(v);
   }
   ev.faults.normalize();
