@@ -140,8 +140,18 @@ CheckResult run_circuit_oracle(Oracle oracle, const CircuitCase& c) {
   Device device(arch);
   if (c.faults.any()) device.install_faults(c.faults);
   const RoutingResult result = route_circuit(device, circuit, options);
-  return check_routing_feasibility(arch, circuit, result, options,
-                                   c.faults.any() ? &c.faults : nullptr);
+  CheckResult r = check_routing_feasibility(arch, circuit, result, options,
+                                            c.faults.any() ? &c.faults : nullptr);
+  // A fresh negotiated route attempts every net in pass 1 (the shared
+  // check above only bounds it: a repaired result may have grown since).
+  if (options.mode == RouterMode::kNegotiated && !result.reroute_trend.empty() &&
+      result.reroute_trend.front() != static_cast<int>(circuit.nets.size())) {
+    std::ostringstream os;
+    os << "reroute_trend says pass 1 attempted " << result.reroute_trend.front() << " of "
+       << circuit.nets.size() << " nets";
+    r.fail(os.str());
+  }
+  return r;
 }
 
 bool is_circuit_oracle(Oracle o) {

@@ -504,6 +504,33 @@ CheckResult check_routing_feasibility(const ArchSpec& arch, const Circuit& circu
         r.fail(os.str());
       }
     }
+    // Re-route counts: one per pass, and no pass re-routes more nets than
+    // pass 1 attempted. A fresh route attempts every net in pass 1
+    // (run_circuit_oracle pins the equality); a repair may append nets to
+    // the result afterwards, so here pass 1 is only bounded by the count.
+    if (static_cast<int>(result.reroute_trend.size()) != result.passes) {
+      std::ostringstream os;
+      os << "reroute_trend has " << result.reroute_trend.size() << " entries for "
+         << result.passes << " passes";
+      r.fail(os.str());
+    } else if (!result.reroute_trend.empty()) {
+      const int attempted = result.reroute_trend.front();
+      if (attempted > static_cast<int>(result.nets.size())) {
+        std::ostringstream os;
+        os << "reroute_trend says pass 1 attempted " << attempted << " of "
+           << result.nets.size() << " nets";
+        r.fail(os.str());
+      }
+      for (std::size_t i = 1; i < result.reroute_trend.size(); ++i) {
+        if (result.reroute_trend[i] < 0 || result.reroute_trend[i] > attempted) {
+          std::ostringstream os;
+          os << "reroute_trend pass " << i + 1 << " re-routes " << result.reroute_trend[i]
+             << " nets, pass 1 attempted " << attempted;
+          r.fail(os.str());
+          break;
+        }
+      }
+    }
     if (result.pattern_accepts > result.pattern_attempts || result.pattern_attempts < 0) {
       std::ostringstream os;
       os << "pattern accounting inconsistent: " << result.pattern_accepts << " accepts of "
@@ -522,8 +549,8 @@ CheckResult check_routing_feasibility(const ArchSpec& arch, const Circuit& circu
       }
     }
   } else {
-    if (!result.overflow_trend.empty()) {
-      r.fail("paper-mode run carries a negotiated overflow_trend");
+    if (!result.overflow_trend.empty() || !result.reroute_trend.empty()) {
+      r.fail("paper-mode run carries a negotiated overflow_trend or reroute_trend");
     }
     if (result.pattern_attempts != 0 || result.pattern_accepts != 0) {
       r.fail("paper-mode run carries pattern-probe counts");

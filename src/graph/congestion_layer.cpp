@@ -20,6 +20,7 @@ CongestionLayer::CongestionLayer(Graph& g, NodeId first_shared, int capacity)
   const std::size_t shared = static_cast<std::size_t>(g.node_count() - first_shared);
   occ_.assign(shared, 0);
   history_.assign(shared, 0.0);
+  listed_.assign(shared, 0);
 }
 
 void CongestionLayer::reprice(NodeId v) {
@@ -34,18 +35,18 @@ void CongestionLayer::reprice(NodeId v) {
 
 void CongestionLayer::set_present_factor(double f) {
   FPR_CHECK(f >= 0, "CongestionLayer: present factor " << f << " must be non-negative");
-  FPR_CHECK(total_occ_ == 0,
-            "CongestionLayer: set_present_factor with " << total_occ_
-                                                        << " occupants priced in — begin_pass "
-                                                           "first so no stale present term "
-                                                           "remains at the old factor");
   present_factor_ = f;
+  // Only a node at or over capacity carries a present term.
+  for (const NodeId v : occupied()) {
+    if (would_overflow(v)) reprice(v);
+  }
 }
 
 void CongestionLayer::begin_pass() {
   std::sort(touched_.begin(), touched_.end());
   for (const NodeId v : touched_) {
     const std::size_t i = index(v);
+    listed_[i] = 0;
     if (occ_[i] == 0) continue;
     occ_[i] = 0;
     reprice(v);
@@ -57,7 +58,10 @@ void CongestionLayer::begin_pass() {
 
 void CongestionLayer::add_occupant(NodeId v) {
   const std::size_t i = index(v);
-  if (occ_[i] == 0) touched_.push_back(v);
+  if (listed_[i] == 0) {
+    listed_[i] = 1;
+    touched_.push_back(v);
+  }
   ++occ_[i];
   ++total_occ_;
   if (occ_[i] > capacity_) ++overflow_;

@@ -47,20 +47,21 @@ class CongestionLayer {
   int capacity() const { return capacity_; }
   double present_factor() const { return present_factor_; }
 
-  /// Sets the present-overflow factor for the coming pass. Only legal while
-  /// no node is occupied (i.e. right after begin_pass()) so no stale
-  /// present term is left priced into the weights at the old factor.
+  /// Sets the present-overflow factor for the coming pass and reprices
+  /// every occupied node at it, so the weights equal bit for bit those of a
+  /// fresh layer built at `f` with the same occupancy and history.
   void set_present_factor(double f);
 
   /// Clears all occupancy (history persists) and restores the affected edge
-  /// weights, in ascending node-id order — the rip-up-everything start of a
-  /// negotiation pass. O(previously occupied), not O(graph).
+  /// weights, in ascending node-id order. O(previously occupied), not
+  /// O(graph).
   void begin_pass();
 
   /// Occupancy bookkeeping for one wire node, repricing its incident edges
   /// in place. add_occupant is called as a net commits a wire (so later
   /// nets in the same pass see the updated present cost); remove_occupant
-  /// as a net is ripped back out.
+  /// as a net is ripped back out. A node that drops to zero and is occupied
+  /// again is still listed once by occupied().
   void add_occupant(NodeId v);
   void remove_occupant(NodeId v);
 
@@ -115,7 +116,8 @@ class CongestionLayer {
   std::vector<Weight> base_;    // per-edge base weight snapshot
   std::vector<int> occ_;        // per shared node
   std::vector<double> history_; // per shared node
-  std::vector<NodeId> touched_; // occupied since last begin_pass (dedup by occ 0->1)
+  std::vector<NodeId> touched_; // occupied at some point since last begin_pass
+  std::vector<char> listed_;    // per shared node: already in touched_
   std::vector<EdgeId> scratch_; // incident-span copy for reprice()
   long long total_occ_ = 0;
   int overflow_ = 0;

@@ -1,5 +1,8 @@
 #pragma once
 
+#include <cstddef>
+#include <vector>
+
 #include "fpga/device.hpp"
 #include "netlist/netlist.hpp"
 #include "router/router.hpp"
@@ -29,6 +32,37 @@ void accumulate_degradation_stats(const Device& device, const Circuit& circuit,
 /// Sums the per-net metrics of routed nets into the result's total_*
 /// aggregates (both modes finish with exactly this fold).
 void accumulate_totals(RoutingResult& result);
+
+/// Wires-to-owning-nets selection, shared by repair_cone (the event's dead
+/// wires) and the negotiated loop (a pass's overflowed wires). Flags in
+/// `selected` every net owning a wire of `hit` (direct hits) and, when
+/// `sibling_round`, every net owning a tile sibling of a hit wire — one
+/// bounded expansion round over the congestion-dependent neighbors, which
+/// compete for the same channel tile. `wires_of(i)` yields net i's wires;
+/// `selected` is indexed like the nets and only gains flags. Ids in `hit`
+/// that are not wire nodes select nothing.
+template <typename WiresOf>
+void select_wire_owners(const Device& device, const WiresOf& wires_of,
+                        const std::vector<NodeId>& hit, bool sibling_round,
+                        std::vector<char>& selected) {
+  std::vector<char> marked(static_cast<std::size_t>(device.graph().node_count()), 0);
+  for (const NodeId w : hit) {
+    if (!device.is_wire(w)) continue;
+    marked[static_cast<std::size_t>(w)] = 1;
+    if (sibling_round) {
+      device.for_each_tile_sibling(w, [&](NodeId s) { marked[static_cast<std::size_t>(s)] = 1; });
+    }
+  }
+  for (std::size_t i = 0; i < selected.size(); ++i) {
+    if (selected[i] != 0) continue;
+    for (const NodeId w : wires_of(i)) {
+      if (marked[static_cast<std::size_t>(w)] != 0) {
+        selected[i] = 1;
+        break;
+      }
+    }
+  }
+}
 
 /// Routes ONE net on the live device exactly the way a serial paper-mode
 /// pass would at that position: whole-net attempt (or the decomposed

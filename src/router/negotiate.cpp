@@ -54,11 +54,13 @@ struct PatternStats {
 };
 
 /// Charges the net's wires to the layer, repricing as it goes, so later
-/// nets in the same pass see the updated present costs.
+/// nets in the same pass see the updated present costs. `held` keeps the
+/// charged wires: the net's occupancy until a later pass rips it up.
 void commit_occupancy(NegotiateContext& ctx, NetRouteResult& record,
-                      const std::vector<NodeId>& wires) {
-  for (const NodeId w : wires) ctx.layer.add_occupant(w);
-  record.wire_nodes_used = static_cast<int>(wires.size());
+                      std::vector<NodeId>& held) {
+  held = wire_nodes_of(ctx.device, record.edges);
+  for (const NodeId w : held) ctx.layer.add_occupant(w);
+  record.wire_nodes_used = static_cast<int>(held.size());
 }
 
 /// A pattern accept IS the net's measurement: the probe's path cost is the
@@ -82,7 +84,8 @@ void fill_pattern_record(NetRouteResult& record, std::vector<EdgeId>&& edges, We
 /// mode-gating contract (negotiate_paper_boundary_test) pins that the
 /// paper-mode relief machinery stays disengaged.
 void route_net_live(NegotiateContext& ctx, std::size_t idx, NetRouteResult& record,
-                    std::vector<std::size_t>& failed, PatternStats& patterns) {
+                    std::vector<NodeId>& held, std::vector<std::size_t>& failed,
+                    PatternStats& patterns) {
   Device& device = ctx.device;
   const RouterOptions& options = ctx.options;
   WorkBudget& budget = ctx.budget;
@@ -101,7 +104,7 @@ void route_net_live(NegotiateContext& ctx, std::size_t idx, NetRouteResult& reco
       ++patterns.accepts;
       counters().pattern_accepts.fetch_add(1, std::memory_order_relaxed);
       fill_pattern_record(record, std::move(probe.edges), probe.cost);
-      commit_occupancy(ctx, record, wire_nodes_of(device, record.edges));
+      commit_occupancy(ctx, record, held);
       return;
     }
     if (probe.budget_aborted) {
@@ -144,23 +147,28 @@ void route_net_live(NegotiateContext& ctx, std::size_t idx, NetRouteResult& reco
   record.optimal_max_pathlength = metrics.optimal_max_pathlength;
   record.physical_wirelength = static_cast<int>(record.edges.size());
   record.physical_max_path = tree.max_path_edge_count(net.source, net.sinks);
-  commit_occupancy(ctx, record, wire_nodes_of(device, record.edges));
+  commit_occupancy(ctx, record, held);
 }
 
-/// End-of-pass sweep: tallies total overflow over the occupied wires and
-/// accrues history on every overflowed one. Lives here (not in the layer)
-/// so the seeded-bug testhook corrupts tally and accrual TOGETHER — the
-/// loop then believes a sharing solution converged, and the feasibility
-/// oracle must catch the exclusivity violation downstream.
-int tally_overflow_and_accrue(CongestionLayer& layer, double increment) {
+/// End-of-pass sweep: tallies total overflow over the occupied wires,
+/// accrues history on every overflowed one and lists them in `overflowed`
+/// (ascending) — the wires whose owners the next pass rips up. Lives here
+/// (not in the layer) so the seeded-bug testhook corrupts tally, accrual
+/// and rip-up selection TOGETHER — the loop then believes a sharing
+/// solution converged, and the feasibility oracle must catch the
+/// exclusivity violation downstream.
+int tally_overflow_and_accrue(CongestionLayer& layer, double increment,
+                              std::vector<NodeId>& overflowed) {
   const bool broken = testhooks::negotiate_break_history_update.load(std::memory_order_relaxed);
   int overflow = 0;
+  overflowed.clear();
   for (const NodeId v : layer.occupied()) {
     if (broken && (v % 2) != 0) continue;  // seeded bug: odd-id wires forgotten
     const int over = layer.occupancy(v) - layer.capacity();
     if (over <= 0) continue;
     overflow += over;
     layer.accrue_history(v, increment);
+    overflowed.push_back(v);
   }
   return overflow;
 }
@@ -195,41 +203,50 @@ RoutingResult route_circuit_negotiated(Device& device, const Circuit& circuit,
   } best;
 
   PatternStats patterns;
-  std::vector<NetRouteResult> pass_nets;
+  std::vector<NetRouteResult> pass_nets(net_count);
+  std::vector<std::vector<NodeId>> held(net_count);  // each net's layer occupancy
+  std::vector<char> rip(net_count, 1);                // pass 1 routes every net
+  std::vector<NodeId> overflowed;
   std::vector<std::size_t> failed;
   double present = options.present_factor;
   const int pass_cap = std::max(1, options.negotiate_passes);
   const int stall_window = options.stall_passes > 0 ? std::max(options.stall_passes, 6) : 0;
   int best_overflow_seen = std::numeric_limits<int>::max();
-  int last_overflow = 0;
+  int last_overflow = std::numeric_limits<int>::max();
   int stalled = 0;
   bool converged = false;
 
   for (int pass = 1; pass <= pass_cap; ++pass) {
     counters().negotiate_passes.fetch_add(1, std::memory_order_relaxed);
-    // Rip up everything: occupancy clears (history persists), then the new
-    // present factor takes effect on an empty layer.
-    layer.begin_pass();
+    // Rip up only the selected nets; every other net keeps its record and
+    // its occupancy, repriced below at the grown present factor.
+    int ripped = 0;
+    for (std::size_t idx = 0; idx < net_count; ++idx) {
+      if (rip[idx] == 0) continue;
+      for (const NodeId w : held[idx]) layer.remove_occupant(w);
+      held[idx].clear();
+      pass_nets[idx] = NetRouteResult{};
+      ++ripped;
+    }
     layer.set_present_factor(present);
-    pass_nets.assign(net_count, NetRouteResult{});
+    result.reroute_trend.push_back(ripped);
     failed.clear();
     result.passes = pass;
 
-    for (std::size_t pos = 0; pos < order.size(); ++pos) {
+    for (const std::size_t idx : order) {
+      if (rip[idx] == 0) continue;
       if (budget.exhausted()) {
-        // Out of budget: everything not yet attempted this pass aborts;
-        // the committed prefix stays a consistent partial pass.
-        for (std::size_t rest = pos; rest < order.size(); ++rest) {
-          pass_nets[order[rest]].status = NetStatus::kAbortedBudget;
-          failed.push_back(order[rest]);
-        }
-        break;
+        // Out of budget: every ripped net not yet re-routed this pass
+        // aborts; the committed rest stays a consistent partial pass.
+        pass_nets[idx].status = NetStatus::kAbortedBudget;
+        failed.push_back(idx);
+        continue;
       }
-      const std::size_t idx = order[pos];
-      route_net_live(ctx, idx, pass_nets[idx], failed, patterns);
+      route_net_live(ctx, idx, pass_nets[idx], held[idx], failed, patterns);
     }
 
-    last_overflow = tally_overflow_and_accrue(layer, options.history_increment);
+    const int previous_overflow = last_overflow;
+    last_overflow = tally_overflow_and_accrue(layer, options.history_increment, overflowed);
     best_overflow_seen = std::min(best_overflow_seen, last_overflow);
     result.overflow_trend.push_back(best_overflow_seen);
 
@@ -251,6 +268,16 @@ RoutingResult route_circuit_negotiated(Device& device, const Circuit& circuit,
       break;
     }
     present = std::min(present * options.present_growth, options.present_factor_max);
+
+    // The next pass re-routes the failed nets and the owners of every
+    // overflowed wire. A pass that did not strictly lower the overflow
+    // also rips the owners of those wires' tile siblings, freeing the
+    // tracks a contested net needs to move over.
+    std::fill(rip.begin(), rip.end(), 0);
+    for (const std::size_t idx : failed) rip[idx] = 1;
+    router_internal::select_wire_owners(
+        device, [&](std::size_t i) -> const std::vector<NodeId>& { return held[i]; }, overflowed,
+        last_overflow >= previous_overflow, rip);
   }
 
   // Choose the shipped solution: the current pass when it converged or the

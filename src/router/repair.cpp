@@ -258,47 +258,30 @@ std::vector<std::size_t> repair_cone(const Device& device, const RoutingResult& 
                                            << result.nets.size()
                                            << " nets — route with record_commits");
   std::vector<char> in_cone(result.nets.size(), 0);
-  if (!faults.empty()) {
-    // Direct hits: committed wires vs dead wires, committed edges vs dead
-    // edges. Commit logs give the wires (exactly what the net consumed);
-    // the edge list is the committed route itself.
+  // Direct hits on committed wires (commit logs give exactly what each net
+  // consumed), plus one expansion round over the congestion-dependent
+  // neighbors: a dead wire re-prices its channel tile (the penalties its
+  // own commit charged vanish with it, and its siblings now compete for one
+  // track fewer), so the nets owning a tile sibling re-route under the
+  // post-event landscape. Dead edges get no expansion round: a dead switch
+  // removes a connection without changing any tile's capacity.
+  if (!faults.dead_wires.empty()) {
+    const bool sibling_round =
+        !testhooks::repair_skip_cone_neighbor.load(std::memory_order_relaxed);
+    router_internal::select_wire_owners(
+        device,
+        [&](std::size_t i) -> const std::vector<NodeId>& { return result.commit_logs[i].wires; },
+        faults.dead_wires, sibling_round, in_cone);
+  }
+  // Direct hits on committed edges: the edge list is the committed route.
+  if (!faults.dead_edges.empty()) {
     for (std::size_t i = 0; i < result.nets.size(); ++i) {
-      for (const NodeId w : result.commit_logs[i].wires) {
-        if (faults.wire_faulted(w)) {
+      if (in_cone[i] != 0) continue;
+      for (const EdgeId e : result.nets[i].edges) {
+        if (faults.edge_faulted(e)) {
           in_cone[i] = 1;
           break;
         }
-      }
-      if (in_cone[i] == 0 && !faults.dead_edges.empty()) {
-        for (const EdgeId e : result.nets[i].edges) {
-          if (faults.edge_faulted(e)) {
-            in_cone[i] = 1;
-            break;
-          }
-        }
-      }
-    }
-    // Bounded expansion: the congestion-dependent neighbors. A dead wire
-    // re-prices its channel tile (the penalties its own commit charged
-    // vanish with it, and its siblings now compete for one track fewer),
-    // so the nets owning a tile sibling re-route under the post-event
-    // landscape. Dead edges get no expansion round: a dead switch removes
-    // a connection without changing any tile's capacity.
-    if (!faults.dead_wires.empty() &&
-        !testhooks::repair_skip_cone_neighbor.load(std::memory_order_relaxed)) {
-      std::vector<std::int32_t> owner(static_cast<std::size_t>(device.graph().node_count()),
-                                      -1);
-      for (std::size_t i = 0; i < result.commit_logs.size(); ++i) {
-        for (const NodeId w : result.commit_logs[i].wires) {
-          owner[static_cast<std::size_t>(w)] = static_cast<std::int32_t>(i);
-        }
-      }
-      for (const NodeId w : faults.dead_wires) {
-        if (!device.is_wire(w)) continue;  // apply_fault_event FPR_CHECKs; stay lenient here
-        device.for_each_tile_sibling(w, [&](NodeId s) {
-          const std::int32_t net = owner[static_cast<std::size_t>(s)];
-          if (net >= 0) in_cone[static_cast<std::size_t>(net)] = 1;
-        });
       }
     }
   }

@@ -258,6 +258,12 @@ struct RoutingResult {
   /// mode.
   std::vector<int> overflow_trend;
 
+  /// Negotiated mode only, parallel to overflow_trend: the number of nets
+  /// each pass ripped up and re-routed. Pass 1 routes every net; a later
+  /// pass re-routes the failed nets and the owners of the wires the
+  /// previous pass overflowed (DESIGN.md §13). Always empty in paper mode.
+  std::vector<int> reroute_trend;
+
   /// Negotiated mode: corridor pattern-probe accounting across the whole
   /// run (attempts >= accepts; an accept means the probe's path shipped as
   /// the net's route for that pass). Zero in paper mode.

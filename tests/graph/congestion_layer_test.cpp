@@ -1,11 +1,13 @@
 // CongestionLayer unit contract (DESIGN.md §13): present/history pricing on
 // wire nodes, bit-exact edge repricing (weight = base + cost(u)/2 +
-// cost(v)/2), rip-up-everything begin_pass semantics, and backend
-// equivalence — the same occupancy/history trajectory produces bit-equal
-// edge weights on the tiled and the materialized graph representation.
+// cost(v)/2), begin_pass semantics, exact repricing of occupants at a grown
+// present factor, and backend equivalence — the same occupancy/history
+// trajectory produces bit-equal edge weights on the tiled and the
+// materialized graph representation.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "fpga/device.hpp"
@@ -135,6 +137,30 @@ TEST_F(CongestionLayerTest, OccupiedListIsAscendingAndExact) {
   EXPECT_EQ(layer.occupied(), expected);
 }
 
+TEST_F(CongestionLayerTest, ReoccupiedWireIsListedOnce) {
+  // Add, remove to zero, add again: the wire re-enters occupancy through a
+  // second 0->1 step, which must not list it a second time (the end-of-pass
+  // sweep would count its overflow and accrue its history twice).
+  CongestionLayer layer(device_.graph(), device_.block_count());
+  const NodeId v = wire(6);
+  layer.add_occupant(v);
+  layer.remove_occupant(v);
+  layer.add_occupant(v);
+  layer.add_occupant(v);
+  EXPECT_EQ(layer.occupied(), std::vector<NodeId>{v});
+
+  int tally = 0;
+  for (const NodeId w : layer.occupied()) tally += std::max(0, layer.occupancy(w) - layer.capacity());
+  EXPECT_EQ(tally, 1);
+  EXPECT_EQ(layer.total_overflow(), tally);
+
+  // begin_pass forgets the listing too: the next 0->1 step lists it afresh.
+  layer.begin_pass();
+  EXPECT_TRUE(layer.occupied().empty());
+  layer.add_occupant(v);
+  EXPECT_EQ(layer.occupied(), std::vector<NodeId>{v});
+}
+
 TEST_F(CongestionLayerTest, PresentFactorAppliesToTheComingPass) {
   CongestionLayer layer(device_.graph(), device_.block_count());
   layer.begin_pass();
@@ -143,6 +169,37 @@ TEST_F(CongestionLayerTest, PresentFactorAppliesToTheComingPass) {
   layer.add_occupant(v);
   layer.add_occupant(v);
   EXPECT_EQ(layer.node_cost(v), 4.0);  // 2.0 * (2 + 1 - 1)
+}
+
+TEST_F(CongestionLayerTest, PresentFactorRepricesOccupantsExactly) {
+  // Growing the factor with occupants priced in must leave the same edge
+  // weights, bit for bit, as a fresh layer built at the new factor with the
+  // same occupancy and history (all constants dyadic, so equality is exact).
+  const ArchSpec arch = ArchSpec::xc4000(4, 4, 4);
+  Device grown_device(arch);
+  Device fresh_device(arch);
+  CongestionLayer grown(grown_device.graph(), grown_device.block_count());
+  CongestionLayer fresh(fresh_device.graph(), fresh_device.block_count());
+  const NodeId first = grown_device.block_count();
+  const std::vector<int> occupants{1, 2, 2, 5, 9, 9, 9, 14};
+  const std::vector<int> histories{2, 9, 20};
+
+  for (const int k : occupants) grown.add_occupant(first + k);
+  for (const int k : histories) grown.accrue_history(first + k, 0.25);
+  grown.set_present_factor(0.75);
+  grown.set_present_factor(6.0);
+
+  fresh.set_present_factor(6.0);
+  for (const int k : histories) fresh.accrue_history(first + k, 0.25);
+  for (const int k : occupants) fresh.add_occupant(first + k);
+
+  ASSERT_EQ(grown_device.graph().edge_count(), fresh_device.graph().edge_count());
+  for (EdgeId e = 0; e < grown_device.graph().edge_count(); ++e) {
+    ASSERT_EQ(grown_device.graph().edge_weight(e), fresh_device.graph().edge_weight(e))
+        << "edge " << e;
+  }
+  EXPECT_EQ(grown.node_cost(first + 9), fresh.node_cost(first + 9));
+  EXPECT_EQ(grown.node_cost(first + 9), 6.0 * 3 + 0.25);  // 6.0 * (3 + 1 - 1) + history
 }
 
 TEST_F(CongestionLayerTest, TiledAndMaterializedBackendsAgreeBitExactly) {
