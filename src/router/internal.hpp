@@ -4,34 +4,74 @@
 #include <vector>
 
 #include "fpga/device.hpp"
+#include "graph/congestion_layer.hpp"
 #include "netlist/netlist.hpp"
 #include "router/router.hpp"
 
-/// Post-hoc diagnosis helpers shared by the paper-mode router (router.cpp)
-/// and the negotiated-congestion loop (negotiate.cpp). Internal to
-/// src/router: both modes must classify failures and recount degradation
-/// statistics identically, so the logic lives once, here, instead of
-/// drifting apart in two copies.
+/// The per-net routing routine and its helpers, shared by the paper-mode
+/// router (router.cpp), the negotiated-congestion loop (negotiate.cpp) and
+/// incremental repair (repair.cpp). Internal to src/router: every full
+/// pass and every re-route goes through one routine, and the modes differ
+/// only in the commit policy NetContext::layer selects.
 namespace fpr::router_internal {
 
-/// Reclassifies the failed-by-congestion nets of `result` against an empty
-/// device with the same faults installed: a terminal unreachable there is
-/// unreachable at ANY congestion level, so the net is defect-blocked, not
-/// capacity-starved. Runs unbudgeted — it is post-hoc diagnosis, not
-/// routing work — and only when faults are present (on a pristine device
-/// every block is reachable by construction, making the probe a no-op).
-void classify_fault_blocked(const Device& device, const Circuit& circuit,
-                            RoutingResult& result);
+/// Everything the per-net routine needs; one instance per routing run.
+struct NetContext {
+  Device& device;
+  const Circuit& circuit;
+  const RouterOptions& options;
+  WorkBudget& budget;
+  /// Fault-retry ladder length (fault_retry_count below).
+  int fault_retries;
+  /// The mode policy. Null (paper mode): a commit consumes the net's wires
+  /// and charges options.congestion_penalty. Non-null (negotiated mode): a
+  /// commit adds the net's wires to the layer's occupancy, and two-pin
+  /// nets first try the L/Z pattern probe when options.pattern_route is
+  /// set. Edge pricing is the same in both: route() reads graph weights.
+  CongestionLayer* layer = nullptr;
+  /// Indexed like circuit.nets: each commit writes net idx's undo record
+  /// to (*commit_logs)[idx]. Optional in paper mode, required with a layer
+  /// (the log is then the net's occupancy, wires only).
+  std::vector<NetCommitLog>* commit_logs = nullptr;
+  /// Pattern-probe accounting over the run.
+  long long pattern_attempts = 0;
+  long long pattern_accepts = 0;
+};
 
-/// Degradation bookkeeping over the final per-net statuses: status counts,
-/// and the extra wirelength fault-displaced nets pay versus their solo
-/// fault-free routes.
-void accumulate_degradation_stats(const Device& device, const Circuit& circuit,
-                                  const RouterOptions& options, RoutingResult& result);
+/// Routes net `idx` on the live device into `record`: one whole-net
+/// attempt (paper mode: or the decomposed two-pin baseline), the
+/// fault-retry ladder when ctx.fault_retries > 0, post-hoc measurement,
+/// and the mode's commit. `record.routed()` says whether it succeeded;
+/// nothing is committed when it did not.
+void route_net_live(NetContext& ctx, std::size_t idx, NetRouteResult& record);
 
-/// Sums the per-net metrics of routed nets into the result's total_*
-/// aggregates (both modes finish with exactly this fold).
-void accumulate_totals(RoutingResult& result);
+/// Fault-retry ladder length for a run: max(0, fault_retries), except 0
+/// in negotiated mode (wires are never consumed there, so a defect detour
+/// emerges from ordinary pricing; negotiate_paper_boundary_test pins that
+/// relief never engages) and 0 on a defect-free device (a failed
+/// deterministic search would just fail identically again).
+int fault_retry_count(const Device& device, const RouterOptions& options);
+
+/// Exact inverse of the commits recorded in `log`: subtracts every penalty
+/// application and reactivates every consumed wire node the live fault
+/// event did not kill, leaving the device as if the net had never been
+/// attempted. Penalties are dyadic, so weights restore bit-exactly in any
+/// inter-net order.
+void rollback_commits(Device& device, const NetCommitLog& log, double congestion_penalty);
+
+/// Unique wire nodes touched by an edge set, ascending — the occupancy a
+/// negotiated commit charges to the congestion layer. Matches the
+/// feasibility oracle's replay (RoutingTree::nodes() filtered to wires).
+std::vector<NodeId> wire_nodes_of(const Device& device, const std::vector<EdgeId>& edges);
+
+/// The one result epilogue: on a defective device whose run did not
+/// succeed, reclassifies congestion failures that are really
+/// defect-blocked; then recounts the degradation statistics (including
+/// the detour overhead versus solo fault-free routes) and the total_*
+/// aggregates from the per-net records. Callers set failed_nets, success
+/// and budget_exhausted by their own rules.
+void finish_result(const Device& device, const Circuit& circuit, const RouterOptions& options,
+                   RoutingResult& result);
 
 /// Wires-to-owning-nets selection, shared by repair_cone (the event's dead
 /// wires) and the negotiated loop (a pass's overflowed wires). Flags in
@@ -63,20 +103,5 @@ void select_wire_owners(const Device& device, const WiresOf& wires_of,
     }
   }
 }
-
-/// Routes ONE net on the live device exactly the way a serial paper-mode
-/// pass would at that position: whole-net attempt (or the decomposed
-/// baseline), the fault-retry ladder when `fault_retries > 0`, post-hoc
-/// measurement, and the commit (wire consumption + congestion penalties).
-/// `record` receives the outcome; when `commit_logs` is non-null it must be
-/// indexed like circuit.nets and entry `idx` receives the commit's undo
-/// record. This is the re-route primitive of the incremental repair engine
-/// (repair.cpp): cone nets re-route through the same code path a full pass
-/// uses, so repaired nets are bit-identical to what a fresh pass would
-/// produce under the same device state.
-void route_single_net(Device& device, const Circuit& circuit, const RouterOptions& options,
-                      WorkBudget& budget, int fault_retries,
-                      std::vector<NetCommitLog>* commit_logs, std::size_t idx,
-                      NetRouteResult& record);
 
 }  // namespace fpr::router_internal

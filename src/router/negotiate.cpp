@@ -10,7 +10,6 @@
 #include "graph/budget.hpp"
 #include "graph/congestion_layer.hpp"
 #include "router/internal.hpp"
-#include "router/patterns.hpp"
 
 namespace fpr {
 
@@ -19,136 +18,6 @@ std::atomic<bool> negotiate_break_history_update{false};
 }  // namespace testhooks
 
 namespace {
-
-/// Unique wire nodes touched by a committed edge set, ascending — the
-/// occupancy a net charges to the congestion layer. Matches the feasibility
-/// oracle's replay (RoutingTree::nodes() filtered to wires).
-std::vector<NodeId> wire_nodes_of(const Device& device, const std::vector<EdgeId>& edges) {
-  const Graph& g = device.graph();
-  std::vector<NodeId> wires;
-  wires.reserve(edges.size() + 1);
-  for (const EdgeId e : edges) {
-    const Graph::Edge ed = g.edge(e);
-    for (const NodeId v : {ed.u, ed.v}) {
-      if (device.is_wire(v)) wires.push_back(v);
-    }
-  }
-  std::sort(wires.begin(), wires.end());
-  wires.erase(std::unique(wires.begin(), wires.end()), wires.end());
-  return wires;
-}
-
-/// Everything the per-net routine needs; one instance per negotiated run.
-struct NegotiateContext {
-  Device& device;
-  const Circuit& circuit;
-  const RouterOptions& options;
-  CongestionLayer& layer;
-  WorkBudget& budget;
-};
-
-/// Pattern-probe accounting for one run, folded into the RoutingResult.
-struct PatternStats {
-  long long attempts = 0;
-  long long accepts = 0;
-};
-
-/// Charges the net's wires to the layer, repricing as it goes, so later
-/// nets in the same pass see the updated present costs. `held` keeps the
-/// charged wires: the net's occupancy until a later pass rips it up.
-void commit_occupancy(NegotiateContext& ctx, NetRouteResult& record,
-                      std::vector<NodeId>& held) {
-  held = wire_nodes_of(ctx.device, record.edges);
-  for (const NodeId w : held) ctx.layer.add_occupant(w);
-  record.wire_nodes_used = static_cast<int>(held.size());
-}
-
-/// A pattern accept IS the net's measurement: the probe's path cost is the
-/// live wirelength and (two-pin) worst pathlength, and stands in for the
-/// Dijkstra optimum bound as a recorded upper bound — running a full SSSP
-/// just to tighten a diagnostic would cancel the fast path's point.
-void fill_pattern_record(NetRouteResult& record, std::vector<EdgeId>&& edges, Weight cost) {
-  record.status = NetStatus::kRouted;
-  record.edges = std::move(edges);
-  record.wirelength = cost;
-  record.max_pathlength = cost;
-  record.optimal_max_pathlength = cost;
-  record.physical_wirelength = static_cast<int>(record.edges.size());
-  record.physical_max_path = static_cast<int>(record.edges.size());
-}
-
-/// Routes net `idx` on the live device in negotiated mode: the pattern fast
-/// path for two-pin connections, else one whole-net scoped engine attempt.
-/// No fault-retry ladder and no congestion relief — wires are never
-/// consumed here, so a defect detour emerges from ordinary pricing, and the
-/// mode-gating contract (negotiate_paper_boundary_test) pins that the
-/// paper-mode relief machinery stays disengaged.
-void route_net_live(NegotiateContext& ctx, std::size_t idx, NetRouteResult& record,
-                    std::vector<NodeId>& held, std::vector<std::size_t>& failed,
-                    PatternStats& patterns) {
-  Device& device = ctx.device;
-  const RouterOptions& options = ctx.options;
-  WorkBudget& budget = ctx.budget;
-  const Net net = to_graph_net(device, ctx.circuit.nets[idx]);
-  if (net.sinks.empty()) {  // all pins on one block: trivially routed
-    record.status = NetStatus::kRouted;
-    return;
-  }
-  Graph& g = device.graph();
-
-  if (options.pattern_route && net.sinks.size() == 1) {
-    ++patterns.attempts;
-    counters().pattern_attempts.fetch_add(1, std::memory_order_relaxed);
-    PatternProbe probe = pattern_route(device, ctx.layer, net.source, net.sinks[0], &budget);
-    if (probe.accepted) {
-      ++patterns.accepts;
-      counters().pattern_accepts.fetch_add(1, std::memory_order_relaxed);
-      fill_pattern_record(record, std::move(probe.edges), probe.cost);
-      commit_occupancy(ctx, record, held);
-      return;
-    }
-    if (probe.budget_aborted) {
-      record.status = NetStatus::kAbortedBudget;
-      failed.push_back(idx);
-      return;
-    }
-    // Probe found no free corridor path (congestion or faults): fall back
-    // to the full engine, which may still share wires at a price.
-  }
-
-  PathOracle oracle(g);
-  oracle.set_budget(&budget);
-  const std::vector<NodeId> terminals = net.terminals();
-  const bool critical = ctx.circuit.nets[idx].critical;
-  const Algorithm algo = critical ? options.critical_algorithm : options.algorithm;
-  if (algorithm_supports_scoped_paths(algo)) oracle.set_scope(terminals);
-  const RoutingTree tree = route(g, net, algo, oracle, options.route_options);
-  if (!tree.spans(terminals)) {
-    record.status =
-        budget.exhausted() ? NetStatus::kAbortedBudget : NetStatus::kFailedCongestion;
-    failed.push_back(idx);
-    return;
-  }
-  // Measurement mirrors paper mode's rules (router.cpp): post-hoc, never
-  // budget-charged, and never through budget-truncated cached trees — the
-  // per-net oracle is reusable only for an unbudgeted attempt.
-  oracle.set_budget(nullptr);
-  TreeMetrics metrics;
-  if (budget.unlimited()) {
-    metrics = measure(g, net, tree, oracle);
-  } else {
-    PathOracle measure_oracle(g);
-    metrics = measure(g, net, tree, measure_oracle);
-  }
-  record.status = NetStatus::kRouted;
-  record.edges = tree.edges();
-  record.wirelength = metrics.wirelength;
-  record.max_pathlength = metrics.max_pathlength;
-  record.optimal_max_pathlength = metrics.optimal_max_pathlength;
-  record.physical_wirelength = static_cast<int>(record.edges.size());
-  record.physical_max_path = tree.max_path_edge_count(net.source, net.sinks);
-  commit_occupancy(ctx, record, held);
-}
 
 /// End-of-pass sweep: tallies total overflow over the occupied wires,
 /// accrues history on every overflowed one and lists them in `overflowed`
@@ -187,7 +56,10 @@ RoutingResult route_circuit_negotiated(Device& device, const Circuit& circuit,
   Graph& g = device.graph();
   CongestionLayer layer(g, device.block_count());
   WorkBudget budget{options.node_budget};
-  NegotiateContext ctx{device, circuit, options, layer, budget};
+  std::vector<NetCommitLog> held(net_count);  // each net's layer occupancy
+  router_internal::NetContext ctx{device, circuit, options, budget,
+                                  router_internal::fault_retry_count(device, options), &layer,
+                                  &held};
 
   RoutingResult result;
   std::vector<std::size_t> order(net_count);
@@ -202,9 +74,7 @@ RoutingResult route_circuit_negotiated(Device& device, const Circuit& circuit,
     bool valid() const { return overflow != std::numeric_limits<int>::max(); }
   } best;
 
-  PatternStats patterns;
   std::vector<NetRouteResult> pass_nets(net_count);
-  std::vector<std::vector<NodeId>> held(net_count);  // each net's layer occupancy
   std::vector<char> rip(net_count, 1);                // pass 1 routes every net
   std::vector<NodeId> overflowed;
   std::vector<std::size_t> failed;
@@ -223,8 +93,8 @@ RoutingResult route_circuit_negotiated(Device& device, const Circuit& circuit,
     int ripped = 0;
     for (std::size_t idx = 0; idx < net_count; ++idx) {
       if (rip[idx] == 0) continue;
-      for (const NodeId w : held[idx]) layer.remove_occupant(w);
-      held[idx].clear();
+      for (const NodeId w : held[idx].wires) layer.remove_occupant(w);
+      held[idx] = NetCommitLog{};
       pass_nets[idx] = NetRouteResult{};
       ++ripped;
     }
@@ -242,7 +112,8 @@ RoutingResult route_circuit_negotiated(Device& device, const Circuit& circuit,
         failed.push_back(idx);
         continue;
       }
-      route_net_live(ctx, idx, pass_nets[idx], held[idx], failed, patterns);
+      router_internal::route_net_live(ctx, idx, pass_nets[idx]);
+      if (!pass_nets[idx].routed()) failed.push_back(idx);
     }
 
     const int previous_overflow = last_overflow;
@@ -276,8 +147,8 @@ RoutingResult route_circuit_negotiated(Device& device, const Circuit& circuit,
     std::fill(rip.begin(), rip.end(), 0);
     for (const std::size_t idx : failed) rip[idx] = 1;
     router_internal::select_wire_owners(
-        device, [&](std::size_t i) -> const std::vector<NodeId>& { return held[i]; }, overflowed,
-        last_overflow >= previous_overflow, rip);
+        device, [&](std::size_t i) -> const std::vector<NodeId>& { return held[i].wires; },
+        overflowed, last_overflow >= previous_overflow, rip);
   }
 
   // Choose the shipped solution: the current pass when it converged or the
@@ -297,13 +168,15 @@ RoutingResult route_circuit_negotiated(Device& device, const Circuit& circuit,
   layer.begin_pass();
   for (std::size_t idx = 0; idx < net_count; ++idx) {
     if (!result.nets[idx].routed()) continue;
-    for (const NodeId w : wire_nodes_of(device, result.nets[idx].edges)) layer.add_occupant(w);
+    for (const NodeId w : router_internal::wire_nodes_of(device, result.nets[idx].edges)) {
+      layer.add_occupant(w);
+    }
   }
   if (believed_overflow > 0) {
     for (std::size_t idx = net_count; idx-- > 0;) {
       NetRouteResult& record = result.nets[idx];
       if (!record.routed() || record.edges.empty()) continue;
-      const std::vector<NodeId> wires = wire_nodes_of(device, record.edges);
+      const std::vector<NodeId> wires = router_internal::wire_nodes_of(device, record.edges);
       bool over = false;
       for (const NodeId w : wires) {
         if (layer.occupancy(w) > layer.capacity()) {
@@ -326,7 +199,7 @@ RoutingResult route_circuit_negotiated(Device& device, const Circuit& circuit,
   for (std::size_t idx = 0; idx < net_count; ++idx) {
     const NetRouteResult& record = result.nets[idx];
     if (!record.routed()) continue;
-    for (const NodeId w : wire_nodes_of(device, record.edges)) {
+    for (const NodeId w : router_internal::wire_nodes_of(device, record.edges)) {
       if (g.node_active(w)) {
         g.remove_node(w);
         // Wires only, no penalties: the negotiated final state carries none
@@ -346,14 +219,9 @@ RoutingResult route_circuit_negotiated(Device& device, const Circuit& circuit,
   result.budget_exhausted = any_aborted;
   result.net_order = std::move(order);
   result.work_used = budget.used;
-  result.pattern_attempts = patterns.attempts;
-  result.pattern_accepts = patterns.accepts;
-
-  if ((device.has_faults() || device.has_fault_events()) && !result.success) {
-    router_internal::classify_fault_blocked(device, circuit, result);
-  }
-  router_internal::accumulate_degradation_stats(device, circuit, options, result);
-  router_internal::accumulate_totals(result);
+  result.pattern_attempts = ctx.pattern_attempts;
+  result.pattern_accepts = ctx.pattern_accepts;
+  router_internal::finish_result(device, circuit, options, result);
   return result;
 }
 

@@ -1,6 +1,5 @@
 #include "router/repair.hpp"
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <sstream>
@@ -356,8 +355,6 @@ RepairOutcome repair_route(Device& device, Circuit& circuit, RoutingResult& resu
   // is restored bit-exactly regardless of inter-net order), wires restored
   // unless the event overlay killed them. Everything outside the cone is
   // untouched — byte-stability by construction. ---
-  Graph& g = device.graph();
-  const double penalty = options.congestion_penalty;
   RepairOutcome outcome;
   struct PreEvent {
     bool routed = false;
@@ -371,14 +368,8 @@ RepairOutcome repair_route(Device& device, Circuit& circuit, RoutingResult& resu
   for (std::size_t k = 0; k < cone.size(); ++k) {
     const std::size_t i = cone[k];
     before[k] = {result.nets[i].routed(), result.nets[i].physical_wirelength};
-    NetCommitLog& log = result.commit_logs[i];
-    for (auto it = log.penalized.rbegin(); it != log.penalized.rend(); ++it) {
-      g.add_edge_weight(*it, -penalty);
-    }
-    for (auto it = log.wires.rbegin(); it != log.wires.rend(); ++it) {
-      if (!device.event_wire_faulted(*it)) g.restore_node(*it);
-    }
-    log = NetCommitLog{};
+    router_internal::rollback_commits(device, result.commit_logs[i], options.congestion_penalty);
+    result.commit_logs[i] = NetCommitLog{};
     result.nets[i] = NetRouteResult{};
     counters().repair_nets_ripped.fetch_add(1, std::memory_order_relaxed);
   }
@@ -395,11 +386,10 @@ RepairOutcome repair_route(Device& device, Circuit& circuit, RoutingResult& resu
     repair_options.congestion_penalty = 0.0;
     repair_options.decompose_two_pin = false;
   }
-  const bool faulty = device.has_faults() || device.has_fault_events();
-  const int fault_retries = options.mode == RouterMode::kPaper && faulty
-                                ? std::max(0, options.fault_retries)
-                                : 0;
   WorkBudget budget{event.budget};
+  router_internal::NetContext ctx{device, circuit, repair_options, budget,
+                                  router_internal::fault_retry_count(device, options), nullptr,
+                                  &result.commit_logs};
   std::vector<char> pending = in_cone;
   const auto repair_net = [&](std::size_t idx) {
     if (pending[idx] == 0) return;
@@ -409,8 +399,7 @@ RepairOutcome repair_route(Device& device, Circuit& circuit, RoutingResult& resu
       record.status = NetStatus::kAbortedBudget;
       return;
     }
-    router_internal::route_single_net(device, circuit, repair_options, budget, fault_retries,
-                                      &result.commit_logs, idx, record);
+    router_internal::route_net_live(ctx, idx, record);
     if (record.routed()) {
       counters().repair_nets_rerouted.fetch_add(1, std::memory_order_relaxed);
     }
@@ -445,21 +434,7 @@ RepairOutcome repair_route(Device& device, Circuit& circuit, RoutingResult& resu
     if (!record.routed()) ++result.failed_nets;
   }
   result.success = result.failed_nets == 0;
-  if (!result.success && faulty) {
-    router_internal::classify_fault_blocked(device, circuit, result);
-  }
-  result.nets_rerouted_around_faults = 0;
-  result.nets_blocked_by_fault = 0;
-  result.nets_aborted_budget = 0;
-  result.detour_wirelength_overhead = 0;
-  router_internal::accumulate_degradation_stats(device, circuit, options, result);
-  result.total_wirelength = 0;
-  result.total_wire_nodes = 0;
-  result.total_max_pathlength = 0;
-  result.total_optimal_max_pathlength = 0;
-  result.total_physical_wirelength = 0;
-  result.total_physical_max_path = 0;
-  router_internal::accumulate_totals(result);
+  router_internal::finish_result(device, circuit, options, result);
   result.budget_exhausted = result.nets_aborted_budget > 0;
 
   // classify_fault_blocked may have reclassified degraded cone nets; keep

@@ -5,9 +5,11 @@
 #include <numeric>
 #include <utility>
 
+#include "graph/congestion_layer.hpp"
 #include "graph/dijkstra.hpp"
 #include "router/internal.hpp"
 #include "router/negotiate.hpp"
+#include "router/patterns.hpp"
 
 namespace fpr {
 
@@ -31,19 +33,22 @@ std::string_view net_status_name(NetStatus status) {
 
 namespace {
 
-/// Undo record for commit_net: every wire node it consumed and every edge
-/// it charged the congestion penalty to (one entry per application, so an
-/// edge penalized through several siblings appears several times). The
-/// same shape the public API records per net when
-/// RouterOptions::record_commits is on.
-using CommitLog = NetCommitLog;
+/// Installed faults or a live fault-event overlay: either arms the
+/// fault-retry ladder and the post-hoc fault classification. A
+/// from-scratch route on a device that survived apply_fault_event() sees
+/// the same dead elements a FaultSpec-faulted device would.
+bool defective(const Device& device) {
+  return device.has_faults() || device.has_fault_events();
+}
 
-/// Commits a routed net: removes its wire nodes from the graph (electrical
-/// disjointness) and charges the congestion penalty to the edges of the
-/// remaining free wires in every channel tile the net touched. When `log`
-/// is given, records enough to invert the commit exactly.
+/// Paper-mode commit of a routed net: removes its wire nodes from the graph
+/// (electrical disjointness) and charges the congestion penalty to the
+/// edges of the remaining free wires in every channel tile the net touched.
+/// When `log` is given, appends every consumed wire and every penalty
+/// application (an edge penalized through several siblings appears several
+/// times), enough to invert the commit exactly.
 int commit_net(Device& device, const std::vector<EdgeId>& edges, double congestion_penalty,
-               CommitLog* log = nullptr) {
+               NetCommitLog* log = nullptr) {
   Graph& g = device.graph();
   std::vector<NodeId> wires;
   for (const EdgeId e : edges) {
@@ -69,19 +74,6 @@ int commit_net(Device& device, const std::vector<EdgeId>& edges, double congesti
   }
   if (log) log->wires.insert(log->wires.end(), wires.begin(), wires.end());
   return static_cast<int>(wires.size());
-}
-
-/// Exact inverse of the commits recorded in `log`: subtracts every penalty
-/// delta and reactivates every consumed wire node, leaving the device as if
-/// the net had never been attempted.
-void rollback_commits(Device& device, const CommitLog& log, double congestion_penalty) {
-  Graph& g = device.graph();
-  for (auto it = log.penalized.rbegin(); it != log.penalized.rend(); ++it) {
-    g.add_edge_weight(*it, -congestion_penalty);
-  }
-  for (auto it = log.wires.rbegin(); it != log.wires.rend(); ++it) {
-    g.restore_node(*it);
-  }
 }
 
 /// Scoped congestion relief for fault retries: remaps every edge weight
@@ -153,11 +145,11 @@ struct TwoPinOutcome {
 
 TwoPinOutcome route_two_pin_decomposed(Device& device, const Net& net,
                                        double congestion_penalty, WorkBudget* budget,
-                                       CommitLog* out_log = nullptr) {
+                                       NetCommitLog* out_log = nullptr) {
   Graph& g = device.graph();
   TwoPinOutcome out;
   std::vector<EdgeId> all_edges;
-  CommitLog log;
+  NetCommitLog log;
   // One tree object across all sinks: each commit mutates the graph, so the
   // search must rerun per sink, but the reuse overload keeps the per-sink
   // reruns allocation-free (the tree's vectors are recycled).
@@ -169,7 +161,7 @@ TwoPinOutcome route_two_pin_decomposed(Device& device, const Net& net,
       // charged congestion: the whole net fails, so give those resources
       // back — otherwise the dead net starves every net after it for the
       // rest of the pass.
-      rollback_commits(device, log, congestion_penalty);
+      router_internal::rollback_commits(device, log, congestion_penalty);
       TwoPinOutcome failed;
       failed.budget_aborted = spt.budget_aborted;
       return failed;  // routed == false, zero wires held
@@ -188,12 +180,12 @@ TwoPinOutcome route_two_pin_decomposed(Device& device, const Net& net,
   return out;
 }
 
-}  // namespace
-
-// Shared post-hoc diagnosis (router/internal.hpp): identical logic serves
-// the paper-mode loop below and the negotiated loop in negotiate.cpp.
-namespace router_internal {
-
+/// Reclassifies the failed-by-congestion nets of `result` against an empty
+/// device with the same faults installed: a terminal unreachable there is
+/// unreachable at ANY congestion level, so the net is defect-blocked, not
+/// capacity-starved. Runs unbudgeted — it is post-hoc diagnosis, not
+/// routing work — and only when faults are present (on a pristine device
+/// every block is reachable by construction, making the probe a no-op).
 void classify_fault_blocked(const Device& device, const Circuit& circuit,
                             RoutingResult& result) {
   std::unique_ptr<Device> probe;
@@ -223,8 +215,6 @@ void classify_fault_blocked(const Device& device, const Circuit& circuit,
   }
 }
 
-namespace {
-
 /// Physical wirelength of `net` routed alone on a pristine fault-free
 /// device — the fault-free baseline the detour-overhead statistic compares
 /// against. Returns -1 when even the solo route fails (pathological widths).
@@ -243,8 +233,9 @@ int solo_fault_free_wirelength(Device& pristine, const CircuitNet& circuit_net,
   return static_cast<int>(tree.edges().size());
 }
 
-}  // namespace
-
+/// Degradation bookkeeping over the final per-net statuses: status counts,
+/// and the extra wirelength fault-displaced nets pay versus their solo
+/// fault-free routes.
 void accumulate_degradation_stats(const Device& device, const Circuit& circuit,
                                   const RouterOptions& options, RoutingResult& result) {
   std::unique_ptr<Device> pristine;  // built lazily: most runs have no detours
@@ -266,6 +257,8 @@ void accumulate_degradation_stats(const Device& device, const Circuit& circuit,
   }
 }
 
+/// Sums the per-net metrics of routed nets into the result's total_*
+/// aggregates.
 void accumulate_totals(RoutingResult& result) {
   for (const auto& record : result.nets) {
     if (!record.routed()) continue;
@@ -278,27 +271,69 @@ void accumulate_totals(RoutingResult& result) {
   }
 }
 
-}  // namespace router_internal
+/// The one record fill of a routed net: its edges, its measurement in the
+/// live routing metric and its physical hop counts.
+void fill_record(NetRouteResult& record, std::vector<EdgeId> edges, const TreeMetrics& metrics,
+                 int physical_max_path) {
+  record.status = NetStatus::kRouted;
+  record.edges = std::move(edges);
+  record.wirelength = metrics.wirelength;
+  record.max_pathlength = metrics.max_pathlength;
+  record.optimal_max_pathlength = metrics.optimal_max_pathlength;
+  record.physical_wirelength = static_cast<int>(record.edges.size());
+  record.physical_max_path = physical_max_path;
+}
 
-namespace {
+/// The mode's commit of a routed net's edges into its `log`; returns the
+/// wire nodes it charged. Paper mode consumes the wires and charges the
+/// congestion penalty (commit_net). Negotiated mode adds the wires to the
+/// layer's occupancy, repricing as it goes so later nets in the same pass
+/// see the updated present costs; the log holds that occupancy until a
+/// later pass rips it up.
+int commit(router_internal::NetContext& ctx, NetCommitLog* log, const std::vector<EdgeId>& edges) {
+  if (ctx.layer == nullptr) {
+    return commit_net(ctx.device, edges, ctx.options.congestion_penalty, log);
+  }
+  log->wires = router_internal::wire_nodes_of(ctx.device, edges);
+  for (const NodeId w : log->wires) ctx.layer->add_occupant(w);
+  return static_cast<int>(log->wires.size());
+}
 
-/// Everything the per-net routine needs; one instance per route_circuit.
-struct NetContext {
-  Device& device;
-  const Circuit& circuit;
-  const RouterOptions& options;
-  WorkBudget& budget;
-  int fault_retries;
-  /// When non-null (record_commits), indexed like circuit.nets: each
-  /// committed net writes its undo record to (*commit_logs)[idx].
-  std::vector<NetCommitLog>* commit_logs = nullptr;
-};
+}  // namespace
 
-/// Routes net `idx` on the live device — the serial per-net routine: one
-/// whole-net attempt (or the decomposed baseline), the fault-retry ladder,
-/// measurement, and the commit. On failure appends idx to `failed`.
-void route_net_live(NetContext& ctx, std::size_t idx, NetRouteResult& record,
-                    std::vector<std::size_t>& failed) {
+namespace router_internal {
+
+void rollback_commits(Device& device, const NetCommitLog& log, double congestion_penalty) {
+  Graph& g = device.graph();
+  for (auto it = log.penalized.rbegin(); it != log.penalized.rend(); ++it) {
+    g.add_edge_weight(*it, -congestion_penalty);
+  }
+  for (auto it = log.wires.rbegin(); it != log.wires.rend(); ++it) {
+    if (!device.event_wire_faulted(*it)) g.restore_node(*it);
+  }
+}
+
+std::vector<NodeId> wire_nodes_of(const Device& device, const std::vector<EdgeId>& edges) {
+  const Graph& g = device.graph();
+  std::vector<NodeId> wires;
+  wires.reserve(edges.size() + 1);
+  for (const EdgeId e : edges) {
+    const Graph::Edge ed = g.edge(e);
+    for (const NodeId v : {ed.u, ed.v}) {
+      if (device.is_wire(v)) wires.push_back(v);
+    }
+  }
+  std::sort(wires.begin(), wires.end());
+  wires.erase(std::unique(wires.begin(), wires.end()), wires.end());
+  return wires;
+}
+
+int fault_retry_count(const Device& device, const RouterOptions& options) {
+  if (options.mode == RouterMode::kNegotiated || !defective(device)) return 0;
+  return std::max(0, options.fault_retries);
+}
+
+void route_net_live(NetContext& ctx, std::size_t idx, NetRouteResult& record) {
   Device& device = ctx.device;
   const RouterOptions& options = ctx.options;
   WorkBudget& budget = ctx.budget;
@@ -308,8 +343,9 @@ void route_net_live(NetContext& ctx, std::size_t idx, NetRouteResult& record,
     return;
   }
   Graph& g = device.graph();
+  NetCommitLog* log = ctx.commit_logs != nullptr ? &(*ctx.commit_logs)[idx] : nullptr;
 
-  if (options.decompose_two_pin) {
+  if (options.decompose_two_pin) {  // paper mode only
     // Optimal pathlength bound measured before any of the net's own
     // connections consume resources.
     PathOracle oracle(g);
@@ -324,11 +360,8 @@ void route_net_live(NetContext& ctx, std::size_t idx, NetRouteResult& record,
     if (!reachable) {
       record.status =
           budget.exhausted() ? NetStatus::kAbortedBudget : NetStatus::kFailedCongestion;
-      failed.push_back(idx);
       return;
     }
-    CommitLog* log =
-        ctx.commit_logs != nullptr ? &(*ctx.commit_logs)[idx] : nullptr;
     auto out = route_two_pin_decomposed(device, net, options.congestion_penalty, &budget, log);
     double relief_scale = 1.0;
     while (!out.routed && !out.budget_aborted && record.retries < ctx.fault_retries) {
@@ -340,18 +373,37 @@ void route_net_live(NetContext& ctx, std::size_t idx, NetRouteResult& record,
     if (!out.routed) {
       record.status =
           out.budget_aborted ? NetStatus::kAbortedBudget : NetStatus::kFailedCongestion;
-      failed.push_back(idx);
       return;
     }
-    record.status = NetStatus::kRouted;
-    record.edges = std::move(out.edges);
-    record.wirelength = out.wirelength;
-    record.max_pathlength = out.max_pathlength;
-    record.optimal_max_pathlength = opt;
-    record.physical_wirelength = static_cast<int>(record.edges.size());
-    record.physical_max_path = out.physical_max_path;
+    fill_record(record, std::move(out.edges), {out.wirelength, out.max_pathlength, opt},
+                out.physical_max_path);
     record.wire_nodes_used = out.wire_nodes_used;
     return;
+  }
+
+  if (ctx.layer != nullptr && options.pattern_route && net.sinks.size() == 1) {
+    ++ctx.pattern_attempts;
+    counters().pattern_attempts.fetch_add(1, std::memory_order_relaxed);
+    PatternProbe probe = pattern_route(device, *ctx.layer, net.source, net.sinks[0], &budget);
+    if (probe.accepted) {
+      ++ctx.pattern_accepts;
+      counters().pattern_accepts.fetch_add(1, std::memory_order_relaxed);
+      // A pattern accept IS the net's measurement: the probe's path cost is
+      // the live wirelength and (two-pin) worst pathlength, and stands in
+      // for the Dijkstra optimum bound as a recorded upper bound — running
+      // a full SSSP just to tighten a diagnostic would cancel the fast
+      // path's point.
+      const int hops = static_cast<int>(probe.edges.size());
+      fill_record(record, std::move(probe.edges), {probe.cost, probe.cost, probe.cost}, hops);
+      record.wire_nodes_used = commit(ctx, log, record.edges);
+      return;
+    }
+    if (probe.budget_aborted) {
+      record.status = NetStatus::kAbortedBudget;
+      return;
+    }
+    // Probe found no free corridor path (congestion or faults): fall back
+    // to the full engine, which may still share wires at a price.
   }
 
   PathOracle oracle(g);
@@ -366,11 +418,11 @@ void route_net_live(NetContext& ctx, std::size_t idx, NetRouteResult& record,
   }
   RoutingTree tree = route(g, net, algo, oracle, options.route_options);
 
-  // Fault-retry ladder: a defect can sever exactly the corridor the
-  // congestion weights and candidate cap funnel this net into, so each
-  // retry widens the search — unscoped oracle, unlimited candidates,
-  // then the DJKA arborescence (pure shortest paths reach anything
-  // reachable) — under geometrically relaxed congestion.
+  // Fault-retry ladder (paper mode only): a defect can sever exactly the
+  // corridor the congestion weights and candidate cap funnel this net
+  // into, so each retry widens the search — unscoped oracle, unlimited
+  // candidates, then the DJKA arborescence (pure shortest paths reach
+  // anything reachable) — under geometrically relaxed congestion.
   double relief_scale = 1.0;
   while (!tree.spans(terminals) && !budget.exhausted() &&
          record.retries < ctx.fault_retries) {
@@ -387,7 +439,6 @@ void route_net_live(NetContext& ctx, std::size_t idx, NetRouteResult& record,
   if (!tree.spans(terminals)) {
     record.status =
         budget.exhausted() ? NetStatus::kAbortedBudget : NetStatus::kFailedCongestion;
-    failed.push_back(idx);
     return;
   }
   // Measure on the true (unrelieved) weights, and never through a tree the
@@ -408,28 +459,25 @@ void route_net_live(NetContext& ctx, std::size_t idx, NetRouteResult& record,
     PathOracle measure_oracle(g);
     metrics = measure(g, net, tree, measure_oracle);
   }
-  record.status = NetStatus::kRouted;
-  record.edges = tree.edges();
-  record.wirelength = metrics.wirelength;
-  record.max_pathlength = metrics.max_pathlength;
-  record.optimal_max_pathlength = metrics.optimal_max_pathlength;
-  record.physical_wirelength = static_cast<int>(tree.edges().size());
-  record.physical_max_path = tree.max_path_edge_count(net.source, net.sinks);
-  CommitLog* log = ctx.commit_logs != nullptr ? &(*ctx.commit_logs)[idx] : nullptr;
-  record.wire_nodes_used = commit_net(device, tree.edges(), options.congestion_penalty, log);
+  fill_record(record, tree.edges(), metrics, tree.max_path_edge_count(net.source, net.sinks));
+  record.wire_nodes_used = commit(ctx, log, record.edges);
 }
 
-}  // namespace
-
-namespace router_internal {
-
-void route_single_net(Device& device, const Circuit& circuit, const RouterOptions& options,
-                      WorkBudget& budget, int fault_retries,
-                      std::vector<NetCommitLog>* commit_logs, std::size_t idx,
-                      NetRouteResult& record) {
-  NetContext ctx{device, circuit, options, budget, fault_retries, commit_logs};
-  std::vector<std::size_t> failed;  // single-net call: the status already says it
-  route_net_live(ctx, idx, record, failed);
+void finish_result(const Device& device, const Circuit& circuit, const RouterOptions& options,
+                   RoutingResult& result) {
+  if (defective(device) && !result.success) classify_fault_blocked(device, circuit, result);
+  result.nets_rerouted_around_faults = 0;
+  result.nets_blocked_by_fault = 0;
+  result.nets_aborted_budget = 0;
+  result.detour_wirelength_overhead = 0;
+  accumulate_degradation_stats(device, circuit, options, result);
+  result.total_wirelength = 0;
+  result.total_wire_nodes = 0;
+  result.total_max_pathlength = 0;
+  result.total_optimal_max_pathlength = 0;
+  result.total_physical_wirelength = 0;
+  result.total_physical_max_path = 0;
+  accumulate_totals(result);
 }
 
 }  // namespace router_internal
@@ -451,13 +499,8 @@ RoutingResult route_circuit(Device& device, const Circuit& circuit,
   // expansions, never wall-clock: the same inputs exhaust it at the same
   // expansion on every platform.
   WorkBudget budget{options.node_budget};
-  // Live fault events count as defects for the retry ladder and the
-  // post-hoc fault classification: a from-scratch route on a device that
-  // survived apply_fault_event() sees the same dead elements a
-  // FaultSpec-faulted device would.
-  const bool faulty = device.has_faults() || device.has_fault_events();
-  const int fault_retries = faulty ? std::max(0, options.fault_retries) : 0;
-  NetContext ctx{device, circuit, options, budget, fault_retries};
+  router_internal::NetContext ctx{device, circuit, options, budget,
+                                  router_internal::fault_retry_count(device, options)};
 
   int best_failed = static_cast<int>(net_count) + 1;
   int stalled = 0;
@@ -487,7 +530,8 @@ RoutingResult route_circuit(Device& device, const Circuit& circuit,
         }
         break;
       }
-      route_net_live(ctx, idx, result.nets[idx], failed);
+      router_internal::route_net_live(ctx, idx, result.nets[idx]);
+      if (!result.nets[idx].routed()) failed.push_back(idx);
     }
 
     result.work_used = budget.used;
@@ -526,13 +570,7 @@ RoutingResult route_circuit(Device& device, const Circuit& circuit,
     order = std::move(reordered);
   }
 
-  // Post-hoc failure diagnosis + degradation statistics over the final
-  // pass's statuses.
-  if (faulty && !result.success) {
-    router_internal::classify_fault_blocked(device, circuit, result);
-  }
-  router_internal::accumulate_degradation_stats(device, circuit, options, result);
-  router_internal::accumulate_totals(result);
+  router_internal::finish_result(device, circuit, options, result);
   return result;
 }
 

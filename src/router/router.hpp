@@ -98,10 +98,13 @@ struct RouterOptions {
   /// benchmark suite still sets it.
   int threads = 0;
 
-  /// Congestion-resolution mode. kPaper preserves the historical router
-  /// bit-for-bit; kNegotiated switches route_circuit to the negotiated-
-  /// congestion loop, which reads only the negotiate_* / pattern_route
-  /// knobs below plus the shared algorithm/candidate/budget options
+  /// Congestion-resolution mode. Both modes route each net with the same
+  /// per-net routine (DESIGN.md §13); the mode picks the pass loop and the
+  /// commit. kPaper consumes wires and charges congestion_penalty, the
+  /// historical router bit-for-bit. kNegotiated switches route_circuit to
+  /// the negotiated-congestion loop, whose commit charges occupancy to a
+  /// congestion layer; it reads only the negotiate_* / pattern_route knobs
+  /// below plus the shared algorithm/candidate/budget options
   /// (move_to_front, congestion_penalty, fault_retries and max_passes are
   /// paper-mode machinery and are never consulted). Negotiated mode routes
   /// whole nets only: decompose_two_pin must stay false.

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <set>
+#include <type_traits>
 
+#include "netlist/profiles.hpp"
+#include "netlist/synth.hpp"
 #include "router/baseline.hpp"
+#include "router/repair.hpp"
 
 namespace fpr {
 namespace {
@@ -203,6 +209,102 @@ TEST(RouterTest, CongestionPenaltyRaisesRemainingWeights) {
   const RoutingResult r = route_circuit(device, c, options);
   ASSERT_TRUE(r.success);
   EXPECT_GT(device.graph().mean_active_edge_weight(), before);
+}
+
+/// FNV-1a over every field of every NetRouteResult and NetCommitLog of `r`
+/// (Weight fields by bit pattern): any change to per-net routing output,
+/// however small, changes the digest.
+std::uint64_t per_net_digest(const RoutingResult& r) {
+  std::uint64_t h = 14695981039346656037ULL;
+  const auto mix = [&](auto value) {
+    std::uint64_t v = 0;
+    if constexpr (std::is_floating_point_v<decltype(value)>) {
+      v = std::bit_cast<std::uint64_t>(static_cast<double>(value));
+    } else {
+      v = static_cast<std::uint64_t>(value);
+    }
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xffU;
+      h *= 1099511628211ULL;
+    }
+  };
+  mix(r.nets.size());
+  for (const NetRouteResult& n : r.nets) {
+    mix(static_cast<int>(n.status));
+    mix(n.retries);
+    mix(n.blocked_sink);
+    mix(n.edges.size());
+    for (const EdgeId e : n.edges) mix(e);
+    mix(n.wirelength);
+    mix(n.max_pathlength);
+    mix(n.optimal_max_pathlength);
+    mix(n.physical_wirelength);
+    mix(n.physical_max_path);
+    mix(n.wire_nodes_used);
+  }
+  mix(r.commit_logs.size());
+  for (const NetCommitLog& log : r.commit_logs) {
+    mix(log.wires.size());
+    for (const NodeId w : log.wires) mix(w);
+    mix(log.penalized.size());
+    for (const EdgeId e : log.penalized) mix(e);
+  }
+  return h;
+}
+
+TEST(RouterTest, PerNetOutputIsPinned) {
+  // Exact per-net output of both modes, with and without faults, and of a
+  // dead-wire repair in each mode, pinned as digests. Routing is
+  // deterministic, so a changed digest is a behaviour change: a refactor
+  // must leave every pin alone, a deliberate change re-pins it.
+  const CircuitProfile& profile = xc3000_profiles()[0];
+  const ArchSpec arch = ArchSpec::xc3000(profile.rows, profile.cols, profile.paper_ikmb);
+  const Circuit circuit = synthesize_circuit(profile, 31);
+  FaultSpec faults;
+  faults.seed = 9;
+  faults.wire_permille = 30;
+  faults.switch_permille = 20;
+
+  RouterOptions paper;
+  paper.max_passes = 6;
+  paper.record_commits = true;
+  RouterOptions negotiated = paper;
+  negotiated.mode = RouterMode::kNegotiated;
+  negotiated.negotiate_passes = 16;
+
+  const auto faulty_route = [&](const RouterOptions& options) {
+    Device device(arch);
+    device.install_faults(faults);
+    return per_net_digest(route_circuit(device, circuit, options));
+  };
+  // Kills the first wire of the first net that holds any and repairs.
+  const auto repaired = [&](Device& device, RoutingResult& result, const RouterOptions& options) {
+    Circuit live = circuit;
+    RepairEvent event;
+    for (const NetCommitLog& log : result.commit_logs) {
+      if (log.wires.empty()) continue;
+      event.faults.dead_wires = {log.wires.front()};
+      break;
+    }
+    EXPECT_FALSE(event.faults.dead_wires.empty());
+    repair_route(device, live, result, event, options);
+    return per_net_digest(result);
+  };
+
+  Device paper_device(arch);
+  RoutingResult paper_result = route_circuit(paper_device, circuit, paper);
+  EXPECT_EQ(per_net_digest(paper_result), 0x50938f6cf2fc92f0ULL) << "paper";
+  Device negotiated_device(arch);
+  RoutingResult negotiated_result = route_circuit(negotiated_device, circuit, negotiated);
+  EXPECT_EQ(per_net_digest(negotiated_result), 0x85f60f09df4e7df5ULL) << "negotiated";
+  counters().reset();
+  EXPECT_EQ(faulty_route(paper), 0x7b489235e8434e5cULL) << "paper, faulty";
+  EXPECT_GT(counters().congestion_reliefs.load(), 0U) << "the fault-retry ladder never ran";
+  EXPECT_EQ(faulty_route(negotiated), 0x8927fd0764124986ULL) << "negotiated, faulty";
+  EXPECT_EQ(repaired(paper_device, paper_result, paper), 0x2025099d54bde7aeULL)
+      << "paper repair";
+  EXPECT_EQ(repaired(negotiated_device, negotiated_result, negotiated), 0x62fa7b79b9b8555bULL)
+      << "negotiated repair";
 }
 
 }  // namespace
