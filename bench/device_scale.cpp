@@ -12,12 +12,13 @@
 // would report every case at the footprint of the largest one. The parent
 // only parses one RESULT line per child and aggregates.
 //
-// A tiled graph never builds a CSR snapshot. At or below
-// Graph::kFlatAdjacencyMaxEdges (the 25x25 and 40x40 cases) it stamps a
-// structural-only flat adjacency during the build, which the graph-RSS
-// column includes; above the cut the Dijkstra engine synthesizes adjacency
-// from the template and the child's peak is search-arena-dominated. Each
-// case records which side it ran on (`tiled_adjacency`).
+// A legacy (materialized) graph builds its flat adjacency from its
+// incident lists on first use. A tiled graph at or below
+// Graph::kFlatAdjacencyMaxEdges (the 25x25 and 40x40 cases) stamps it
+// during the build instead, which the graph-RSS column includes; above the
+// cut the Dijkstra engine synthesizes adjacency from the template and the
+// child's peak is search-arena-dominated. Each case records which side it
+// ran on (`tiled_adjacency`).
 //
 // CI smoke mode: `device_scale --smoke <n> --max-rss-kb <k>` runs the
 // tiled build+route at n x n in-process and fails (exit 1) if the route
@@ -98,18 +99,17 @@ struct CaseResult {
 /// The measured body, run inside the child process: build, then route.
 ///
 /// "Build" ends when the device is route-ready. For the legacy builder
-/// that includes materializing the CSR snapshot — the Dijkstra engine
-/// demands it on the first search, so it is part of the representation's
-/// true footprint. The tiled build never makes one: below the size cut the
-/// build itself stamps the flat adjacency the engine walks, above it the
-/// engine reads adjacency straight out of the template, which is most of
-/// the memory win.
+/// that includes building the flat adjacency from the incident lists — the
+/// Dijkstra engine demands it on the first search, so it is part of the
+/// representation's true footprint. The tiled build has already stamped it
+/// below the size cut; above it the engine reads adjacency straight out of
+/// the template, which is most of the memory win.
 CaseResult run_case(bool tiled, int n) {
   CaseResult r;
   const ArchSpec spec = ArchSpec::xc4000(n, n, kWidth);
   const bench::Stopwatch build_watch;
   Device device(spec, tiled ? DeviceBuild::kAuto : DeviceBuild::kLegacy);
-  if (!device.tiled()) (void)device.graph().csr();
+  r.flat = device.graph().flat_adjacency() != nullptr;
   r.build_s = build_watch.seconds();
   r.build_rss_kib = bench::peak_rss_kib();
   if (device.tiled() != tiled) {
@@ -119,7 +119,6 @@ CaseResult run_case(bool tiled, int n) {
   }
   r.nodes = device.graph().node_count();
   r.edges = device.graph().edge_count();
-  r.flat = device.graph().flat_adjacency() != nullptr;
 
   RouterOptions options;
   options.threads = 1;  // one case per child; keep the child single-threaded

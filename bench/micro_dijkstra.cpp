@@ -1,4 +1,4 @@
-// Microbench of the shortest-path hot path: the CSR/arena/4-ary-heap engine
+// Microbench of the shortest-path hot path: the flat-adjacency/arena/4-ary-heap engine
 // versus the frozen pre-change engine (graph/dijkstra_reference.hpp), on
 // repeated single-source runs over Table 1's grid substrates at the paper's
 // congestion levels (none/low/medium), a random graph, and radius-bounded
@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
   using namespace fpr;
   bench::banner(
       "micro_dijkstra — repeated single-source shortest paths\n"
-      "CSR/arena/4-ary-heap engine vs the frozen pre-change engine");
+      "flat-adjacency/arena/4-ary-heap engine vs the frozen pre-change engine");
 
   const char* json_path = bench::json_output_path(argc, argv);
   const char* default_path = "BENCH_dijkstra.json";

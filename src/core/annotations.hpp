@@ -7,9 +7,9 @@
 /// locking primitives the repo's concurrent substrate is built on.
 ///
 /// The lock discipline that keeps the parallel width search and circuit
-/// sweeps correct — "queue_ and stop_ only under mu_", "the CSR snapshot is
-/// rebuilt only under csr_mu_" — used to live in comments. These macros turn
-/// it into compiler-checked contracts: a member declared
+/// sweeps correct — "queue_ and stop_ only under mu_", "the flat adjacency
+/// is rebuilt only under flat_mu_" — used to live in comments. These macros
+/// turn it into compiler-checked contracts: a member declared
 /// FPR_GUARDED_BY(mu_) cannot be read or written without holding mu_, and a
 /// function declared FPR_REQUIRES(mu_) cannot be called without it, or the
 /// clang CI job (-Wthread-safety -Werror, see .github/workflows/ci.yml)
@@ -21,8 +21,8 @@
 /// fpr::CondVar are the thin annotated equivalents. Use them for any new
 /// shared state. The wrappers add no overhead beyond
 /// std::condition_variable_any's generic-lock support, which is off the
-/// routing hot path (locks guard pool scheduling and one-time CSR builds,
-/// never the Dijkstra inner loop).
+/// routing hot path (locks guard pool scheduling and one-time adjacency
+/// builds, never the Dijkstra inner loop).
 ///
 /// Header-only and layer-free like core/contract.hpp: fpr_graph uses it
 /// without linking fpr_core.
@@ -63,7 +63,7 @@
 #define FPR_EXCLUDES(...) FPR_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
 
 /// Escape hatch for protocols the static analysis cannot express (e.g. the
-/// release/acquire publication of Graph's CSR snapshot). Every use carries a
+/// release/acquire publication of Graph's flat adjacency). Every use carries a
 /// comment justifying why the access is safe.
 #define FPR_NO_THREAD_SAFETY_ANALYSIS FPR_THREAD_ANNOTATION(no_thread_safety_analysis)
 

@@ -25,6 +25,22 @@ bool hit(std::uint64_t stream, std::uint64_t id, int permille) {
   return static_cast<int>(mix64(stream, id) % 1000) < permille;
 }
 
+bool parse_int(const std::string& text, int& out) {
+  std::uint64_t value = 0;
+  if (!line_format::parse_u64(text, value) || value > 1'000'000) return false;
+  out = static_cast<int>(value);
+  return true;
+}
+
+void sort_unique(std::vector<std::int32_t>& ids) {
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+}
+
+}  // namespace
+
+namespace line_format {
+
 bool parse_u64(const std::string& text, std::uint64_t& out) {
   if (text.empty()) return false;
   std::uint64_t value = 0;
@@ -37,14 +53,6 @@ bool parse_u64(const std::string& text, std::uint64_t& out) {
   return true;
 }
 
-bool parse_int(const std::string& text, int& out) {
-  std::uint64_t value = 0;
-  if (!parse_u64(text, value) || value > 1'000'000) return false;
-  out = static_cast<int>(value);
-  return true;
-}
-
-/// Canonical comma-joined id list ("12,40,77") for FaultEvent::describe().
 std::string format_ids(const std::vector<std::int32_t>& ids) {
   std::ostringstream os;
   for (std::size_t i = 0; i < ids.size(); ++i) {
@@ -54,9 +62,6 @@ std::string format_ids(const std::vector<std::int32_t>& ids) {
   return os.str();
 }
 
-/// Parses a non-empty comma-separated id list; every token must be a plain
-/// decimal that fits an int32. Rejects empty tokens ("1,,2") so a mangled
-/// journal line fails loudly instead of silently dropping elements.
 bool parse_id_list(const std::string& text, std::vector<std::int32_t>& out) {
   out.clear();
   if (text.empty()) return false;
@@ -77,12 +82,7 @@ bool parse_id_list(const std::string& text, std::vector<std::int32_t>& out) {
   return true;
 }
 
-void sort_unique(std::vector<std::int32_t>& ids) {
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-}
-
-}  // namespace
+}  // namespace line_format
 
 void FaultEvent::normalize() {
   sort_unique(dead_wires);
@@ -106,8 +106,8 @@ void FaultEvent::merge(const FaultEvent& other) {
 std::string FaultEvent::describe() const {
   std::ostringstream os;
   os << "event";
-  if (!dead_wires.empty()) os << " wires=" << format_ids(dead_wires);
-  if (!dead_edges.empty()) os << " edges=" << format_ids(dead_edges);
+  if (!dead_wires.empty()) os << " wires=" << line_format::format_ids(dead_wires);
+  if (!dead_edges.empty()) os << " edges=" << line_format::format_ids(dead_edges);
   return os.str();
 }
 
@@ -124,9 +124,9 @@ std::optional<FaultEvent> FaultEvent::parse(const std::string& line) {
     const std::string value = token.substr(eq + 1);
     bool ok = false;
     if (key == "wires") {
-      ok = parse_id_list(value, event.dead_wires);
+      ok = line_format::parse_id_list(value, event.dead_wires);
     } else if (key == "edges") {
-      ok = parse_id_list(value, event.dead_edges);
+      ok = line_format::parse_id_list(value, event.dead_edges);
     } else {
       // Unknown keys are accepted (and ignored), same growth policy as
       // FaultSpec::parse.
@@ -164,7 +164,7 @@ std::optional<FaultSpec> FaultSpec::parse(const std::string& line) {
     const std::string value = token.substr(eq + 1);
     bool ok = false;
     if (key == "seed") {
-      ok = parse_u64(value, spec.seed);
+      ok = line_format::parse_u64(value, spec.seed);
     } else if (key == "wires") {
       ok = parse_int(value, spec.wire_permille);
     } else if (key == "switches") {

@@ -90,6 +90,25 @@ struct FaultEvent {
   friend bool operator==(const FaultEvent&, const FaultEvent&) = default;
 };
 
+/// Field parsers of the one-line `key=value` formats (FaultSpec,
+/// FaultEvent and router/repair's RepairEvent), shared so every journal
+/// line parses numbers and ids the same way. Malformed text returns false,
+/// never crashes: journals are untrusted files.
+namespace line_format {
+
+/// A plain decimal (digits only, non-empty) that fits 64 bits.
+bool parse_u64(const std::string& text, std::uint64_t& out);
+
+/// Canonical comma-joined id list ("12,40,77").
+std::string format_ids(const std::vector<std::int32_t>& ids);
+
+/// A non-empty comma-separated id list; every token must be a plain
+/// decimal that fits an int32. Rejects empty tokens ("1,,2") so a mangled
+/// journal line fails loudly instead of silently dropping elements.
+bool parse_id_list(const std::string& text, std::vector<std::int32_t>& out);
+
+}  // namespace line_format
+
 /// The concrete defect set a FaultSpec induces on one Device: the dead wire
 /// nodes and dead edges, materialized once and then re-applied by every
 /// Device::reset() so faults survive router passes.

@@ -29,9 +29,9 @@ namespace fpr {
 /// path *terminating* there half — a harmless underestimate for sinks,
 /// which are block pins and carry no cost anyway. All constants in this
 /// repo are dyadic, so the repricing arithmetic is bit-exact on every
-/// platform and identical on the materialized and tiled graph backends
-/// (set_edge_weight keeps the CSR/tiled weight streams in sync and bumps
-/// the revision, so PathOracle invalidation stays correct for free).
+/// platform and identical on the materialized and tiled graphs (both keep
+/// weights in the one per-edge state array set_edge_weight writes, and it
+/// bumps the revision, so PathOracle invalidation stays correct for free).
 ///
 /// Thread-safety: const accessors are safe to read concurrently; every
 /// mutator reprices through the graph and must be called from the owning

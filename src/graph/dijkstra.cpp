@@ -62,8 +62,9 @@ void export_tree(const DijkstraArena& arena, NodeId node_count, bool stopped_ear
 ///
 /// Determinism contract (pinned by dijkstra_differential_test): settle
 /// order is the successive minimum of (tentative distance, node id), and
-/// within a settled node edges relax in CSR order == incident-list order,
-/// so dist/parent/parent_edge are bit-identical to the historical engine.
+/// within a settled node edges relax in ascending edge id (flat slice order
+/// == incident-list order == tiled slot order), so dist/parent/parent_edge
+/// are bit-identical to the historical engine.
 /// One deliberate divergence: when the search exhausts the component, the
 /// result is always marked complete, where the old engine could still
 /// report stopped-early if a superseded heap entry above the limit survived
@@ -118,8 +119,7 @@ void dijkstra_impl(const Graph& g, NodeId source, std::span<const NodeId> target
   Weight stop_d = 0;
   NodeId stop_node = kInvalidNode;
   // Settle loop, generic over the adjacency backend. Both backends relax a
-  // settled node's edges in ascending edge-id order (CSR slice order ==
-  // incident-list order == tiled slot order), so the two produce
+  // settled node's edges in ascending edge-id order, so the two produce
   // bit-identical trees.
   const auto run = [&](auto&& relax_neighbors) {
     while (!arena.heap_empty()) {
@@ -152,61 +152,39 @@ void dijkstra_impl(const Graph& g, NodeId source, std::span<const NodeId> target
       relax_neighbors(u, d);
     }
   };
-  if (g.tiled()) {
-    // Tiled backends: no CSR snapshot and no per-slot weight stream, so
-    // usability is an explicit activity test here (the materialized path
-    // folds it into an infinite weight) and the weight is read per edge.
-    const Graph::TiledView tv = g.tiled_view();
-    const auto relax_slot = [&](NodeId u, Weight d, NodeId v, EdgeId e) {
-      if (tv.edge_active[static_cast<std::size_t>(e)] == 0 ||
-          tv.node_active[static_cast<std::size_t>(v)] == 0) {
-        return;
-      }
-      const Weight nd = d + tv.weight[static_cast<std::size_t>(e)];
-      if (nd < arena.dist(v)) {
-        arena.relax(v, nd, u, e);
-      }
-    };
-    if (tv.flat != nullptr) {
-      // Below the size cut: walk the stamped flat slices (slot order).
-      const EdgeId* offsets = tv.flat->offsets.data();
-      const NodeId* neighbor = tv.flat->neighbor.data();
-      const EdgeId* edge_id = tv.flat->edge_id.data();
-      run([&](NodeId u, Weight d) {
-        const EdgeId begin = offsets[static_cast<std::size_t>(u)];
-        const EdgeId end = offsets[static_cast<std::size_t>(u) + 1];
-        for (EdgeId k = begin; k < end; ++k) {
-          relax_slot(u, d, neighbor[static_cast<std::size_t>(k)],
-                     edge_id[static_cast<std::size_t>(k)]);
-        }
-      });
-    } else {
-      // Above it: synthesize each settled node's slots from the template,
-      // which is most of the large-array memory win.
-      const TiledTopology* topo = tv.topo;
-      run([&](NodeId u, Weight d) {
-        topo->for_each_slot(u,
-                            [&](NodeId v, EdgeId e, const TiledSlot&) { relax_slot(u, d, v, e); });
-      });
+  // Usability is an explicit activity test (the settled node u is active,
+  // so the edge and its far end decide), and the weight is read per edge.
+  const Graph::StateView sv = g.state_view();
+  const auto relax_slot = [&](NodeId u, Weight d, NodeId v, EdgeId e) {
+    if (sv.edge_active[static_cast<std::size_t>(e)] == 0 ||
+        sv.node_active[static_cast<std::size_t>(v)] == 0) {
+      return;
     }
-  } else {
-    const CsrAdjacency& csr = g.csr();
-    const EdgeId* offsets = csr.offsets.data();
-    const NodeId* neighbor = csr.neighbor.data();
-    const EdgeId* edge_id = csr.edge_id.data();
-    const Weight* weight = csr.weight.data();
+    const Weight nd = d + sv.weight[static_cast<std::size_t>(e)];
+    if (nd < arena.dist(v)) {
+      arena.relax(v, nd, u, e);
+    }
+  };
+  if (sv.flat != nullptr) {
+    // Materialized graphs and tiled graphs below the size cut: walk the
+    // flat slices.
+    const EdgeId* offsets = sv.flat->offsets.data();
+    const NodeId* neighbor = sv.flat->neighbor.data();
+    const EdgeId* edge_id = sv.flat->edge_id.data();
     run([&](NodeId u, Weight d) {
       const EdgeId begin = offsets[static_cast<std::size_t>(u)];
       const EdgeId end = offsets[static_cast<std::size_t>(u) + 1];
       for (EdgeId k = begin; k < end; ++k) {
-        const NodeId v = neighbor[static_cast<std::size_t>(k)];
-        // Unusable edges carry kInfiniteWeight here, so they can never pass
-        // the strict-improvement test — no explicit usability branch needed.
-        const Weight nd = d + weight[static_cast<std::size_t>(k)];
-        if (nd < arena.dist(v)) {
-          arena.relax(v, nd, u, edge_id[static_cast<std::size_t>(k)]);
-        }
+        relax_slot(u, d, neighbor[static_cast<std::size_t>(k)],
+                   edge_id[static_cast<std::size_t>(k)]);
       }
+    });
+  } else {
+    // Tiled graphs above the cut: synthesize each settled node's slots from
+    // the template, which is most of the large-array memory win.
+    run([&](NodeId u, Weight d) {
+      sv.topo->for_each_slot(u,
+                             [&](NodeId v, EdgeId e, const TiledSlot&) { relax_slot(u, d, v, e); });
     });
   }
   export_tree(arena, node_count, stopped_early, stop_d, stop_node, out);

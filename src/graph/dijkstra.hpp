@@ -63,13 +63,14 @@ struct ShortestPathTree {
 
 /// Runs Dijkstra over the usable part of g. O((V + E) log V).
 ///
-/// The engine walks the graph's adjacency — the CSR snapshot (Graph::csr())
-/// of a materialized graph, the flat adjacency of a tiled graph below the
-/// size cut, or the tile template above it — with a thread-local
-/// epoch-stamped arena and an indexed 4-ary heap with decrease-key — see
-/// DESIGN.md §8. Output is bit-identical to the
-/// historical binary-heap engine (kept in graph/dijkstra_reference.hpp and
-/// pinned by tests/graph/dijkstra_differential_test.cpp).
+/// The engine walks the graph's adjacency — the flat adjacency
+/// (Graph::flat_adjacency()) of a materialized graph or of a tiled graph at
+/// or below the size cut, or the tile template above it — reading weights
+/// and activity from Graph::state_view(), with a thread-local epoch-stamped
+/// arena and an indexed 4-ary heap with decrease-key — see DESIGN.md §8.
+/// Output is bit-identical to the historical binary-heap engine (kept in
+/// graph/dijkstra_reference.hpp and pinned by
+/// tests/graph/dijkstra_differential_test.cpp).
 ShortestPathTree dijkstra(const Graph& g, NodeId source);
 
 /// Allocation-free variant: runs into `out`, reusing its vectors' capacity.

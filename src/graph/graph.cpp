@@ -9,14 +9,13 @@ namespace fpr {
 Graph::Graph(NodeId node_count) { add_nodes(node_count); }
 
 void Graph::copy_logical_state(const Graph& other) {
-  edges_ = other.edges_;
   incident_ = other.incident_;
-  traversal_weight_ = other.traversal_weight_;
+  ends_ = other.ends_;
   topo_ = other.topo_;
   flat_ = other.flat_;
-  tiled_weight_ = other.tiled_weight_;
-  tiled_edge_active_ = other.tiled_edge_active_;
-  tiled_lower_end_ = other.tiled_lower_end_;
+  lower_end_ = other.lower_end_;
+  weight_ = other.weight_;
+  edge_active_ = other.edge_active_;
   node_active_ = other.node_active_;
   revision_ = other.revision_;
   structural_revision_ = other.structural_revision_;
@@ -27,7 +26,7 @@ void Graph::copy_logical_state(const Graph& other) {
   edge_dirty_ = other.edge_dirty_;
   touched_nodes_ = other.touched_nodes_;
   touched_edges_ = other.touched_edges_;
-  csr_structural_.store(kCsrStale, std::memory_order_relaxed);
+  flat_structural_.store(kFlatStale, std::memory_order_relaxed);
 }
 
 Graph::Graph(const Graph& other) { copy_logical_state(other); }
@@ -38,14 +37,13 @@ Graph& Graph::operator=(const Graph& other) {
 }
 
 Graph::Graph(Graph&& other) noexcept
-    : edges_(std::move(other.edges_)),
-      incident_(std::move(other.incident_)),
-      traversal_weight_(std::move(other.traversal_weight_)),
+    : incident_(std::move(other.incident_)),
+      ends_(std::move(other.ends_)),
       topo_(std::move(other.topo_)),
       flat_(std::move(other.flat_)),
-      tiled_weight_(std::move(other.tiled_weight_)),
-      tiled_edge_active_(std::move(other.tiled_edge_active_)),
-      tiled_lower_end_(std::move(other.tiled_lower_end_)),
+      lower_end_(std::move(other.lower_end_)),
+      weight_(std::move(other.weight_)),
+      edge_active_(std::move(other.edge_active_)),
       node_active_(std::move(other.node_active_)),
       revision_(other.revision_),
       structural_revision_(other.structural_revision_),
@@ -56,19 +54,18 @@ Graph::Graph(Graph&& other) noexcept
       edge_dirty_(std::move(other.edge_dirty_)),
       touched_nodes_(std::move(other.touched_nodes_)),
       touched_edges_(std::move(other.touched_edges_)) {
-  csr_structural_.store(kCsrStale, std::memory_order_relaxed);
+  flat_structural_.store(kFlatStale, std::memory_order_relaxed);
 }
 
 Graph& Graph::operator=(Graph&& other) noexcept {
   if (this != &other) {
-    edges_ = std::move(other.edges_);
     incident_ = std::move(other.incident_);
-    traversal_weight_ = std::move(other.traversal_weight_);
+    ends_ = std::move(other.ends_);
     topo_ = std::move(other.topo_);
     flat_ = std::move(other.flat_);
-    tiled_weight_ = std::move(other.tiled_weight_);
-    tiled_edge_active_ = std::move(other.tiled_edge_active_);
-    tiled_lower_end_ = std::move(other.tiled_lower_end_);
+    lower_end_ = std::move(other.lower_end_);
+    weight_ = std::move(other.weight_);
+    edge_active_ = std::move(other.edge_active_);
     node_active_ = std::move(other.node_active_);
     revision_ = other.revision_;
     structural_revision_ = other.structural_revision_;
@@ -79,7 +76,7 @@ Graph& Graph::operator=(Graph&& other) noexcept {
     edge_dirty_ = std::move(other.edge_dirty_);
     touched_nodes_ = std::move(other.touched_nodes_);
     touched_edges_ = std::move(other.touched_edges_);
-    csr_structural_.store(kCsrStale, std::memory_order_relaxed);
+    flat_structural_.store(kFlatStale, std::memory_order_relaxed);
   }
   return *this;
 }
@@ -91,11 +88,11 @@ Graph Graph::from_tiled(std::shared_ptr<const TiledTopology> topo) {
   const NodeId n = topo->node_count;
   const EdgeId m = topo->edge_count;
   g.node_active_.assign(static_cast<std::size_t>(n), 1);
-  g.tiled_weight_.assign(static_cast<std::size_t>(m), 0);
-  g.tiled_edge_active_.assign(static_cast<std::size_t>(m), 1);
+  g.weight_.assign(static_cast<std::size_t>(m), 0);
+  g.edge_active_.assign(static_cast<std::size_t>(m), 1);
 
   // Below the size cut the stamping pass also fills the flat adjacency,
-  // whose endpoint pairs replace tiled_lower_end_.
+  // whose endpoint pairs replace lower_end_.
   std::shared_ptr<FlatAdjacency> flat;
   if (m <= kFlatAdjacencyMaxEdges) {
     flat = std::make_shared<FlatAdjacency>();
@@ -104,11 +101,11 @@ Graph Graph::from_tiled(std::shared_ptr<const TiledTopology> topo) {
     flat->edge_id.resize(static_cast<std::size_t>(m) * 2);
     flat->endpoints.assign(static_cast<std::size_t>(m) * 2, kInvalidNode);
   } else {
-    g.tiled_lower_end_.assign(static_cast<std::size_t>(m), kInvalidNode);
+    g.lower_end_.assign(static_cast<std::size_t>(m), kInvalidNode);
   }
   const auto lower_of = [&](EdgeId e) -> NodeId& {
     return flat != nullptr ? flat->endpoints[static_cast<std::size_t>(e) * 2]
-                           : g.tiled_lower_end_[static_cast<std::size_t>(e)];
+                           : g.lower_end_[static_cast<std::size_t>(e)];
   };
 
   // Stamping pass: one tile-row-at-a-time walk over every synthesized slot.
@@ -132,12 +129,12 @@ Graph Graph::from_tiled(std::shared_ptr<const TiledTopology> topo) {
                   "tiled template: edge " << e << " emitted twice as a lower endpoint (nodes "
                                           << lower << " and " << v << ")");
         lower = v;
-        g.tiled_weight_[static_cast<std::size_t>(e)] = slot.base_weight;
+        g.weight_[static_cast<std::size_t>(e)] = slot.base_weight;
       } else {
         FPR_CHECK(lower == nbr, "tiled template: edge " << e << " endpoints disagree (" << v
                                                         << " expected lower end " << nbr
                                                         << ", recorded " << lower << ")");
-        FPR_CHECK(g.tiled_weight_[static_cast<std::size_t>(e)] == slot.base_weight,
+        FPR_CHECK(g.weight_[static_cast<std::size_t>(e)] == slot.base_weight,
                   "tiled template: edge " << e << " base weight mismatch between endpoints");
         if (flat != nullptr) {
           NodeId& upper = flat->endpoints[static_cast<std::size_t>(e) * 2 + 1];
@@ -167,7 +164,7 @@ Graph Graph::from_tiled(std::shared_ptr<const TiledTopology> topo) {
   g.usable_edges_ = m;
   g.usable_weight_sum_ = 0;
   for (EdgeId e = 0; e < m; ++e) {
-    g.usable_weight_sum_ += g.tiled_weight_[static_cast<std::size_t>(e)];
+    g.usable_weight_sum_ += g.weight_[static_cast<std::size_t>(e)];
   }
   g.topo_ = std::move(topo);
   g.flat_ = std::move(flat);
@@ -178,38 +175,23 @@ Graph Graph::from_tiled(std::shared_ptr<const TiledTopology> topo) {
 
 void Graph::materialize() {
   if (topo_ == nullptr) return;
-  const std::shared_ptr<const TiledTopology> topo = std::move(topo_);
-  topo_ = nullptr;
-  flat_ = nullptr;
-  const auto n = static_cast<std::size_t>(topo->node_count);
-  const auto m = static_cast<std::size_t>(topo->edge_count);
-  edges_.assign(m, Edge{});
-  incident_.assign(n, {});
-  traversal_weight_.assign(m, kInfiniteWeight);
+  const NodeId n = node_count();
+  const EdgeId m = edge_count();
+  incident_.assign(static_cast<std::size_t>(n), {});
+  ends_.assign(static_cast<std::size_t>(m) * 2, kInvalidNode);
   // Node-major walk reproduces the materialized invariants exactly:
   // incident lists in ascending edge order, each edge's `u` its smaller
   // (first-emitted) endpoint.
-  topo->for_each_node([&](NodeId v, const TiledTopology::Decoded& d) {
-    topo->apply(d, [&](NodeId nbr, EdgeId e, const TiledSlot&) {
+  for (NodeId v = 0; v < n; ++v) {
+    for_each_incident(v, [&](NodeId nbr, EdgeId e) {
       incident_[static_cast<std::size_t>(v)].push_back(e);
-      if (v < nbr) {
-        Edge& ed = edges_[static_cast<std::size_t>(e)];
-        ed.u = v;
-        ed.v = nbr;
-        ed.weight = tiled_weight_[static_cast<std::size_t>(e)];
-        ed.active = tiled_edge_active_[static_cast<std::size_t>(e)] != 0;
-        if (ed.active && node_active(v) && node_active(nbr)) {
-          traversal_weight_[static_cast<std::size_t>(e)] = ed.weight;
-        }
-      }
+      ends_[static_cast<std::size_t>(e) * 2 + (v < nbr ? 0 : 1)] = v;
     });
-  });
-  tiled_weight_.clear();
-  tiled_weight_.shrink_to_fit();
-  tiled_edge_active_.clear();
-  tiled_edge_active_.shrink_to_fit();
-  tiled_lower_end_.clear();
-  tiled_lower_end_.shrink_to_fit();
+  }
+  topo_ = nullptr;
+  flat_ = nullptr;
+  lower_end_.clear();
+  lower_end_.shrink_to_fit();
 }
 
 NodeId Graph::add_nodes(NodeId count) {
@@ -235,35 +217,24 @@ EdgeId Graph::add_edge(NodeId u, NodeId v, Weight w) {
                         << " — routing costs are non-negative");
   materialize();
   const EdgeId id = edge_count();
-  edges_.push_back(Edge{u, v, w, true});
+  ends_.push_back(u);
+  ends_.push_back(v);
   incident_[static_cast<std::size_t>(u)].push_back(id);
   incident_[static_cast<std::size_t>(v)].push_back(id);
-  const bool usable = node_active(u) && node_active(v);
-  traversal_weight_.push_back(usable ? w : kInfiniteWeight);
-  if (usable) {
+  weight_.push_back(w);
+  edge_active_.push_back(1);
+  if (node_active(u) && node_active(v)) {
     ++usable_edges_;
     usable_weight_sum_ += w;
   }
-  if (track_touched_) edge_dirty_.resize(edges_.size(), 0);
+  if (track_touched_) edge_dirty_.resize(weight_.size(), 0);
   ++revision_;
   ++structural_revision_;
   return id;
 }
 
-Graph::Edge Graph::tiled_edge(EdgeId e) const {
-  FPR_CHECK(e >= 0 && e < edge_count(),
-            "edge " << e << " outside edge range [0, " << edge_count() << ")");
-  Edge ed;
-  ed.u = tiled_lower_end(e);
-  ed.v = tiled_upper_end(e);
-  ed.weight = tiled_weight_[static_cast<std::size_t>(e)];
-  ed.active = tiled_edge_active_[static_cast<std::size_t>(e)] != 0;
-  return ed;
-}
-
-NodeId Graph::tiled_upper_end(EdgeId e) const {
-  if (flat_ != nullptr) return flat_->endpoints[static_cast<std::size_t>(e) * 2 + 1];
-  const NodeId u = tiled_lower_end_[static_cast<std::size_t>(e)];
+NodeId Graph::synthesized_upper_end(EdgeId e) const {
+  const NodeId u = lower_end_[static_cast<std::size_t>(e)];
   NodeId found = kInvalidNode;
   topo_->for_each_slot(u, [&](NodeId nbr, EdgeId slot_e, const TiledSlot&) {
     if (slot_e == e) found = nbr;
@@ -273,14 +244,7 @@ NodeId Graph::tiled_upper_end(EdgeId e) const {
   return found;
 }
 
-bool Graph::tiled_edge_usable(EdgeId e) const {
-  if (!tiled_edge_active_[static_cast<std::size_t>(e)]) return false;
-  if (!node_active(tiled_lower_end(e))) return false;
-  return node_active(tiled_upper_end(e));
-}
-
-std::span<const EdgeId> Graph::tiled_incident_edges(NodeId v) const {
-  if (flat_ != nullptr) return flat_->edges_of(v);
+std::span<const EdgeId> Graph::synthesized_incident_edges(NodeId v) const {
   // Thread-local scratch: concurrent routes (the width search's parallel
   // probes) synthesize incident lists, each thread into its own buffer. The
   // span is valid until this thread's next call (documented in graph.hpp).
@@ -291,51 +255,15 @@ std::span<const EdgeId> Graph::tiled_incident_edges(NodeId v) const {
   return scratch;
 }
 
-void Graph::sync_csr_weight(EdgeId e, Weight w) {
-  if (csr_structural_.load(std::memory_order_relaxed) != structural_revision_) return;
-  const auto s = static_cast<std::size_t>(e) * 2;
-  csr_.weight[static_cast<std::size_t>(csr_.slot[s])] = w;
-  csr_.weight[static_cast<std::size_t>(csr_.slot[s + 1])] = w;
-}
-
-void Graph::sync_edge_usability(EdgeId e, bool usable_now) {
-  const auto idx = static_cast<std::size_t>(e);
-  const bool usable_before = traversal_weight_[idx] != kInfiniteWeight;
-  if (usable_before == usable_now) return;
-  const Weight w = edges_[idx].weight;
-  if (usable_now) {
-    ++usable_edges_;
-    usable_weight_sum_ += w;
-    traversal_weight_[idx] = w;
-    sync_csr_weight(e, w);
-  } else {
-    --usable_edges_;
-    usable_weight_sum_ -= w;
-    traversal_weight_[idx] = kInfiniteWeight;
-    sync_csr_weight(e, kInfiniteWeight);
-  }
-}
-
 void Graph::set_edge_weight(EdgeId e, Weight w) {
   FPR_CHECK(e >= 0 && e < edge_count(),
             "set_edge_weight edge " << e << " outside edge range [0, " << edge_count() << ")");
   FPR_CHECK(w >= 0, "set_edge_weight edge " << e << " to " << w
                         << " — routing costs are non-negative");
   mark_edge_touched(e);
-  if (topo_ != nullptr) {
-    Weight& cur = tiled_weight_[static_cast<std::size_t>(e)];
-    if (tiled_edge_usable(e)) usable_weight_sum_ += w - cur;
-    cur = w;
-    ++revision_;
-    return;
-  }
-  auto& ed = edges_[static_cast<std::size_t>(e)];
-  if (traversal_weight_[static_cast<std::size_t>(e)] != kInfiniteWeight) {
-    usable_weight_sum_ += w - ed.weight;
-    traversal_weight_[static_cast<std::size_t>(e)] = w;
-    sync_csr_weight(e, w);
-  }
-  ed.weight = w;
+  Weight& cur = weight_[static_cast<std::size_t>(e)];
+  if (edge_usable(e)) usable_weight_sum_ += w - cur;
+  cur = w;
   ++revision_;
 }
 
@@ -343,104 +271,63 @@ void Graph::add_edge_weight(EdgeId e, Weight delta) {
   FPR_CHECK(e >= 0 && e < edge_count(),
             "add_edge_weight edge " << e << " outside edge range [0, " << edge_count() << ")");
   mark_edge_touched(e);
-  if (topo_ != nullptr) {
-    Weight& cur = tiled_weight_[static_cast<std::size_t>(e)];
-    FPR_CHECK(cur + delta >= 0, "add_edge_weight edge " << e << " (weight " << cur << ") by "
-                                    << delta << " would make the routing cost negative");
-    cur += delta;
-    if (tiled_edge_usable(e)) usable_weight_sum_ += delta;
-    ++revision_;
-    return;
-  }
-  auto& ed = edges_[static_cast<std::size_t>(e)];
-  FPR_CHECK(ed.weight + delta >= 0, "add_edge_weight edge " << e << " (weight " << ed.weight
-                                        << ") by " << delta
-                                        << " would make the routing cost negative");
-  ed.weight += delta;
-  if (traversal_weight_[static_cast<std::size_t>(e)] != kInfiniteWeight) {
-    usable_weight_sum_ += delta;
-    traversal_weight_[static_cast<std::size_t>(e)] = ed.weight;
-    sync_csr_weight(e, ed.weight);
-  }
+  Weight& cur = weight_[static_cast<std::size_t>(e)];
+  FPR_CHECK(cur + delta >= 0, "add_edge_weight edge " << e << " (weight " << cur << ") by "
+                                  << delta << " would make the routing cost negative");
+  cur += delta;
+  if (edge_usable(e)) usable_weight_sum_ += delta;
   ++revision_;
 }
 
 void Graph::remove_edge(EdgeId e) {
   mark_edge_touched(e);
-  if (topo_ != nullptr) {
-    char& act = tiled_edge_active_[static_cast<std::size_t>(e)];
-    if (act != 0 && tiled_edge_usable(e)) {
-      --usable_edges_;
-      usable_weight_sum_ -= tiled_weight_[static_cast<std::size_t>(e)];
-    }
-    act = 0;
-    ++revision_;
-    return;
+  if (edge_usable(e)) {
+    --usable_edges_;
+    usable_weight_sum_ -= weight_[static_cast<std::size_t>(e)];
   }
-  edges_[static_cast<std::size_t>(e)].active = false;
-  sync_edge_usability(e, false);
+  edge_active_[static_cast<std::size_t>(e)] = 0;
   ++revision_;
 }
 
 void Graph::restore_edge(EdgeId e) {
   mark_edge_touched(e);
-  if (topo_ != nullptr) {
-    char& act = tiled_edge_active_[static_cast<std::size_t>(e)];
-    if (act == 0) {
-      act = 1;
-      if (tiled_edge_usable(e)) {
-        ++usable_edges_;
-        usable_weight_sum_ += tiled_weight_[static_cast<std::size_t>(e)];
-      }
+  char& act = edge_active_[static_cast<std::size_t>(e)];
+  if (act == 0) {
+    act = 1;
+    if (edge_usable(e)) {
+      ++usable_edges_;
+      usable_weight_sum_ += weight_[static_cast<std::size_t>(e)];
     }
-    ++revision_;
-    return;
   }
-  auto& ed = edges_[static_cast<std::size_t>(e)];
-  ed.active = true;
-  sync_edge_usability(e, node_active(ed.u) && node_active(ed.v));
   ++revision_;
 }
 
 void Graph::remove_node(NodeId v) {
-  if (node_active_[static_cast<std::size_t>(v)]) {
+  if (node_active(v)) {
     mark_node_touched(v);
     node_active_[static_cast<std::size_t>(v)] = 0;
-    if (topo_ != nullptr) {
-      // v was active, so each incident edge was usable iff it is active and
-      // its far endpoint is; slot order is ascending edge id, matching the
-      // materialized incident-list order (and its float-sum trajectory).
-      for_each_tiled_slot(v, [&](NodeId nbr, EdgeId e) {
-        if (tiled_edge_active_[static_cast<std::size_t>(e)] != 0 && node_active(nbr)) {
-          --usable_edges_;
-          usable_weight_sum_ -= tiled_weight_[static_cast<std::size_t>(e)];
-        }
-      });
-    } else {
-      for (const EdgeId e : incident_[static_cast<std::size_t>(v)]) {
-        sync_edge_usability(e, false);
+    // v was active, so each incident edge was usable iff it is active and
+    // its far endpoint is.
+    for_each_incident(v, [&](NodeId nbr, EdgeId e) {
+      if (edge_active(e) && node_active(nbr)) {
+        --usable_edges_;
+        usable_weight_sum_ -= weight_[static_cast<std::size_t>(e)];
       }
-    }
+    });
   }
   ++revision_;
 }
 
 void Graph::restore_node(NodeId v) {
-  if (!node_active_[static_cast<std::size_t>(v)]) {
+  if (!node_active(v)) {
     mark_node_touched(v);
     node_active_[static_cast<std::size_t>(v)] = 1;
-    if (topo_ != nullptr) {
-      for_each_tiled_slot(v, [&](NodeId nbr, EdgeId e) {
-        if (tiled_edge_active_[static_cast<std::size_t>(e)] != 0 && node_active(nbr)) {
-          ++usable_edges_;
-          usable_weight_sum_ += tiled_weight_[static_cast<std::size_t>(e)];
-        }
-      });
-    } else {
-      for (const EdgeId e : incident_[static_cast<std::size_t>(v)]) {
-        sync_edge_usability(e, edge_usable(e));
+    for_each_incident(v, [&](NodeId nbr, EdgeId e) {
+      if (edge_active(e) && node_active(nbr)) {
+        ++usable_edges_;
+        usable_weight_sum_ += weight_[static_cast<std::size_t>(e)];
       }
-    }
+    });
   }
   ++revision_;
 }
@@ -460,51 +347,32 @@ void Graph::clear_touched() {
   touched_edges_.clear();
 }
 
-const CsrAdjacency& Graph::csr() const {
-  FPR_CHECK(topo_ == nullptr,
-            "csr() on a tiled graph — read incident_edges()/other_end(), flat_adjacency() or the "
-            "tiled_view() arrays instead");
+const FlatAdjacency* Graph::flat_adjacency() const {
+  if (topo_ != nullptr) return flat_.get();
   const std::uint64_t want = structural_revision_;
-  if (csr_structural_.load(std::memory_order_acquire) != want) rebuild_csr(want);
-  return published_csr();
+  if (flat_structural_.load(std::memory_order_acquire) != want) rebuild_flat(want);
+  return &published_flat();
 }
 
-void Graph::rebuild_csr(std::uint64_t want) const {
-  MutexLock lock(csr_mu_);
-  if (csr_structural_.load(std::memory_order_relaxed) == want) return;
+void Graph::rebuild_flat(std::uint64_t want) const {
+  MutexLock lock(flat_mu_);
+  if (flat_structural_.load(std::memory_order_relaxed) == want) return;
   const auto n = static_cast<std::size_t>(node_count());
-  csr_.offsets.assign(n + 1, 0);
-  std::size_t total = 0;
+  FlatAdjacency flat;
+  flat.offsets.resize(n + 1);
+  flat.neighbor.reserve(ends_.size());
+  flat.edge_id.reserve(ends_.size());
   for (std::size_t v = 0; v < n; ++v) {
-    csr_.offsets[v] = static_cast<EdgeId>(total);
-    total += incident_[v].size();
+    flat.offsets[v] = static_cast<EdgeId>(flat.edge_id.size());
+    for_each_incident(static_cast<NodeId>(v), [&](NodeId nbr, EdgeId e) {
+      flat.neighbor.push_back(nbr);
+      flat.edge_id.push_back(e);
+    });
   }
-  csr_.offsets[n] = static_cast<EdgeId>(total);
-  csr_.neighbor.resize(total);
-  csr_.edge_id.resize(total);
-  csr_.weight.resize(total);
-  csr_.slot.assign(static_cast<std::size_t>(edge_count()) * 2, kInvalidEdge);
-  std::size_t k = 0;
-  for (std::size_t v = 0; v < n; ++v) {
-    // Insertion order is preserved, matching incident_edges() — the
-    // deterministic-parent guarantee of dijkstra() relies on this.
-    for (const EdgeId e : incident_[v]) {
-      const Edge& ed = edges_[static_cast<std::size_t>(e)];
-      csr_.neighbor[k] = ed.u == static_cast<NodeId>(v) ? ed.v : ed.u;
-      csr_.edge_id[k] = e;
-      csr_.weight[k] = traversal_weight_[static_cast<std::size_t>(e)];
-      // Each edge occupies exactly two slots (no self-loops); remember
-      // both so weight mutations can patch them in place.
-      auto& first = csr_.slot[static_cast<std::size_t>(e) * 2];
-      if (first == kInvalidEdge) {
-        first = static_cast<EdgeId>(k);
-      } else {
-        csr_.slot[static_cast<std::size_t>(e) * 2 + 1] = static_cast<EdgeId>(k);
-      }
-      ++k;
-    }
-  }
-  csr_structural_.store(want, std::memory_order_release);
+  flat.offsets[n] = static_cast<EdgeId>(flat.edge_id.size());
+  flat.endpoints = ends_;
+  built_flat_ = std::move(flat);
+  flat_structural_.store(want, std::memory_order_release);
 }
 
 }  // namespace fpr

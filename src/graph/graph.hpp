@@ -13,46 +13,24 @@
 
 namespace fpr {
 
-/// Flat compressed-sparse-row snapshot of a Graph's adjacency, the classic
-/// routing-resource-graph layout (PathFinder/VPR): one contiguous offsets
-/// array plus parallel neighbor/edge-id arrays, so the Dijkstra inner loop
-/// walks cache-line-sized runs instead of chasing per-node vectors.
+/// Structural-only flat adjacency, the classic routing-resource-graph
+/// layout (PathFinder/VPR): one contiguous offsets array plus parallel
+/// neighbor/edge-id arrays, so the Dijkstra inner loop walks cache-line-sized
+/// runs instead of chasing per-node vectors, and both endpoints of every
+/// edge. A node's slice lists its edges in ascending edge id — the
+/// incident-list order and the tiled slot order — which the
+/// deterministic-parent guarantee of dijkstra() depends on (DESIGN.md §8).
+/// Weights and activity are not here; they stay in the graph's per-edge and
+/// per-node state arrays, so state mutations never touch a snapshot.
 ///
-/// Within a node's slice, entries appear in edge-insertion order — the same
-/// order Graph::incident_edges() yields — which the deterministic-parent
-/// guarantee of dijkstra() depends on (see DESIGN.md §8).
-///
-/// `weight` mirrors the per-edge traversal cost per slot (the edge's weight,
-/// or kInfiniteWeight while unusable) and is updated in place by the weight
-/// and activity mutators, so congestion bumps never force a rebuild and the
-/// relaxation loop reads its cost from the same contiguous stream it reads
-/// the neighbor from.
-struct CsrAdjacency {
-  std::vector<EdgeId> offsets;   // node_count() + 1 entries
-  std::vector<NodeId> neighbor;  // 2 * edge_count() entries
-  std::vector<EdgeId> edge_id;   // parallel to neighbor
-  std::vector<Weight> weight;    // parallel to neighbor; traversal weight
-  std::vector<EdgeId> slot;      // slot[2e], slot[2e+1]: edge e's positions
-
-  std::span<const NodeId> neighbors_of(NodeId v) const {
-    const auto b = static_cast<std::size_t>(offsets[static_cast<std::size_t>(v)]);
-    const auto e = static_cast<std::size_t>(offsets[static_cast<std::size_t>(v) + 1]);
-    return {neighbor.data() + b, e - b};
-  }
-};
-
-/// Structural-only flat adjacency of a tiled graph at or below
-/// Graph::kFlatAdjacencyMaxEdges edges, stamped once by Graph::from_tiled
-/// and shared (immutable) by every copy of that graph. It holds exactly
-/// what the template would otherwise synthesize per call: each node's slots
-/// in slot order (ascending edge id — the materialized incident-list and CSR
-/// order) and both endpoints of every edge. Weights and activity are not
-/// here; they stay in the graph's per-edge state arrays.
+/// A tiled graph at or below Graph::kFlatAdjacencyMaxEdges stamps one in
+/// Graph::from_tiled, shared (immutable) by every copy; a materialized graph
+/// builds one lazily from its incident lists (Graph::flat_adjacency()).
 struct FlatAdjacency {
   std::vector<EdgeId> offsets;    // node_count() + 1 entries
   std::vector<NodeId> neighbor;   // 2 * edge_count() entries, slot order
   std::vector<EdgeId> edge_id;    // parallel to neighbor
-  std::vector<NodeId> endpoints;  // endpoints[2e] < endpoints[2e+1]: edge e's ends
+  std::vector<NodeId> endpoints;  // endpoints[2e], [2e+1]: Graph::edge(e).u, .v
 
   std::span<const EdgeId> edges_of(NodeId v) const {
     const auto b = static_cast<std::size_t>(offsets[static_cast<std::size_t>(v)]);
@@ -71,33 +49,35 @@ struct FlatAdjacency {
 /// usable-edge counters exact). Deactivated elements keep their ids;
 /// traversals (Dijkstra, MST, ...) skip them.
 ///
-/// Two representations share this interface (DESIGN.md §12):
+/// Every graph keeps its mutable state in one layout: a true weight and an
+/// activity byte per edge, an activity byte per node, and running sums over
+/// the usable edges. The mutators read and write only that state, so they
+/// are the same for both ways of storing the structure (DESIGN.md §12):
 ///
-///  - *Materialized* (the default): adjacency stored explicitly — an edge
-///    table, per-node incident lists, and a flat traversal-weight array.
-///    This is what add_nodes/add_edge incrementally grow.
+///  - *Materialized* (the default): per-node incident lists and both
+///    endpoints of every edge, stored explicitly. This is what
+///    add_nodes/add_edge incrementally grow. The FlatAdjacency the Dijkstra
+///    engine walks is built from the incident lists on first use.
 ///  - *Tiled* (from_tiled()): topology is a shared immutable TiledTopology.
-///    Only mutable state is stored per element — true edge weights,
-///    edge/node activity. Adjacency comes from one of two sides of a size
-///    cut (kFlatAdjacencyMaxEdges): at or below it, from a FlatAdjacency
-///    stamped once and shared by copies (~35 bytes/edge in all), so every
-///    adjacency read is an array read; above it, synthesized
-///    arithmetically from the template on demand (~14 bytes/edge instead of
-///    ~90), which is what lets device sizes scale 10–100×. The logical
-///    graph (ids, order, weights, mutation semantics, aggregate
-///    trajectories) is bit-identical to the materialized equivalent on both
-///    sides; the device differential suite pins this. A tiled graph's
-///    structure is fixed; calling add_nodes/add_edge first materializes it
-///    (transparently, preserving all ids and state).
+///    Adjacency comes from one of two sides of a size cut
+///    (kFlatAdjacencyMaxEdges): at or below it, from a FlatAdjacency stamped
+///    once and shared by copies (~35 bytes/edge in all), so every adjacency
+///    read is an array read; above it, synthesized arithmetically from the
+///    template on demand (~14 bytes/edge instead of ~90), which is what lets
+///    device sizes scale 10–100×. The logical graph (ids, order, weights,
+///    mutation semantics, aggregate trajectories) is bit-identical to the
+///    materialized equivalent on both sides; the device differential suite
+///    pins this. A tiled graph's structure is fixed; calling
+///    add_nodes/add_edge first materializes it (transparently, preserving
+///    all ids and state).
 ///
 /// Two monotone revision counters drive caching:
 ///  - revision() bumps on EVERY mutation and invalidates anything derived
 ///    from weights or activity (PathOracle's shortest-path trees);
 ///  - structural_revision() bumps only when the topology itself grows
-///    (add_nodes/add_edge). The CSR adjacency snapshot (csr(), materialized
-///    graphs only) depends only on topology, so the router's per-edge
-///    congestion bumps and node removals update the flat weight streams in
-///    place without ever forcing a CSR rebuild.
+///    (add_nodes/add_edge). A materialized graph's flat adjacency depends
+///    only on topology, so the router's per-edge congestion bumps and node
+///    removals never force a rebuild.
 class Graph {
  public:
   struct Edge {
@@ -126,9 +106,10 @@ class Graph {
   /// kFlatAdjacencyMaxEdges the same pass stamps the FlatAdjacency.
   static Graph from_tiled(std::shared_ptr<const TiledTopology> topo);
 
-  // The CSR cache carries a mutex, so the compiler-generated special members
-  // are unavailable; copies/moves transfer the logical graph and leave the
-  // destination's snapshot to be rebuilt lazily.
+  // The lazily built flat adjacency carries a mutex, so the
+  // compiler-generated special members are unavailable; copies/moves
+  // transfer the logical graph and leave a materialized destination's
+  // snapshot to be rebuilt lazily.
   Graph(const Graph& other);
   Graph& operator=(const Graph& other);
   Graph(Graph&& other) noexcept;
@@ -141,49 +122,47 @@ class Graph {
   EdgeId add_edge(NodeId u, NodeId v, Weight w);
 
   NodeId node_count() const { return static_cast<NodeId>(node_active_.size()); }
-  EdgeId edge_count() const {
-    return topo_ != nullptr ? topo_->edge_count : static_cast<EdgeId>(edges_.size());
-  }
+  EdgeId edge_count() const { return static_cast<EdgeId>(weight_.size()); }
 
-  /// The tile template this graph synthesizes its adjacency from, or
-  /// nullptr for a materialized graph. The Dijkstra engine keys its
-  /// traversal backend on this.
-  const TiledTopology* tiled_topology() const { return topo_.get(); }
   bool tiled() const { return topo_ != nullptr; }
 
-  /// The stamped structural adjacency of a tiled graph at or below the
-  /// size cut, or nullptr (above the cut, or materialized).
-  const FlatAdjacency* flat_adjacency() const { return flat_.get(); }
+  /// The flat adjacency: a materialized graph's, rebuilt lazily when
+  /// structural_revision() has moved since the last build, or the stamped
+  /// one of a tiled graph at or below the size cut. nullptr only for a
+  /// tiled graph above the cut. Safe to call from concurrent readers (the
+  /// rebuild is mutex-guarded); mutating the graph concurrently with any
+  /// reader is undefined, as for every other accessor.
+  const FlatAdjacency* flat_adjacency() const;
 
-  /// Raw state arrays for the tiled traversal backend (dijkstra.cpp):
-  /// weights are true per-edge weights; activity is one byte per element;
-  /// `flat` is flat_adjacency(). Valid only while tiled(); pointers are
-  /// invalidated by materialization.
-  struct TiledView {
+  /// The traversal engine's view of the graph (dijkstra.cpp): the adjacency
+  /// to walk — `flat` (flat_adjacency()) when the graph has one, otherwise
+  /// `topo`, the template of a tiled graph above the size cut — and the raw
+  /// state arrays: true per-edge weights and one activity byte per edge and
+  /// per node. Pointers are invalidated by add_nodes/add_edge.
+  struct StateView {
     const TiledTopology* topo = nullptr;
     const FlatAdjacency* flat = nullptr;
     const Weight* weight = nullptr;
     const char* edge_active = nullptr;
     const char* node_active = nullptr;
   };
-  TiledView tiled_view() const {
-    FPR_CHECK(topo_ != nullptr, "tiled_view() on a materialized graph");
-    return TiledView{topo_.get(), flat_.get(), tiled_weight_.data(), tiled_edge_active_.data(),
+  StateView state_view() const {
+    return StateView{topo_.get(), flat_adjacency(), weight_.data(), edge_active_.data(),
                      node_active_.data()};
   }
 
-  /// Edge record. Returned by value: a tiled graph synthesizes it (u is
-  /// always the smaller endpoint, matching every device builder's emission
-  /// order); a materialized graph reads its edge table.
+  /// Edge record, assembled by value from the state arrays and the
+  /// endpoints. A tiled graph's `u` is always the smaller endpoint
+  /// (matching every device builder's emission order); a materialized
+  /// graph's is add_edge's first argument.
   Edge edge(EdgeId e) const {
-    if (topo_ != nullptr) return tiled_edge(e);
-    return edges_[static_cast<std::size_t>(e)];
+    FPR_CHECK(e >= 0 && e < edge_count(),
+              "edge " << e << " outside edge range [0, " << edge_count() << ")");
+    return Edge{end_u(e), end_v(e), weight_[static_cast<std::size_t>(e)],
+                edge_active_[static_cast<std::size_t>(e)] != 0};
   }
 
-  Weight edge_weight(EdgeId e) const {
-    return topo_ != nullptr ? tiled_weight_[static_cast<std::size_t>(e)]
-                            : edges_[static_cast<std::size_t>(e)].weight;
-  }
+  Weight edge_weight(EdgeId e) const { return weight_[static_cast<std::size_t>(e)]; }
 
   /// The endpoint of `e` that is not `from`.
   NodeId other_end(EdgeId e, NodeId from) const {
@@ -201,21 +180,17 @@ class Graph {
   /// graph, which every current caller satisfies (no caller holds a span
   /// across another call). Below the cut it points into the flat adjacency.
   std::span<const EdgeId> incident_edges(NodeId v) const {
-    if (topo_ != nullptr) return tiled_incident_edges(v);
-    return incident_[static_cast<std::size_t>(v)];
+    if (topo_ == nullptr) return incident_[static_cast<std::size_t>(v)];
+    if (flat_ != nullptr) return flat_->edges_of(v);
+    return synthesized_incident_edges(v);
   }
 
-  bool node_active(NodeId v) const { return node_active_[static_cast<std::size_t>(v)]; }
-  bool edge_active(EdgeId e) const {
-    return topo_ != nullptr ? tiled_edge_active_[static_cast<std::size_t>(e)] != 0
-                            : edges_[static_cast<std::size_t>(e)].active;
-  }
+  bool node_active(NodeId v) const { return node_active_[static_cast<std::size_t>(v)] != 0; }
+  bool edge_active(EdgeId e) const { return edge_active_[static_cast<std::size_t>(e)] != 0; }
 
   /// An edge is traversable iff it and both endpoints are active.
   bool edge_usable(EdgeId e) const {
-    if (topo_ != nullptr) return tiled_edge_usable(e);
-    const Edge& ed = edges_[static_cast<std::size_t>(e)];
-    return ed.active && node_active(ed.u) && node_active(ed.v);
+    return edge_active(e) && node_active(end_u(e)) && node_active(end_v(e));
   }
 
   void set_edge_weight(EdgeId e, Weight w);
@@ -229,30 +204,8 @@ class Graph {
   std::uint64_t revision() const { return revision_; }
 
   /// Monotone counter incremented only by add_nodes/add_edge — the part of
-  /// revision() the CSR snapshot depends on.
+  /// revision() the flat adjacency depends on.
   std::uint64_t structural_revision() const { return structural_revision_; }
-
-  /// The flat adjacency snapshot of a materialized graph, rebuilt lazily
-  /// when structural_revision() has moved since the last build. Safe to
-  /// call from concurrent readers (the rebuild is mutex-guarded); mutating
-  /// the graph concurrently with any reader is undefined, exactly as
-  /// before. A tiled graph has no snapshot: read incident_edges() and
-  /// other_end(), flat_adjacency(), or the tiled_view() arrays instead.
-  const CsrAdjacency& csr() const;
-
-  /// Per-edge traversal cost, maintained in place on every mutation:
-  /// weight(e) while edge_usable(e), kInfiniteWeight otherwise. Relaxing
-  /// through this array folds the usability test into the ordinary
-  /// `dist + w < best` comparison (inf never improves a distance), which is
-  /// what keeps the materialized Dijkstra inner loop branch-light. Only
-  /// materialized graphs carry this array; the tiled backend reads activity
-  /// bytes instead.
-  std::span<const Weight> traversal_weights() const {
-    FPR_CHECK(topo_ == nullptr,
-              "traversal_weights() on a tiled graph — read csr().weight or the tiled_view() "
-              "arrays instead");
-    return traversal_weight_;
-  }
 
   /// Number of currently usable edges. O(1): maintained as a running
   /// counter by every mutator.
@@ -288,51 +241,56 @@ class Graph {
 
  private:
   void copy_logical_state(const Graph& other);
-  /// Converts a tiled graph to the materialized representation in place,
-  /// preserving every id, order and state bit. Called by the structural
-  /// mutators; O(V + E).
+  /// Converts a tiled graph to the materialized representation in place:
+  /// builds the incident lists and endpoints and drops the template. The
+  /// state arrays already have the shared layout, so every id, order and
+  /// state bit carries over. Called by the structural mutators; O(V + E).
   void materialize();
-  /// Transitions edge `e` into/out of the usable set, updating the running
-  /// counters and flat traversal weight. `usable_now` must be the post-
-  /// mutation usability. Materialized representation only.
-  void sync_edge_usability(EdgeId e, bool usable_now);
-  /// Mirrors a traversal-weight change into the CSR snapshot's per-slot
-  /// weight stream, when a snapshot is currently built. Writes csr_ without
-  /// csr_mu_: mutators run under the documented writer-exclusivity contract
-  /// (no concurrent readers), which the analysis cannot express.
-  /// Materialized representation only.
-  void sync_csr_weight(EdgeId e, Weight w) FPR_NO_THREAD_SAFETY_ANALYSIS;
-  /// Rebuilds the CSR snapshot under csr_mu_ if it is stale at `want`.
-  void rebuild_csr(std::uint64_t want) const FPR_EXCLUDES(csr_mu_);
-  /// Reads csr_ without csr_mu_ — safe once csr_structural_ was
+  /// Rebuilds a materialized graph's flat adjacency under flat_mu_ if it is
+  /// stale at `want`.
+  void rebuild_flat(std::uint64_t want) const FPR_EXCLUDES(flat_mu_);
+  /// Reads built_flat_ without flat_mu_ — safe once flat_structural_ was
   /// acquire-loaded equal to structural_revision(): the builder
   /// release-stores that value only after the snapshot is complete, and a
   /// current snapshot is never written again (release/acquire publication,
   /// which guarded_by cannot express).
-  const CsrAdjacency& published_csr() const FPR_NO_THREAD_SAFETY_ANALYSIS { return csr_; }
-
-  // Tiled-representation helpers (topo_ != nullptr). Below the size cut
-  // each is an array read of flat_; above it, template arithmetic.
-  Edge tiled_edge(EdgeId e) const;
-  NodeId tiled_lower_end(EdgeId e) const {
-    return flat_ != nullptr ? flat_->endpoints[static_cast<std::size_t>(e) * 2]
-                            : tiled_lower_end_[static_cast<std::size_t>(e)];
+  const FlatAdjacency& published_flat() const FPR_NO_THREAD_SAFETY_ANALYSIS {
+    return built_flat_;
   }
-  /// The endpoint of `e` other than its smaller one. Above the cut, found
+
+  /// Edge e's endpoints in edge(e) order.
+  NodeId end_u(EdgeId e) const {
+    if (topo_ == nullptr) return ends_[static_cast<std::size_t>(e) * 2];
+    return flat_ != nullptr ? flat_->endpoints[static_cast<std::size_t>(e) * 2]
+                            : lower_end_[static_cast<std::size_t>(e)];
+  }
+  NodeId end_v(EdgeId e) const {
+    if (topo_ == nullptr) return ends_[static_cast<std::size_t>(e) * 2 + 1];
+    return flat_ != nullptr ? flat_->endpoints[static_cast<std::size_t>(e) * 2 + 1]
+                            : synthesized_upper_end(e);
+  }
+  /// Above the cut: the endpoint of `e` other than its smaller one, found
   /// by scanning the smaller endpoint's synthesized pattern (O(degree)).
-  NodeId tiled_upper_end(EdgeId e) const;
-  bool tiled_edge_usable(EdgeId e) const;
-  std::span<const EdgeId> tiled_incident_edges(NodeId v) const;
-  /// Invokes `fn(neighbor, edge)` over `v`'s slots in slot order.
+  NodeId synthesized_upper_end(EdgeId e) const;
+  /// Above the cut: `v`'s incident list synthesized into thread-local
+  /// scratch (lifetime contract on incident_edges()).
+  std::span<const EdgeId> synthesized_incident_edges(NodeId v) const;
+  /// Invokes `fn(neighbor, edge)` over `v`'s incident edges in ascending
+  /// edge id, from whichever structure the graph stores.
   template <typename Fn>
-  void for_each_tiled_slot(NodeId v, Fn&& fn) const {
-    if (flat_ != nullptr) {
+  void for_each_incident(NodeId v, Fn&& fn) const {
+    if (topo_ == nullptr) {
+      for (const EdgeId e : incident_[static_cast<std::size_t>(v)]) {
+        const NodeId u = ends_[static_cast<std::size_t>(e) * 2];
+        fn(u == v ? ends_[static_cast<std::size_t>(e) * 2 + 1] : u, e);
+      }
+    } else if (flat_ != nullptr) {
       const auto b = static_cast<std::size_t>(flat_->offsets[static_cast<std::size_t>(v)]);
       const auto end = static_cast<std::size_t>(flat_->offsets[static_cast<std::size_t>(v) + 1]);
       for (std::size_t k = b; k < end; ++k) fn(flat_->neighbor[k], flat_->edge_id[k]);
-      return;
+    } else {
+      topo_->for_each_slot(v, [&](NodeId nbr, EdgeId e, const TiledSlot&) { fn(nbr, e); });
     }
-    topo_->for_each_slot(v, [&](NodeId nbr, EdgeId e, const TiledSlot&) { fn(nbr, e); });
   }
 
   void mark_node_touched(NodeId v) {
@@ -348,31 +306,28 @@ class Graph {
     }
   }
 
-  // Materialized representation.
-  std::vector<Edge> edges_;
+  // Structure. Materialized: per-node incident lists and both endpoints of
+  // every edge (ends_[2e], ends_[2e+1]). Tiled: the shared immutable
+  // template, plus either its shared flat adjacency (at or below the size
+  // cut) or each edge's smaller endpoint (above it), so edge decode is
+  // O(degree of one endpoint) instead of a search.
   std::vector<std::vector<EdgeId>> incident_;
-  std::vector<Weight> traversal_weight_;  // weight or kInfiniteWeight, per edge
-
-  // Tiled representation: shared immutable template (and, below the size
-  // cut, its shared flat adjacency) + per-element mutable state only.
-  // Above the cut, tiled_lower_end_ caches each edge's smaller endpoint so
-  // edge decode is O(degree of one endpoint) instead of a search; below it
-  // flat_->endpoints holds both ends and tiled_lower_end_ stays empty.
+  std::vector<NodeId> ends_;
   std::shared_ptr<const TiledTopology> topo_;
   std::shared_ptr<const FlatAdjacency> flat_;
-  std::vector<Weight> tiled_weight_;       // true weight per edge
-  std::vector<char> tiled_edge_active_;    // 1 byte per edge
-  std::vector<NodeId> tiled_lower_end_;    // smaller endpoint per edge, above the cut
+  std::vector<NodeId> lower_end_;
 
-  // Shared between representations.
-  std::vector<char> node_active_;
+  // Mutable state, one layout for both representations.
+  std::vector<Weight> weight_;     // true weight per edge
+  std::vector<char> edge_active_;  // 1 byte per edge
+  std::vector<char> node_active_;  // 1 byte per node
   std::uint64_t revision_ = 0;
   std::uint64_t structural_revision_ = 0;
 
-  // Running aggregates over the usable-edge set (kept exact by the
-  // mutators; the tiled mutators update them in the same ascending-edge
-  // order the materialized ones do, so the floating-point trajectories
-  // match bit for bit).
+  // Running aggregates over the usable-edge set, kept exact by the
+  // mutators. Node mutators walk incident edges in ascending edge id
+  // whatever the structure, so the floating-point trajectories of a tiled
+  // graph and its materialized equivalent match bit for bit.
   EdgeId usable_edges_ = 0;
   Weight usable_weight_sum_ = 0;
 
@@ -383,12 +338,12 @@ class Graph {
   std::vector<NodeId> touched_nodes_;
   std::vector<EdgeId> touched_edges_;
 
-  // Lazily built CSR snapshot. csr_structural_ is the structural revision
-  // the snapshot was built at (kCsrStale = never built).
-  static constexpr std::uint64_t kCsrStale = ~std::uint64_t{0};
-  mutable Mutex csr_mu_;
-  mutable std::atomic<std::uint64_t> csr_structural_{kCsrStale};
-  mutable CsrAdjacency csr_ FPR_GUARDED_BY(csr_mu_);
+  // A materialized graph's lazily built flat adjacency. flat_structural_ is
+  // the structural revision it was built at (kFlatStale = never built).
+  static constexpr std::uint64_t kFlatStale = ~std::uint64_t{0};
+  mutable Mutex flat_mu_;
+  mutable std::atomic<std::uint64_t> flat_structural_{kFlatStale};
+  mutable FlatAdjacency built_flat_ FPR_GUARDED_BY(flat_mu_);
 };
 
 }  // namespace fpr

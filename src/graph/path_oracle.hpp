@@ -18,11 +18,11 @@ namespace fpr {
 /// terminal set, and every distance they need is available from the
 /// terminals' own SSSP trees.
 ///
-/// The trees come from the CSR/arena Dijkstra engine (DESIGN.md §8), whose
+/// The trees come from the flat-adjacency/arena Dijkstra engine (DESIGN.md §8), whose
 /// deterministic tie-break makes every cached parent forest reproducible.
 /// The cache self-invalidates when the underlying graph's total revision()
 /// changes — weight bumps included, because distances depend on weights
-/// (the structural_revision() split only spares the graph's CSR snapshot,
+/// (the structural_revision() split only spares the graph's flat adjacency,
 /// not these trees).
 ///
 /// Cache effectiveness is observable: cache_hits() counts queries served

@@ -68,8 +68,9 @@ std::vector<NodeId> wire_nodes_of(const Device& device, const std::vector<EdgeId
 /// succeed, reclassifies congestion failures that are really
 /// defect-blocked; then recounts the degradation statistics (including
 /// the detour overhead versus solo fault-free routes) and the total_*
-/// aggregates from the per-net records. Callers set failed_nets, success
-/// and budget_exhausted by their own rules.
+/// aggregates from the per-net records, and sets budget_exhausted iff some
+/// net's final status is kAbortedBudget. Callers set failed_nets and
+/// success by their own rules.
 void finish_result(const Device& device, const Circuit& circuit, const RouterOptions& options,
                    RoutingResult& result);
 

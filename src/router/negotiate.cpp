@@ -210,13 +210,10 @@ RoutingResult route_circuit_negotiated(Device& device, const Circuit& circuit,
   }
 
   result.failed_nets = 0;
-  bool any_aborted = false;
   for (const auto& record : result.nets) {
     if (!record.routed()) ++result.failed_nets;
-    any_aborted = any_aborted || record.status == NetStatus::kAbortedBudget;
   }
   result.success = result.failed_nets == 0;
-  result.budget_exhausted = any_aborted;
   result.net_order = std::move(order);
   result.work_used = budget.used;
   result.pattern_attempts = ctx.pattern_attempts;

@@ -6,6 +6,7 @@
 
 #include "core/contract.hpp"
 #include "core/metrics.hpp"
+#include "fpga/faults.hpp"
 #include "graph/budget.hpp"
 #include "router/internal.hpp"
 
@@ -22,21 +23,9 @@ namespace {
 // Same defensive posture as FaultSpec::parse / text_io readers: a malformed
 // line returns nullopt, never crashes — journals are untrusted files.
 
-bool parse_u64(const std::string& text, std::uint64_t& out) {
-  if (text.empty()) return false;
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    if (value > (~std::uint64_t{0} - static_cast<std::uint64_t>(c - '0')) / 10) return false;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  out = value;
-  return true;
-}
-
 bool parse_i32(const std::string& text, std::int32_t& out) {
   std::uint64_t value = 0;
-  if (!parse_u64(text, value)) return false;
+  if (!line_format::parse_u64(text, value)) return false;
   if (value > static_cast<std::uint64_t>(std::numeric_limits<std::int32_t>::max())) return false;
   out = static_cast<std::int32_t>(value);
   return true;
@@ -44,35 +33,9 @@ bool parse_i32(const std::string& text, std::int32_t& out) {
 
 bool parse_ll(const std::string& text, long long& out) {
   std::uint64_t value = 0;
-  if (!parse_u64(text, value)) return false;
+  if (!line_format::parse_u64(text, value)) return false;
   if (value > static_cast<std::uint64_t>(std::numeric_limits<long long>::max())) return false;
   out = static_cast<long long>(value);
-  return true;
-}
-
-std::string format_ids(const std::vector<std::int32_t>& ids) {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (i > 0) os << ',';
-    os << ids[i];
-  }
-  return os.str();
-}
-
-bool parse_id_list(const std::string& text, std::vector<std::int32_t>& out) {
-  out.clear();
-  if (text.empty()) return false;
-  std::size_t pos = 0;
-  while (true) {
-    const std::size_t comma = text.find(',', pos);
-    const std::string token =
-        comma == std::string::npos ? text.substr(pos) : text.substr(pos, comma - pos);
-    std::int32_t value = 0;
-    if (!parse_i32(token, value)) return false;
-    out.push_back(value);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
   return true;
 }
 
@@ -139,8 +102,8 @@ bool for_each_piece(const std::string& text, Fn&& fn) {
 std::string RepairEvent::describe() const {
   std::ostringstream os;
   os << "repair";
-  if (!faults.dead_wires.empty()) os << " wires=" << format_ids(faults.dead_wires);
-  if (!faults.dead_edges.empty()) os << " edges=" << format_ids(faults.dead_edges);
+  if (!faults.dead_wires.empty()) os << " wires=" << line_format::format_ids(faults.dead_wires);
+  if (!faults.dead_edges.empty()) os << " edges=" << line_format::format_ids(faults.dead_edges);
   if (!changed.empty()) {
     os << " changed=";
     for (std::size_t i = 0; i < changed.size(); ++i) {
@@ -155,7 +118,7 @@ std::string RepairEvent::describe() const {
       os << format_net(added[i]);
     }
   }
-  if (!removed.empty()) os << " removed=" << format_ids(removed);
+  if (!removed.empty()) os << " removed=" << line_format::format_ids(removed);
   if (budget > 0) os << " budget=" << budget;
   return os.str();
 }
@@ -173,9 +136,9 @@ std::optional<RepairEvent> RepairEvent::parse(const std::string& line) {
     const std::string value = token.substr(eq + 1);
     bool ok = false;
     if (key == "wires") {
-      ok = parse_id_list(value, event.faults.dead_wires);
+      ok = line_format::parse_id_list(value, event.faults.dead_wires);
     } else if (key == "edges") {
-      ok = parse_id_list(value, event.faults.dead_edges);
+      ok = line_format::parse_id_list(value, event.faults.dead_edges);
     } else if (key == "changed") {
       ok = for_each_piece(value, [&](const std::string& piece) {
         const std::size_t at = piece.find('@');
@@ -195,7 +158,7 @@ std::optional<RepairEvent> RepairEvent::parse(const std::string& line) {
         return true;
       });
     } else if (key == "removed") {
-      ok = parse_id_list(value, event.removed);
+      ok = line_format::parse_id_list(value, event.removed);
     } else if (key == "budget") {
       ok = parse_ll(value, event.budget);
     } else {
@@ -435,7 +398,6 @@ RepairOutcome repair_route(Device& device, Circuit& circuit, RoutingResult& resu
   }
   result.success = result.failed_nets == 0;
   router_internal::finish_result(device, circuit, options, result);
-  result.budget_exhausted = result.nets_aborted_budget > 0;
 
   // classify_fault_blocked may have reclassified degraded cone nets; keep
   // the outcome's split consistent with the final statuses.

@@ -471,6 +471,7 @@ void finish_result(const Device& device, const Circuit& circuit, const RouterOpt
   result.nets_aborted_budget = 0;
   result.detour_wirelength_overhead = 0;
   accumulate_degradation_stats(device, circuit, options, result);
+  result.budget_exhausted = result.nets_aborted_budget > 0;
   result.total_wirelength = 0;
   result.total_wire_nodes = 0;
   result.total_max_pathlength = 0;
@@ -541,10 +542,7 @@ RoutingResult route_circuit(Device& device, const Circuit& circuit,
       break;
     }
     result.failed_nets = static_cast<int>(failed.size());
-    if (budget.exhausted()) {
-      result.budget_exhausted = true;
-      break;  // partial solution: committed prefix + per-net abort statuses
-    }
+    if (budget.exhausted()) break;  // partial solution: committed prefix + per-net abort statuses
     if (result.failed_nets < best_failed) {
       best_failed = result.failed_nets;
       stalled = 0;

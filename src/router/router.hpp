@@ -238,9 +238,12 @@ struct RoutingResult {
   /// Node expansions actually spent (== RouterOptions::node_budget consumed
   /// when budget_exhausted, the true cost otherwise).
   long long work_used = 0;
-  /// True when RouterOptions::node_budget expired before the router
-  /// finished: `nets` is a partial-but-consistent solution (every kRouted
-  /// net is committed and electrically disjoint; nothing is half-routed).
+  /// True when some net's final status is kAbortedBudget, i.e.
+  /// RouterOptions::node_budget expired before the router finished: `nets`
+  /// is a partial-but-consistent solution (every kRouted net is committed
+  /// and electrically disjoint; nothing is half-routed). A budget spent at
+  /// the end of a pass whose failures are all congestion or fault failures
+  /// does not set it.
   bool budget_exhausted = false;
 
   /// The net order (indices into `nets`) the final pass routed in — the

@@ -76,6 +76,25 @@ TEST_F(FuzzBoundedTest, RunCaseExecutesACircuitCase) {
   EXPECT_TRUE(result->ok()) << result->message();
 }
 
+// The two minimized cases `fuzz_fpr --seed 31 --iters 2000 --oracle faults`
+// caught: paper mode spends its budget at the end of a pass whose failures
+// are all congestion or fault failures, and used to report
+// budget_exhausted with no kAbortedBudget net. Both arrays are 4x4, below
+// the tile-template floor, so they also route on materialized graphs.
+TEST_F(FuzzBoundedTest, BudgetFlagMatchesStatusesOnPinnedFaultRepros) {
+  constexpr std::array<const char*, 2> kRepros = {
+      "circuit family=xc4000 rows=4 cols=4 width=7 nets=4,0,0 synth_seed=4101929214 algo=IZEL "
+      "decompose=0 fault_seed=6042168530349774957 fault_clusters=1 budget=38000",
+      "circuit family=xc3000 rows=4 cols=4 width=9 nets=3,0,0 synth_seed=3639070916 algo=IZEL "
+      "decompose=0 fault_seed=17855663260196826688 fault_clusters=1 budget=53000",
+  };
+  for (const char* repro : kRepros) {
+    const auto verdict = run_case(Oracle::kFaults, repro);
+    ASSERT_TRUE(verdict.has_value()) << repro;
+    EXPECT_TRUE(verdict->ok()) << repro << "\n" << verdict->message();
+  }
+}
+
 TEST_F(FuzzBoundedTest, ReplayFileRoundTrip) {
   const TreeCase c = generate_tree_case(12, 9, std::array<Algorithm, 1>{Algorithm::kIdom});
   const std::filesystem::path path =

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/contract.hpp"
 #include "fpga/device.hpp"
 #include "fpga/device3d.hpp"
 #include "fpga/faults.hpp"
@@ -23,48 +22,24 @@
 namespace fpr {
 namespace {
 
-/// The adjacency arrays the traversal backends read. Two materialized
-/// graphs compare CSR snapshots vector by vector. A tiled graph below the
-/// size cut compares its flat slices against the other graph's (legacy CSR
-/// offsets/neighbor/edge_id, or the other tiled graph's flat slices) and
-/// its endpoint pairs against the other graph's edge records; above the cut
-/// it has no arrays, and the incident-list and edge-record loops of
-/// expect_graphs_identical are the whole check.
+/// The adjacency arrays the flat traversal backend reads. Every graph but
+/// a tiled one above the size cut has a flat adjacency (stamped, or built
+/// from a materialized graph's incident lists); two such graphs compare it
+/// array by array. Above the cut a tiled graph has no arrays, and the
+/// incident-list and edge-record loops of expect_graphs_identical are the
+/// whole check.
 void expect_adjacency_identical(const Graph& a, const Graph& b) {
-  if (!a.tiled() && !b.tiled()) {
-    const CsrAdjacency& ca = a.csr();
-    const CsrAdjacency& cb = b.csr();
-    EXPECT_EQ(ca.offsets, cb.offsets);
-    EXPECT_EQ(ca.neighbor, cb.neighbor);
-    EXPECT_EQ(ca.edge_id, cb.edge_id);
-    EXPECT_EQ(ca.weight, cb.weight);
-    EXPECT_EQ(ca.slot, cb.slot);
-    return;
+  for (const Graph* g : {&a, &b}) {
+    ASSERT_EQ(g->flat_adjacency() != nullptr,
+              !g->tiled() || g->edge_count() <= Graph::kFlatAdjacencyMaxEdges);
   }
-  const Graph& tiled = b.tiled() ? b : a;
-  const Graph& other = b.tiled() ? a : b;
-  const FlatAdjacency* flat = tiled.flat_adjacency();
-  ASSERT_EQ(flat != nullptr, tiled.edge_count() <= Graph::kFlatAdjacencyMaxEdges);
-  if (flat == nullptr) return;
-  if (other.tiled()) {
-    const FlatAdjacency* of = other.flat_adjacency();
-    ASSERT_NE(of, nullptr);
-    EXPECT_EQ(flat->offsets, of->offsets);
-    EXPECT_EQ(flat->neighbor, of->neighbor);
-    EXPECT_EQ(flat->edge_id, of->edge_id);
-    EXPECT_EQ(flat->endpoints, of->endpoints);
-    return;
-  }
-  const CsrAdjacency& csr = other.csr();
-  EXPECT_EQ(flat->offsets, csr.offsets);
-  EXPECT_EQ(flat->neighbor, csr.neighbor);
-  EXPECT_EQ(flat->edge_id, csr.edge_id);
-  ASSERT_EQ(flat->endpoints.size(), static_cast<std::size_t>(other.edge_count()) * 2);
-  for (EdgeId e = 0; e < other.edge_count(); ++e) {
-    const Graph::Edge ed = other.edge(e);
-    ASSERT_EQ(flat->endpoints[static_cast<std::size_t>(e) * 2], ed.u) << "edge " << e;
-    ASSERT_EQ(flat->endpoints[static_cast<std::size_t>(e) * 2 + 1], ed.v) << "edge " << e;
-  }
+  const FlatAdjacency* fa = a.flat_adjacency();
+  const FlatAdjacency* fb = b.flat_adjacency();
+  if (fa == nullptr || fb == nullptr) return;
+  EXPECT_EQ(fa->offsets, fb->offsets);
+  EXPECT_EQ(fa->neighbor, fb->neighbor);
+  EXPECT_EQ(fa->edge_id, fb->edge_id);
+  EXPECT_EQ(fa->endpoints, fb->endpoints);
 }
 
 /// Full structural + state byte-compare of two graphs: counts, per-edge
@@ -440,8 +415,9 @@ TEST(DeviceDifferentialTest, StructuralMutationMaterializesInPlace) {
   stamped.graph().set_edge_weight(2, 9.0);
   legacy.graph().remove_node(5);
   stamped.graph().remove_node(5);
-  // A tiled graph has no CSR snapshot; the materialized one below does.
-  EXPECT_THROW((void)stamped.graph().csr(), ContractViolation);
+  // Materialization drops the stamped flat adjacency; the one rebuilt from
+  // the incident lists is compared below.
+  ASSERT_NE(stamped.graph().flat_adjacency(), nullptr);
 
   const EdgeId ea = legacy.graph().add_edge(0, 1, 4.0);
   const EdgeId eb = stamped.graph().add_edge(0, 1, 4.0);

@@ -1,4 +1,4 @@
-// Differential pinning of the CSR/arena Dijkstra engine against the frozen
+// Differential pinning of the flat-adjacency/arena Dijkstra engine against the frozen
 // pre-change engine (graph/dijkstra_reference.hpp): over random graphs and
 // grid graphs, with node/edge removals, restores and weight mutations
 // interleaved, dist/parent/parent_edge must be BIT-identical for both
