@@ -16,9 +16,13 @@ RoutingTree idom(const Graph& g, std::span<const NodeId> net, PathOracle& oracle
   if (!best.spans(terminals)) return best;
   Weight best_cost = best.cost();
 
+  // With two terminals no candidate can win (see igmst.cpp): DOM's tree is
+  // already a shortest source-sink path.
+  const bool candidates_can_help = terminals.size() > 2;
   std::vector<NodeId> span_set = terminals;  // N + S, source kept first
   int iterations = 0;
-  while (options.max_iterations == 0 || iterations < options.max_iterations) {
+  while (candidates_can_help &&
+         (options.max_iterations == 0 || iterations < options.max_iterations)) {
     ++iterations;
     // Pre-warm terminal trees so candidate evaluations are cache-served
     // (see the matching comment in igmst.cpp).

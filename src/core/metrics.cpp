@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <vector>
 
 namespace fpr {
 
@@ -39,22 +40,28 @@ TreeMetrics measure(const Graph& g, const Net& net, const RoutingTree& tree, Pat
   m.spans_net = tree.spans(terminals);
   m.max_pathlength = tree.max_path_length(net.source, net.sinks);
 
-  const auto& spt = oracle.from(net.source);
+  // Source-sink distances, each served from whichever endpoint's tree the
+  // oracle already holds: a two-terminal construction may have searched
+  // from the sink only.
+  std::vector<Weight> sink_dist;
+  sink_dist.reserve(net.sinks.size());
   Weight opt = 0;
   bool all_reachable = true;
   for (const NodeId s : net.sinks) {
-    if (!spt.reached(s)) {
+    const Weight d = oracle.distance(net.source, s);
+    sink_dist.push_back(d);
+    if (d >= kInfiniteWeight) {
       all_reachable = false;
       continue;
     }
-    opt = std::max(opt, spt.distance(s));
+    opt = std::max(opt, d);
   }
   m.optimal_max_pathlength = all_reachable ? opt : kInfiniteWeight;
 
   m.shortest_paths = m.spans_net && all_reachable;
   if (m.shortest_paths) {
-    for (const NodeId s : net.sinks) {
-      if (!weight_eq(tree.path_length(net.source, s), spt.distance(s))) {
+    for (std::size_t i = 0; i < net.sinks.size(); ++i) {
+      if (!weight_eq(tree.path_length(net.source, net.sinks[i]), sink_dist[i])) {
         m.shortest_paths = false;
         break;
       }

@@ -1,6 +1,7 @@
 #include "fpga/device.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 
 #include "core/contract.hpp"
 #include "fpga/switchbox.hpp"
@@ -179,6 +180,17 @@ Device::TilePos Device::node_tile(NodeId v) const {
     return TilePos{2 * ref.x + 1, 2 * ref.y};
   }
   return TilePos{2 * ref.x, 2 * ref.y + 1};
+}
+
+Weight Device::distance_lower_bound(NodeId v, NodeId t) const {
+  const TilePos a = node_tile(v);
+  const TilePos b = node_tile(t);
+  const int manhattan = std::abs(a.x - b.x) + std::abs(a.y - b.y);
+  return static_cast<Weight>((manhattan + 1) / 2);
+}
+
+DistanceBound Device::distance_bound() const {
+  return DistanceBound::bind<&Device::distance_lower_bound>(*this);
 }
 
 std::vector<NodeId> Device::tile_siblings(NodeId wire) const {

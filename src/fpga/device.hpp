@@ -5,6 +5,7 @@
 
 #include "fpga/arch.hpp"
 #include "fpga/faults.hpp"
+#include "graph/distance_bound.hpp"
 #include "graph/graph.hpp"
 
 namespace fpr {
@@ -81,6 +82,20 @@ class Device {
     int y = 0;
   };
   TilePos node_tile(NodeId v) const;
+
+  /// Lower bound on the shortest-path distance between v and t:
+  /// ceil(M / 2), where M is the Manhattan distance between their
+  /// node_tile positions. Two premises make it consistent (and so
+  /// admissible): every edge spans at most 2 half-tile units, and every
+  /// usable edge weight is >= 1.0 — base weights are 1.0, and congestion
+  /// pricing and fault-retry relief never go below base
+  /// (tests/fpga/distance_bound_test.cpp pins both). Faults and consumed
+  /// wires only remove edges, which keeps it valid.
+  Weight distance_lower_bound(NodeId v, NodeId t) const;
+
+  /// distance_lower_bound as the point-to-point search's bound (see
+  /// dijkstra_to). Holds this device by reference.
+  DistanceBound distance_bound() const;
 
   /// All wire nodes sharing a channel tile with `wire` (itself excluded);
   /// these are the segments competing for the same channel capacity, the

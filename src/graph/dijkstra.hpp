@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "graph/budget.hpp"
+#include "graph/distance_bound.hpp"
 #include "graph/graph.hpp"
 #include "graph/types.hpp"
 
@@ -82,6 +83,24 @@ ShortestPathTree dijkstra(const Graph& g, NodeId source);
 /// final labels — once the budget is spent. A null budget reproduces the
 /// historical engine bit-for-bit.
 void dijkstra(const Graph& g, NodeId source, ShortestPathTree& out, WorkBudget* budget = nullptr);
+
+/// Point-to-point shortest paths from `source` toward `target`: the same
+/// settle loop keyed by f = d + bound(v, target) (A*), so it labels the
+/// nodes that can lie on a shortest source-target path instead of a whole
+/// Dijkstra ball. Once the target settles at d*, it keeps popping while
+/// the minimum key is <= d*, so every node with f <= d* is settled. Every
+/// settled node's dist, parent and parent_edge equal dijkstra()'s bit for
+/// bit: ties are recovered to Dijkstra's rule (among tight predecessors,
+/// the one Dijkstra settles first; within it the lowest edge id), which
+/// needs a consistent bound — see DistanceBound and DESIGN.md §8.
+///
+/// `settled` flags the final labels; queries outside it must consult
+/// knows(). A run that drains the component (unreachable or inactive
+/// target) is marked complete. `budget` charges one unit per pop; on a
+/// budget stop at key F only the nodes popped with f < F count as settled,
+/// so the result is deterministic for a given budget.
+void dijkstra_to(const Graph& g, NodeId source, NodeId target, DistanceBound bound,
+                 ShortestPathTree& out, WorkBudget* budget = nullptr);
 
 /// Radius-bounded Dijkstra: settles at least every reachable node in
 /// `targets`, then keeps expanding until the frontier key exceeds

@@ -38,6 +38,7 @@ void DijkstraArena::begin_run(NodeId node_count) {
   for (const NodeId v : dirty_) dist_[static_cast<std::size_t>(v)] = kInfiniteWeight;
   dirty_.clear();
   heap_.clear();
+  settled_log_.clear();
   if (++epoch_ == 0) {
     // Epoch counter wrapped (once per 2^32 runs): pending marks from 4
     // billion runs ago could collide, so pay one real reinitialization.

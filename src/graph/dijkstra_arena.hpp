@@ -70,11 +70,13 @@ class DijkstraArena {
     return touched(v) ? origin_[static_cast<std::size_t>(v)].via : kInvalidEdge;
   }
 
-  /// Records an improved label for v and inserts it into the heap (first
-  /// touch this run) or sifts its entry up in place (decrease-key). Callers
-  /// only invoke this after `d < dist(v)`, so `dist(v) == kInfiniteWeight`
-  /// identifies the first touch.
-  void relax(NodeId v, Weight d, NodeId par, EdgeId via) {
+  /// Records an improved label d for v and inserts it into the heap under
+  /// `key` (first touch this run) or sifts its entry up in place
+  /// (decrease-key). Plain Dijkstra keys by the label itself; the
+  /// point-to-point mode keys by d + h(v). Callers only invoke this after
+  /// `d < dist(v)`, so `dist(v) == kInfiniteWeight` identifies the first
+  /// touch.
+  void relax(NodeId v, Weight d, Weight key, NodeId par, EdgeId via) {
     const auto idx = static_cast<std::size_t>(v);
     const bool first_touch = dist_[idx] == kInfiniteWeight;
     dist_[idx] = d;
@@ -83,12 +85,18 @@ class DijkstraArena {
     if (first_touch) {
       dirty_.push_back(v);
       i = static_cast<std::int32_t>(heap_.size());
-      heap_.push_back(make_entry(d, v));
+      heap_.push_back(make_entry(key, v));
     } else {
       i = pos_[idx];
-      heap_[static_cast<std::size_t>(i)] = make_entry(d, v);
+      heap_[static_cast<std::size_t>(i)] = make_entry(key, v);
     }
     sift_up(i);
+  }
+
+  /// Re-points v's label at `par` via `via` without changing its distance
+  /// (the point-to-point mode's tie-break recovery, see dijkstra.cpp).
+  void set_origin(NodeId v, NodeId par, EdgeId via) {
+    origin_[static_cast<std::size_t>(v)] = {par, via};
   }
 
   // ---- heap ----
@@ -102,6 +110,13 @@ class DijkstraArena {
     heap_.pop_back();
     if (!heap_.empty()) sift_down_from_root(last);
   }
+
+  // ---- settle log (point-to-point mode) ----
+
+  /// Nodes in the order they were popped this run. Plain Dijkstra derives
+  /// its settled set from (dist, id) instead and never writes this.
+  void log_settle(NodeId v) { settled_log_.push_back(v); }
+  const std::vector<NodeId>& settle_log() const { return settled_log_; }
 
   // ---- pending-target bookkeeping (dijkstra_within) ----
 
@@ -202,6 +217,7 @@ class DijkstraArena {
   std::vector<NodeId> dirty_;      // nodes touched by the current run
   std::vector<std::int32_t> pos_;  // heap index of a touched, unsettled node
   std::vector<HeapEntry> heap_;    // 4-ary implicit heap, keys inline
+  std::vector<NodeId> settled_log_;  // pop order (point-to-point mode only)
 };
 
 }  // namespace fpr

@@ -11,6 +11,13 @@ void PathOracle::refresh() {
   }
 }
 
+NodeId PathOracle::point_to_point_goal(NodeId source) const {
+  if (!bound_ || scope_.size() != 2 || scope_[0] == scope_[1]) return kInvalidNode;
+  if (source == scope_[0]) return scope_[1];
+  if (source == scope_[1]) return scope_[0];
+  return kInvalidNode;
+}
+
 const ShortestPathTree& PathOracle::from(NodeId source) {
   refresh();
   auto it = cache_.find(source);
@@ -18,6 +25,8 @@ const ShortestPathTree& PathOracle::from(NodeId source) {
     auto tree = std::make_unique<ShortestPathTree>();
     if (scope_.empty()) {
       dijkstra(*g_, source, *tree, budget_);
+    } else if (const NodeId goal = point_to_point_goal(source); goal != kInvalidNode) {
+      dijkstra_to(*g_, source, goal, *bound_, *tree, budget_);
     } else {
       dijkstra_within(*g_, source, scope_, *tree, 1.3, 4.0, budget_);
     }

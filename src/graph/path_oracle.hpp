@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 
 #include "graph/dijkstra.hpp"
@@ -48,8 +49,23 @@ class PathOracle {
   /// hint — but algorithms that scan raw from() trees over ALL nodes
   /// (PFA's MaxDom, ZEL's triple medians) must run unscoped. The FPGA
   /// router sets the scope per net for the scan-free algorithms.
-  void set_scope(std::vector<NodeId> targets) { scope_ = std::move(targets); }
-  void clear_scope() { scope_.clear(); }
+  ///
+  /// With a `bound` (consistent toward every target, see DistanceBound) a
+  /// scope of exactly two distinct nodes {a, b} makes from(a) a
+  /// point-to-point search toward b (dijkstra_to) and from(b) one toward a:
+  /// a two-terminal net then pays one goal-directed search instead of a
+  /// radius ball. Its trees know fewer nodes than a radius ball, but every
+  /// query a two-terminal construction makes stays inside them. Any other
+  /// scope ignores the bound. The bound is held by reference and must
+  /// outlive the scope.
+  void set_scope(std::vector<NodeId> targets, std::optional<DistanceBound> bound = {}) {
+    scope_ = std::move(targets);
+    bound_ = bound;
+  }
+  void clear_scope() {
+    scope_.clear();
+    bound_.reset();
+  }
 
   /// Attaches a shared node-expansion budget (graph/budget.hpp): every
   /// Dijkstra run this oracle performs charges it. Once the budget is
@@ -113,10 +129,15 @@ class PathOracle {
  private:
   void refresh();
 
+  /// The node a fresh from(source) run aims at under a two-node scope with a
+  /// bound, else kInvalidNode (see set_scope).
+  NodeId point_to_point_goal(NodeId source) const;
+
   const Graph* g_;
   std::uint64_t revision_;
   std::unordered_map<NodeId, std::unique_ptr<ShortestPathTree>> cache_;
   std::vector<NodeId> scope_;
+  std::optional<DistanceBound> bound_;
   WorkBudget* budget_ = nullptr;
   std::size_t runs_ = 0;
   std::size_t hits_ = 0;

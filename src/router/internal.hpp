@@ -38,6 +38,39 @@ struct NetContext {
   long long pattern_accepts = 0;
 };
 
+/// Scoped congestion relief for fault retries: remaps every edge weight
+/// w -> 1 + (w - 1) * scale on construction and undoes the remap exactly on
+/// destruction. Penalties charged while the guard is live (the decomposed
+/// baseline commits per sink mid-attempt) are preserved: the destructor
+/// restores original + (current - relaxed), i.e. only the relief delta is
+/// removed. All arithmetic is over dyadic rationals (weights, the 0.25
+/// penalty, backoff powers of 0.5), so the restore is bit-exact. With
+/// scale >= 0 a weight >= 1.0 stays >= 1.0, which Device::
+/// distance_lower_bound relies on (tests/fpga/distance_bound_test.cpp).
+///
+/// Only edges whose weight differs from the base 1.0 are snapshotted: for a
+/// base-weight edge relaxed == original == current-delta, so both the remap
+/// and the restore are no-ops, and the congested fraction of a device is
+/// tiny — the guard costs O(congested edges), not O(E), per retry (one
+/// full-array scan aside, with no per-edge revision bumps or restores).
+class CongestionRelief {
+ public:
+  CongestionRelief(Graph& g, double scale);
+  CongestionRelief(const CongestionRelief&) = delete;
+  CongestionRelief& operator=(const CongestionRelief&) = delete;
+  ~CongestionRelief();
+
+ private:
+  struct Entry {
+    EdgeId edge;
+    Weight original;
+    Weight relaxed;
+  };
+
+  Graph& g_;
+  std::vector<Entry> touched_;
+};
+
 /// Routes net `idx` on the live device into `record`: one whole-net
 /// attempt (paper mode: or the decomposed two-pin baseline), the
 /// fault-retry ladder when ctx.fault_retries > 0, post-hoc measurement,

@@ -76,59 +76,6 @@ int commit_net(Device& device, const std::vector<EdgeId>& edges, double congesti
   return static_cast<int>(wires.size());
 }
 
-/// Scoped congestion relief for fault retries: remaps every edge weight
-/// w -> 1 + (w - 1) * scale on construction and undoes the remap exactly on
-/// destruction. Penalties charged while the guard is live (the decomposed
-/// baseline commits per sink mid-attempt) are preserved: the destructor
-/// restores original + (current - relaxed), i.e. only the relief delta is
-/// removed. All arithmetic is over dyadic rationals (weights, the 0.25
-/// penalty, backoff powers of 0.5), so the restore is bit-exact.
-///
-/// Only edges whose weight differs from the base 1.0 are snapshotted: for a
-/// base-weight edge relaxed == original == current-delta, so both the remap
-/// and the restore are no-ops, and the congested fraction of a device is
-/// tiny — the guard costs O(congested edges), not O(E), per retry (one
-/// full-array scan aside, with no per-edge revision bumps or restores).
-class CongestionRelief {
- public:
-  CongestionRelief(Graph& g, double scale) : g_(g) {
-    // Engagement counter: relief assumes the paper mode's exclusive wire
-    // ownership (weights encode the 0.25-per-commit penalties it relaxes).
-    // Negotiated-mode weights encode present/history pricing instead, so
-    // relief must never run there — negotiate_paper_boundary_test pins
-    // this counter at zero across negotiated runs.
-    counters().congestion_reliefs.fetch_add(1, std::memory_order_relaxed);
-    const EdgeId count = g.edge_count();
-    for (EdgeId e = 0; e < count; ++e) {
-      const Weight w = g.edge_weight(e);
-      if (w == 1.0) continue;
-      const Weight relaxed = 1.0 + (w - 1.0) * scale;
-      touched_.push_back({e, w, relaxed});
-      if (relaxed != w) g_.set_edge_weight(e, relaxed);
-    }
-  }
-
-  CongestionRelief(const CongestionRelief&) = delete;
-  CongestionRelief& operator=(const CongestionRelief&) = delete;
-
-  ~CongestionRelief() {
-    for (const Entry& t : touched_) {
-      const Weight target = t.original + (g_.edge_weight(t.edge) - t.relaxed);
-      if (g_.edge_weight(t.edge) != target) g_.set_edge_weight(t.edge, target);
-    }
-  }
-
- private:
-  struct Entry {
-    EdgeId edge;
-    Weight original;
-    Weight relaxed;
-  };
-
-  Graph& g_;
-  std::vector<Entry> touched_;
-};
-
 /// Baseline: each sink is an independent two-pin connection, committed as
 /// soon as it is routed, so later connections — even of the same net —
 /// may not reuse its wires. That per-net waste is exactly what the paper's
@@ -227,7 +174,7 @@ int solo_fault_free_wirelength(Device& pristine, const CircuitNet& circuit_net,
   PathOracle oracle(g);
   const std::vector<NodeId> terminals = net.terminals();
   const Algorithm algo = critical ? options.critical_algorithm : options.algorithm;
-  if (algorithm_supports_scoped_paths(algo)) oracle.set_scope(terminals);
+  if (algorithm_supports_scoped_paths(algo)) oracle.set_scope(terminals, pristine.distance_bound());
   const RoutingTree tree = route(g, net, algo, oracle, options.route_options);
   if (!tree.spans(terminals)) return -1;
   return static_cast<int>(tree.edges().size());
@@ -302,6 +249,30 @@ int commit(router_internal::NetContext& ctx, NetCommitLog* log, const std::vecto
 }  // namespace
 
 namespace router_internal {
+
+CongestionRelief::CongestionRelief(Graph& g, double scale) : g_(g) {
+  // Engagement counter: relief assumes the paper mode's exclusive wire
+  // ownership (weights encode the 0.25-per-commit penalties it relaxes).
+  // Negotiated-mode weights encode present/history pricing instead, so
+  // relief must never run there — negotiate_paper_boundary_test pins
+  // this counter at zero across negotiated runs.
+  counters().congestion_reliefs.fetch_add(1, std::memory_order_relaxed);
+  const EdgeId count = g.edge_count();
+  for (EdgeId e = 0; e < count; ++e) {
+    const Weight w = g.edge_weight(e);
+    if (w == 1.0) continue;
+    const Weight relaxed = 1.0 + (w - 1.0) * scale;
+    touched_.push_back({e, w, relaxed});
+    if (relaxed != w) g_.set_edge_weight(e, relaxed);
+  }
+}
+
+CongestionRelief::~CongestionRelief() {
+  for (const Entry& t : touched_) {
+    const Weight target = t.original + (g_.edge_weight(t.edge) - t.relaxed);
+    if (g_.edge_weight(t.edge) != target) g_.set_edge_weight(t.edge, target);
+  }
+}
 
 void rollback_commits(Device& device, const NetCommitLog& log, double congestion_penalty) {
   Graph& g = device.graph();
@@ -412,9 +383,10 @@ void route_net_live(NetContext& ctx, std::size_t idx, NetRouteResult& record) {
   const bool critical = ctx.circuit.nets[idx].critical;
   const Algorithm algo = critical ? options.critical_algorithm : options.algorithm;
   // Radius-bounded shortest paths: local nets only pay for their
-  // neighborhood of the device graph, not the whole chip.
+  // neighborhood of the device graph, not the whole chip. A two-terminal
+  // net gets one goal-directed search toward its other end instead.
   if (algorithm_supports_scoped_paths(algo)) {
-    oracle.set_scope(terminals);
+    oracle.set_scope(terminals, device.distance_bound());
   }
   RoutingTree tree = route(g, net, algo, oracle, options.route_options);
 

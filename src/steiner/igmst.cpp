@@ -95,9 +95,14 @@ RoutingTree igmst(const Graph& g, std::span<const NodeId> net, const GmstHeurist
   if (!best.spans(terminals)) return best;  // unroutable: report H's attempt
   Weight best_cost = best.cost();
 
+  // With two terminals no candidate can win: every tree spanning them
+  // contains a path of cost at least d(s, t), which H's tree already is.
+  // Skipping the loop also skips pre-warming the second terminal's tree.
+  const bool candidates_can_help = terminals.size() > 2;
   std::vector<NodeId> span_set = terminals;  // N + S
   int iterations = 0;
-  while (options.max_iterations == 0 || iterations < options.max_iterations) {
+  while (candidates_can_help &&
+         (options.max_iterations == 0 || iterations < options.max_iterations)) {
     ++iterations;
     // Pre-warm every terminal's SSSP tree so each candidate evaluation is
     // served entirely from the cache (otherwise pairs between a candidate

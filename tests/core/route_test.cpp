@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/metrics.hpp"
+#include "fpga/device.hpp"
 #include "graph/grid.hpp"
 #include "test_util.hpp"
 
@@ -97,6 +99,49 @@ TEST(RouteTest, OptionsArePassedThrough) {
   options.max_candidates = 4;
   const auto tree = route(grid.graph(), net, Algorithm::kIkmb, options);
   EXPECT_TRUE(tree.spans(net.terminals()));
+}
+
+/// Dijkstra runs one route() + measure() of `net` costs under the router's
+/// per-net scope (terminals plus the device bound); `tree_out` receives the
+/// routed tree's edges.
+std::size_t search_runs(const Device& device, const Net& net, Algorithm algorithm,
+                        std::vector<EdgeId>* tree_out = nullptr) {
+  const Graph& g = device.graph();
+  PathOracle oracle(g);
+  oracle.set_scope(net.terminals(), device.distance_bound());
+  const RoutingTree tree = route(g, net, algorithm, oracle);
+  const TreeMetrics m = measure(g, net, tree, oracle);
+  EXPECT_TRUE(m.spans_net);
+  if (tree_out != nullptr) *tree_out = tree.edges();
+  return oracle.dijkstra_runs();
+}
+
+TEST(RouteSearchCountTest, TwoTerminalNetsCostOneSearch) {
+  // IKMB searches from its smaller terminal id, IDOM from the source, and
+  // measure() reads the source-sink distance from whichever tree exists:
+  // one goal-directed search per net, whichever way the ids run.
+  const Device device(ArchSpec::xc4000(10, 10, 6));
+  const NodeId a = device.block_node(1, 2);
+  const NodeId b = device.block_node(8, 7);
+  for (const Algorithm algorithm : {Algorithm::kIkmb, Algorithm::kIdom}) {
+    for (const Net& net : {Net{a, {b}}, Net{b, {a}}}) {
+      SCOPED_TRACE(::testing::Message() << algorithm_name(algorithm) << " source " << net.source);
+      std::vector<EdgeId> edges;
+      EXPECT_EQ(search_runs(device, net, algorithm, &edges), 1u);
+      // The one search is exact: the tree is a shortest path (13 hops).
+      EXPECT_EQ(edges.size(), 13u);
+    }
+  }
+}
+
+TEST(RouteSearchCountTest, ThreeTerminalNetsKeepTheirSearchCount) {
+  // No point-to-point mode for three terminals: a radius-bounded search per
+  // terminal, plus one more from IKMB's candidate loop — the counts from
+  // before the two-terminal shortcut.
+  const Device device(ArchSpec::xc4000(10, 10, 6));
+  const Net net{device.block_node(5, 1), {device.block_node(1, 8), device.block_node(9, 6)}};
+  EXPECT_EQ(search_runs(device, net, Algorithm::kIkmb), 4u);
+  EXPECT_EQ(search_runs(device, net, Algorithm::kIdom), 3u);
 }
 
 TEST(NetTest, TerminalsPutSourceFirst) {

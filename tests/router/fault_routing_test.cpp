@@ -274,10 +274,11 @@ TEST(WidthSearchStatusTest, BudgetExhausted) {
 // direction) and keeps the wider answer — but the result must SAY so.
 // undecided_probes surfaces exactly those budget-aborted attempts, so a
 // kFound result with undecided_probes > 0 reads "min_width is an upper
-// bound". Calibrated: 32 center-crossing nets on an 8x8 array route at
-// width 3, the width-2 probe grinds through rip-up passes until the
-// 55k-expansion budget kills it, and the max-width probe decides with
-// room to spare.
+// bound". Calibrated: 32 center-crossing two-pin nets on an 8x8 array
+// route at width 3 (3,653 expansions), the width-2 probe grinds through
+// rip-up passes (14,296 expansions unbudgeted) until the 11.5k-expansion
+// budget kills it, and the max-width probe decides with room to spare
+// (8,932).
 TEST(WidthSearchStatusTest, FoundWithBudgetUndecidedProbesIsFlagged) {
   Circuit c;
   c.name = "crossings";
@@ -294,7 +295,7 @@ TEST(WidthSearchStatusTest, FoundWithBudgetUndecidedProbesIsFlagged) {
   WidthSearchOptions search;
   search.min_width = 1;
   search.max_width = 6;
-  search.node_budget_per_probe = 55'000;
+  search.node_budget_per_probe = 11'500;
   const WidthSearchResult r =
       find_min_channel_width(ArchSpec::xc4000(8, 8, 1), c, router, search);
   ASSERT_EQ(r.status, WidthSearchStatus::kFound);
