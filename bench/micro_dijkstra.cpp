@@ -2,7 +2,9 @@
 // versus the frozen pre-change engine (graph/dijkstra_reference.hpp), on
 // repeated single-source runs over Table 1's grid substrates at the paper's
 // congestion levels (none/low/medium), a random graph, and radius-bounded
-// scoped runs.
+// scoped runs. The scoped case also times a paused scoped run (the form
+// PathOracle caches) that is then probed at nodes past its pause point, so
+// each probe grows it on demand, against the one-shot ball.
 //
 // Both engines produce bit-identical dist arrays (checksummed here; pinned
 // exhaustively by tests/graph/dijkstra_differential_test.cpp), so the
@@ -11,7 +13,9 @@
 // Writes a machine-readable record (default BENCH_dijkstra.json, override
 // with --json <path>) — the start of the repo's perf trajectory.
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <random>
@@ -34,6 +38,7 @@ struct Case {
   std::string name;
   Graph graph;
   std::vector<NodeId> targets;  // non-empty => scoped dijkstra_within runs
+  std::vector<NodeId> probes;   // non-empty => also time paused run + probes
 };
 
 struct Measurement {
@@ -42,7 +47,22 @@ struct Measurement {
   double new_alloc_ns = 0;  // current engine, fresh tree per run
   long long runs = 0;
   double speedup = 0;  // ref_ns / new_ns
+  // Paused scoped run, then one read per probe (each may grow the tree).
+  double paused_ns = 0;
+  double ball_pops = 0;    // one-shot ball pops per run
+  double paused_pops = 0;  // pause + on-demand growth pops per run
 };
+
+/// True when `t` carries the reference tree's exact distance on every node.
+bool same_distances(const ShortestPathTree& t, const reference::Tree& ref) {
+  for (NodeId v = 0; v < t.node_count(); ++v) {
+    if (std::bit_cast<std::uint64_t>(t.distance(v)) !=
+        std::bit_cast<std::uint64_t>(ref.dist[static_cast<std::size_t>(v)])) {
+      return false;
+    }
+  }
+  return true;
+}
 
 /// Times `body(i)` for adaptively many iterations (>= min_seconds of total
 /// wall time after one warmup sweep) and returns ns per iteration.
@@ -73,15 +93,13 @@ Measurement measure_case(const Case& c, double min_seconds) {
     const NodeId s = source_of(i);
     if (c.targets.empty()) {
       dijkstra(g, s, reused);
-      const auto ref = reference::dijkstra(g, s);
-      if (reused.dist != ref.dist) {
+      if (!same_distances(reused, reference::dijkstra(g, s))) {
         std::fprintf(stderr, "FATAL: engines disagree on %s source %d\n", c.name.c_str(), s);
         std::exit(1);
       }
     } else {
       dijkstra_within(g, s, c.targets, reused);
-      const auto ref = reference::dijkstra_within(g, s, c.targets);
-      if (reused.dist != ref.dist) {
+      if (!same_distances(reused, reference::dijkstra_within(g, s, c.targets))) {
         std::fprintf(stderr, "FATAL: engines disagree on %s source %d\n", c.name.c_str(), s);
         std::exit(1);
       }
@@ -104,6 +122,7 @@ Measurement measure_case(const Case& c, double min_seconds) {
       },
       batch, min_seconds, runs);
 
+  const NodeId last = n - 1;
   m.new_ns = time_per_run(
       [&](int i) {
         if (c.targets.empty()) {
@@ -111,7 +130,7 @@ Measurement measure_case(const Case& c, double min_seconds) {
         } else {
           dijkstra_within(g, source_of(i), c.targets, reused);
         }
-        sink = sink + reused.dist.back();
+        sink = sink + reused.distance(last);
       },
       batch, min_seconds, m.runs);
 
@@ -119,9 +138,39 @@ Measurement measure_case(const Case& c, double min_seconds) {
       [&](int i) {
         const auto t = c.targets.empty() ? dijkstra(g, source_of(i))
                                          : dijkstra_within(g, source_of(i), c.targets);
-        sink = sink + t.dist.back();
+        sink = sink + t.distance(last);
       },
       batch, min_seconds, runs);
+
+  if (!c.probes.empty()) {
+    // Equal-answer guard: every probe reads what the one-shot ball says.
+    long long ball_pops = 0;
+    long long paused_pops = 0;
+    for (int i = 0; i < batch; ++i) {
+      dijkstra_within(g, source_of(i), c.targets, reused);
+      ShortestPathTree paused;
+      dijkstra_within_paused(g, source_of(i), c.targets, paused);
+      for (const NodeId p : c.probes) {
+        if (paused.knows(p) != reused.knows(p) ||
+            std::bit_cast<std::uint64_t>(paused.distance(p)) !=
+                std::bit_cast<std::uint64_t>(reused.distance(p))) {
+          std::fprintf(stderr, "FATAL: paused tree disagrees on %s source %d probe %d\n",
+                       c.name.c_str(), source_of(i), p);
+          std::exit(1);
+        }
+      }
+      ball_pops += reused.run_pops() + reused.resume_pops();
+      paused_pops += paused.run_pops() + paused.resume_pops();
+    }
+    m.ball_pops = static_cast<double>(ball_pops) / batch;
+    m.paused_pops = static_cast<double>(paused_pops) / batch;
+    m.paused_ns = time_per_run(
+        [&](int i) {
+          dijkstra_within_paused(g, source_of(i), c.targets, reused);
+          for (const NodeId p : c.probes) sink = sink + reused.distance(p);
+        },
+        batch, min_seconds, runs);
+  }
 
   m.speedup = m.ref_ns / m.new_ns;
   return m;
@@ -174,22 +223,28 @@ int main(int argc, char** argv) {
   std::vector<Case> cases;
   {
     GridGraph g30(30, 30);
-    cases.push_back({"grid30_uncongested", g30.graph(), {}});
-    cases.push_back({"grid30_congested_low", congested_grid(30, 10, 1995), {}});
-    cases.push_back({"grid30_congested_med", congested_grid(30, 20, 1995), {}});
+    cases.push_back({"grid30_uncongested", g30.graph(), {}, {}});
+    cases.push_back({"grid30_congested_low", congested_grid(30, 10, 1995), {}, {}});
+    cases.push_back({"grid30_congested_med", congested_grid(30, 20, 1995), {}, {}});
     GridGraph g60(60, 60);
-    cases.push_back({"grid60_uncongested", g60.graph(), {}});
-    cases.push_back({"grid60_congested_med", congested_grid(60, 20, 1996), {}});
-    cases.push_back({"random1500", random_graph(1500, 3000, 1995), {}});
+    cases.push_back({"grid60_uncongested", g60.graph(), {}, {}});
+    cases.push_back({"grid60_congested_med", congested_grid(60, 20, 1996), {}, {}});
+    cases.push_back({"random1500", random_graph(1500, 3000, 1995), {}, {}});
     Graph g40 = congested_grid(40, 20, 1997);
     GridGraph coords(40, 40);
     std::vector<NodeId> targets;
     for (int i = 0; i < 8; ++i) targets.push_back(coords.node_at(3 + 2 * i, 5 + i));
-    cases.push_back({"grid40_congested_scoped8", std::move(g40), targets});
+    // Probes past the pause point: a node beyond the farthest target, one
+    // between targets, and one behind the first target.
+    const std::vector<NodeId> probes{coords.node_at(20, 14), coords.node_at(10, 16),
+                                     coords.node_at(1, 3)};
+    cases.push_back({"grid40_congested_scoped8", std::move(g40), targets, probes});
   }
 
   const bench::Stopwatch watch;
   TextTable table({"Case", "V", "E", "old ns/run", "new ns/run", "new+alloc", "speedup"});
+  TextTable paused_table({"Case", "ball ns/run", "paused+probes ns/run", "ball pops",
+                          "paused+probes pops"});
   bench::Json rows = bench::Json::array();
   double log_speedup_sum = 0;
   for (const Case& c : cases) {
@@ -202,22 +257,38 @@ int main(int argc, char** argv) {
                    std::to_string(static_cast<long long>(m.ref_ns)),
                    std::to_string(static_cast<long long>(m.new_ns)),
                    std::to_string(static_cast<long long>(m.new_alloc_ns)), speedup});
-    rows.element(bench::Json::object()
-                     .field("case", c.name)
-                     .field("nodes", static_cast<long long>(c.graph.node_count()))
-                     .field("edges", static_cast<long long>(c.graph.edge_count()))
-                     .field("scoped", !c.targets.empty())
-                     .field("runs", m.runs)
-                     .field("ref_ns_per_run", m.ref_ns)
-                     .field("new_ns_per_run", m.new_ns)
-                     .field("new_alloc_ns_per_run", m.new_alloc_ns)
-                     .field("speedup", m.speedup));
+    if (!c.probes.empty()) {
+      paused_table.add_row({c.name, std::to_string(static_cast<long long>(m.new_ns)),
+                            std::to_string(static_cast<long long>(m.paused_ns)),
+                            std::to_string(static_cast<long long>(m.ball_pops)),
+                            std::to_string(static_cast<long long>(m.paused_pops))});
+    }
+    bench::Json row = bench::Json::object();
+    row.field("case", c.name)
+        .field("nodes", static_cast<long long>(c.graph.node_count()))
+        .field("edges", static_cast<long long>(c.graph.edge_count()))
+        .field("scoped", !c.targets.empty())
+        .field("runs", m.runs)
+        .field("ref_ns_per_run", m.ref_ns)
+        .field("new_ns_per_run", m.new_ns)
+        .field("new_alloc_ns_per_run", m.new_alloc_ns)
+        .field("speedup", m.speedup);
+    if (!c.probes.empty()) {
+      row.field("probes", static_cast<long long>(c.probes.size()))
+          .field("paused_probed_ns_per_run", m.paused_ns)
+          .field("ball_pops_per_run", m.ball_pops)
+          .field("paused_probed_pops_per_run", m.paused_pops);
+    }
+    rows.element(row);
   }
   const double geomean =
       std::exp(log_speedup_sum / static_cast<double>(cases.size()));
   const double elapsed = watch.seconds();
 
   std::printf("%s", table.render().c_str());
+  std::printf("\npaused scoped runs, probed past the pause point (one-shot ball vs pause + "
+              "growth on demand)\n%s",
+              paused_table.render().c_str());
   std::printf("\ngeomean speedup %.2fx  (single thread; both engines produce identical trees)\n",
               geomean);
   std::printf("[micro_dijkstra] total time %.1fs\n", elapsed);

@@ -73,6 +73,9 @@ TreeMetrics measure(const Graph& g, const Net& net, const RoutingTree& tree, Pat
 OracleStats oracle_stats(const PathOracle& oracle) {
   OracleStats s;
   s.dijkstra_runs = oracle.dijkstra_runs();
+  s.run_pops = oracle.run_pops();
+  s.resumes = oracle.resumes();
+  s.resume_pops = oracle.resume_pops();
   s.cache_hits = oracle.cache_hits();
   s.cache_misses = oracle.cache_misses();
   s.hit_rate = oracle.hit_rate();
@@ -80,10 +83,13 @@ OracleStats oracle_stats(const PathOracle& oracle) {
 }
 
 std::string format_oracle_stats(const OracleStats& stats) {
-  char buf[128];
-  std::snprintf(buf, sizeof(buf), "dijkstra runs %zu, cache %zu/%zu hits (%.1f%%)",
-                stats.dijkstra_runs, stats.cache_hits, stats.cache_hits + stats.cache_misses,
-                100.0 * stats.hit_rate);
+  char buf[192];
+  std::snprintf(buf, sizeof(buf),
+                "dijkstra runs %zu (%lld pops), resumes %lld (%lld pops), cache %zu/%zu hits "
+                "(%.1f%%)",
+                stats.dijkstra_runs, static_cast<long long>(stats.run_pops),
+                static_cast<long long>(stats.resumes), static_cast<long long>(stats.resume_pops),
+                stats.cache_hits, stats.cache_hits + stats.cache_misses, 100.0 * stats.hit_rate);
   return std::string(buf);
 }
 

@@ -82,6 +82,9 @@ TreeMetrics measure(const Graph& g, const Net& net, const RoutingTree& tree, Pat
 /// the Section-3 "factor out common computations" cache actually paid off.
 struct OracleStats {
   std::size_t dijkstra_runs = 0;
+  std::int64_t run_pops = 0;     // heap pops of those runs
+  std::int64_t resumes = 0;      // reads that grew a paused scoped tree
+  std::int64_t resume_pops = 0;  // heap pops of that growth
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
   double hit_rate = 0;  // hits / (hits + misses), 0 when never queried
@@ -90,7 +93,7 @@ struct OracleStats {
 OracleStats oracle_stats(const PathOracle& oracle);
 
 /// One-line rendering for bench/harness logs, e.g.
-/// "dijkstra runs 12, cache 240/252 hits (95.2%)".
+/// "dijkstra runs 12 (3400 pops), resumes 30 (900 pops), cache 240/252 hits (95.2%)".
 std::string format_oracle_stats(const OracleStats& stats);
 
 /// Percent delta of `value` w.r.t. `reference`, as Table 1 reports it:

@@ -1,9 +1,11 @@
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "graph/budget.hpp"
+#include "graph/dijkstra_arena.hpp"
 #include "graph/distance_bound.hpp"
 #include "graph/graph.hpp"
 #include "graph/types.hpp"
@@ -15,41 +17,72 @@ namespace fpr {
 /// Distances to deactivated or unreachable nodes are kInfiniteWeight.
 /// Ties are broken deterministically (smaller node id first), so the parent
 /// forest — and every algorithm built on it — is reproducible.
-struct ShortestPathTree {
-  NodeId source = kInvalidNode;
-  std::vector<Weight> dist;
-  std::vector<NodeId> parent;       // predecessor node on a shortest path
-  std::vector<EdgeId> parent_edge;  // edge to that predecessor
+///
+/// The tree owns its search state (DijkstraArena): labels, heap and heap
+/// positions stay where the run stopped. A tree from dijkstra_within_paused
+/// is a *paused* run that grows on reads: every read of a node (knows,
+/// reached, distance, parent, parent_edge, path_edges_to, path_nodes_to)
+/// first resumes the run until that node settles or the frontier passes
+/// the run's limit, and complete() grows it to the limit. Growth settles in
+/// the same packed (dist, id) order as one uninterrupted run, so a paused
+/// tree answers every read bit for bit as the fully grown ball would —
+/// DESIGN.md §8. Reading a paused tree mutates it, so a tree must not be
+/// read from two threads at once (DESIGN.md §7). Every other tree is
+/// sealed: reads never grow it.
+class ShortestPathTree {
+ public:
+  NodeId source() const { return source_; }
 
-  /// Empty for a complete run. For a radius-bounded run (dijkstra_within),
-  /// flags the nodes whose distances are final; everything else is unknown
-  /// (not "unreachable").
-  std::vector<char> settled;
+  /// Number of nodes of the graph the run searched.
+  NodeId node_count() const { return node_count_; }
 
-  /// Targets dijkstra_within skipped because they were deactivated — they
+  /// Targets the scoped run skipped because they were deactivated — they
   /// can never be settled, so they must not hold the radius limit open.
   /// Nonzero values make that (previously silent) degradation observable.
-  int inactive_targets = 0;
+  int inactive_targets() const { return inactive_targets_; }
 
-  /// True when the run stopped because a WorkBudget ran out of node
-  /// expansions (see graph/budget.hpp). The tree is partial: `settled`
-  /// flags the nodes whose labels are final, exactly as for a
-  /// radius-bounded early stop, and queries outside it must consult
-  /// knows(). Budget-aborted runs are deterministic — the same budget
-  /// always settles the same node set.
-  bool budget_aborted = false;
+  /// True when the run (or the latest growth of a paused tree) stopped
+  /// because a WorkBudget ran out of node expansions (see
+  /// graph/budget.hpp). The tree is partial: only the nodes settled before
+  /// the stop are known, exactly as for a radius-bounded early stop, and
+  /// queries outside them must consult knows(). Budget stops are
+  /// deterministic — the same budget always settles the same node set.
+  bool budget_aborted() const { return budget_aborted_; }
 
-  bool reached(NodeId v) const { return dist[static_cast<std::size_t>(v)] < kInfiniteWeight; }
-
-  /// True when this tree can answer queries about v: either the run was
-  /// complete, or v was settled before the early stop.
-  bool knows(NodeId v) const {
-    return settled.empty() || settled[static_cast<std::size_t>(v)] != 0;
+  bool reached(NodeId v) const {
+    grow_to(v);
+    return arena_.touched(v);
   }
 
-  bool complete() const { return settled.empty(); }
+  /// True when this tree can answer queries about v: either the run was
+  /// complete, or v settled before the run stopped.
+  bool knows(NodeId v) const {
+    grow_to(v);
+    return settled(v);
+  }
 
-  Weight distance(NodeId v) const { return dist[static_cast<std::size_t>(v)]; }
+  /// True when the run drained the source's component, so every node is
+  /// known. A paused tree grows to its limit first.
+  bool complete() const {
+    grow_to(kInvalidNode);
+    return arena_.heap_empty();
+  }
+
+  Weight distance(NodeId v) const {
+    grow_to(v);
+    return arena_.dist(v);
+  }
+
+  /// Predecessor of v on its shortest path and the edge to it;
+  /// kInvalidNode / kInvalidEdge for the source and for unreached nodes.
+  NodeId parent(NodeId v) const {
+    grow_to(v);
+    return arena_.parent(v);
+  }
+  EdgeId parent_edge(NodeId v) const {
+    grow_to(v);
+    return arena_.parent_edge(v);
+  }
 
   /// Edges of the source -> v shortest path (empty when v == source).
   /// Returns an empty path when v is unreachable — previously that was
@@ -60,6 +93,86 @@ struct ShortestPathTree {
   /// Nodes of the source -> v shortest path, source first. Empty when v is
   /// unreachable (same contract as path_edges_to).
   std::vector<NodeId> path_nodes_to(NodeId v) const;
+
+  // ---- paused runs (PathOracle) ----
+
+  /// True for a tree from dijkstra_within_paused: reads may grow it.
+  bool paused() const { return graph_ != nullptr; }
+
+  /// The budget growth charges, one unit per pop; nullptr charges nothing.
+  /// PathOracle re-points its trees whenever its own budget changes.
+  void charge_growth_to(WorkBudget* budget) { budget_ = budget; }
+
+  /// Lifts a paused tree's limit to infinity: later reads grow it past its
+  /// ball, toward a complete tree (PathOracle::from_knowing's upgrade).
+  void lift_limit() {
+    limit_ = kInfiniteWeight;
+    pending_.clear();
+  }
+
+  /// Growth observability: the pops of the run that filled this tree, and
+  /// the number of resumes (reads that had to grow it) and their pops.
+  std::int64_t run_pops() const { return run_pops_; }
+  std::int64_t resumes() const { return resumes_; }
+  std::int64_t resume_pops() const { return resume_pops_; }
+
+ private:
+  friend void dijkstra(const Graph&, NodeId, ShortestPathTree&, WorkBudget*);
+  friend void dijkstra_to(const Graph&, NodeId, NodeId, DistanceBound, ShortestPathTree&,
+                          WorkBudget*);
+  friend void dijkstra_within_paused(const Graph&, NodeId, std::span<const NodeId>,
+                                     ShortestPathTree&, double, Weight, WorkBudget*);
+  friend void dijkstra_within(const Graph&, NodeId, std::span<const NodeId>, ShortestPathTree&,
+                              double, Weight, WorkBudget*);
+
+  /// Resets the tree and seeds a run from `source` (heap key
+  /// `source_key`) toward `targets`.
+  void start(const Graph& g, NodeId source, std::span<const NodeId> targets,
+             double radius_factor, Weight slack, WorkBudget* budget, bool goal_directed,
+             Weight source_key);
+
+  /// The one settle loop (dijkstra.cpp), shared by first runs and growth.
+  /// Pops until the heap drains, the minimum key passes limit_, the budget
+  /// runs out, `probe` settles, or — with `pause` — the last pending target
+  /// settles. Returns the number of pops.
+  template <typename Bound>
+  std::int64_t settle(const Graph& g, const Bound& h, NodeId probe, bool pause) const;
+
+  /// Resumes a paused run until `probe` settles (kInvalidNode: until the
+  /// limit). No-op on a sealed tree or when nothing is left to grow.
+  void grow_to(NodeId probe) const {
+    if (graph_ == nullptr || arena_.heap_empty()) return;
+    if (probe != kInvalidNode && settled(probe)) return;
+    if (arena_.heap_min_key() > limit_) return;
+    resume(probe);
+  }
+  void resume(NodeId probe) const;
+
+  bool settled(NodeId v) const {
+    return goal_directed_ ? arena_.heap_empty() || arena_.settled_by_mark(v)
+                          : arena_.settled_by_key(v);
+  }
+
+  /// Ends growth: the tree answers from what it has settled from now on.
+  void seal() { graph_ = nullptr; }
+
+  NodeId source_ = kInvalidNode;
+  NodeId node_count_ = 0;
+  int inactive_targets_ = 0;
+  bool goal_directed_ = false;
+  double radius_factor_ = 0;  // the limit is radius_factor_ * d + slack_,
+  Weight slack_ = 0;          // d the last pending target's distance
+  const Graph* graph_ = nullptr;  // non-null while paused
+  std::uint64_t revision_ = 0;    // graph_->revision() when the run started
+  WorkBudget* budget_ = nullptr;
+  // Search state: a paused tree's reads advance it.
+  mutable DijkstraArena arena_;
+  mutable Weight limit_ = kInfiniteWeight;  // infinite until the targets settle
+  mutable std::vector<NodeId> pending_;     // live targets not yet settled
+  mutable bool budget_aborted_ = false;
+  std::int64_t run_pops_ = 0;
+  mutable std::int64_t resumes_ = 0;
+  mutable std::int64_t resume_pops_ = 0;
 };
 
 /// Runs Dijkstra over the usable part of g. O((V + E) log V).
@@ -67,21 +180,20 @@ struct ShortestPathTree {
 /// The engine walks the graph's adjacency — the flat adjacency
 /// (Graph::flat_adjacency()) of a materialized graph or of a tiled graph at
 /// or below the size cut, or the tile template above it — reading weights
-/// and activity from Graph::state_view(), with a thread-local epoch-stamped
-/// arena and an indexed 4-ary heap with decrease-key — see DESIGN.md §8.
-/// Output is bit-identical to the historical binary-heap engine (kept in
+/// and activity from Graph::state_view(), into the tree's own arena with an
+/// indexed 4-ary heap with decrease-key — see DESIGN.md §8. Output is
+/// bit-identical to the historical binary-heap engine (kept in
 /// graph/dijkstra_reference.hpp and pinned by
 /// tests/graph/dijkstra_differential_test.cpp).
 ShortestPathTree dijkstra(const Graph& g, NodeId source);
 
-/// Allocation-free variant: runs into `out`, reusing its vectors' capacity.
-/// Repeated calls with the same tree object allocate nothing at steady
-/// state (the router's two-pin baseline and the microbench use this).
+/// Reuse variant: runs into `out`, reusing its arena's memory (the router's
+/// two-pin baseline and the microbench use this).
 ///
 /// `budget` (optional) charges one unit per node expansion and stops the
-/// run — marking the tree budget_aborted, with `settled` flagging the
-/// final labels — once the budget is spent. A null budget reproduces the
-/// historical engine bit-for-bit.
+/// run — marking the tree budget_aborted, with only the nodes expanded
+/// before the stop known — once the budget is spent. A null budget
+/// reproduces the historical engine bit-for-bit.
 void dijkstra(const Graph& g, NodeId source, ShortestPathTree& out, WorkBudget* budget = nullptr);
 
 /// Point-to-point shortest paths from `source` toward `target`: the same
@@ -94,27 +206,41 @@ void dijkstra(const Graph& g, NodeId source, ShortestPathTree& out, WorkBudget* 
 /// the one Dijkstra settles first; within it the lowest edge id), which
 /// needs a consistent bound — see DistanceBound and DESIGN.md §8.
 ///
-/// `settled` flags the final labels; queries outside it must consult
-/// knows(). A run that drains the component (unreachable or inactive
-/// target) is marked complete. `budget` charges one unit per pop; on a
-/// budget stop at key F only the nodes popped with f < F count as settled,
-/// so the result is deterministic for a given budget.
+/// Queries outside the settled set must consult knows(). A run that drains
+/// the component (unreachable or inactive target) is complete. `budget`
+/// charges one unit per pop; on a budget stop at key F only the nodes
+/// popped with f < F count as settled, so the result is deterministic for
+/// a given budget. The tree is sealed: it never grows.
 void dijkstra_to(const Graph& g, NodeId source, NodeId target, DistanceBound bound,
                  ShortestPathTree& out, WorkBudget* budget = nullptr);
 
-/// Radius-bounded Dijkstra: settles at least every reachable node in
-/// `targets`, then keeps expanding until the frontier key exceeds
-/// radius_factor * (max settled target distance) + slack, and marks what it
-/// settled. On large FPGA routing graphs this prices a local net at the
-/// cost of its neighborhood instead of the whole device; the generous
-/// default radius covers the Steiner "corridor" (nodes on shortest paths
-/// between targets plus their neighbors) from every target's viewpoint.
-/// If the search exhausts the component anyway, the result is marked
-/// complete. Queries outside the settled set must consult knows() —
-/// PathOracle does this and transparently falls back to a full run.
-/// Deactivated targets are skipped (counted in ShortestPathTree::
-/// inactive_targets) rather than left pending forever; if every target is
-/// inactive the run is unbounded, like dijkstra().
+/// Radius-bounded Dijkstra, paused: settles every reachable node in
+/// `targets` and stops right after the last one settles, at distance d. The
+/// limit radius_factor * d + slack that a one-shot run would have expanded
+/// to is recorded as the tree's logical extent: reads grow the tree on
+/// demand, never past it, so each read answers as if the whole ball had
+/// been settled up front (see ShortestPathTree). Growth charges the budget
+/// last given to charge_growth_to (initially `budget`), and both that
+/// budget and `g` must outlive every read that can grow the tree. Growth
+/// also requires the graph unchanged: growing after g.revision() moved is
+/// an FPR_CHECK failure. PathOracle's scoped trees are paused runs; lift_limit() turns
+/// one into an unbounded run without restarting it.
+///
+/// On large FPGA routing graphs this prices a local net at the cost of its
+/// neighborhood instead of the whole device; the generous default radius
+/// covers the Steiner "corridor" (nodes on shortest paths between targets
+/// plus their neighbors) from every target's viewpoint. If the ball
+/// exhausts the component, the grown tree is complete. Deactivated targets
+/// are skipped (counted in inactive_targets()) rather than left pending
+/// forever; if every target is inactive the run is unbounded, like
+/// dijkstra().
+void dijkstra_within_paused(const Graph& g, NodeId source, std::span<const NodeId> targets,
+                            ShortestPathTree& out, double radius_factor = 1.3,
+                            Weight slack = 4.0, WorkBudget* budget = nullptr);
+
+/// The one-shot ball: dijkstra_within_paused, then grown to its limit and
+/// sealed. Queries outside the ball must consult knows() — PathOracle does
+/// this and transparently falls back to an unbounded run.
 ShortestPathTree dijkstra_within(const Graph& g, NodeId source, std::span<const NodeId> targets,
                                  double radius_factor = 1.3, Weight slack = 4.0);
 

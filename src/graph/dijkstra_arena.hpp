@@ -2,59 +2,56 @@
 
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "graph/types.hpp"
 
 namespace fpr {
 
-/// Reusable scratch space for the Dijkstra engine: per-node labels
-/// (dist/parent/parent_edge), a dirty list that makes resets cost
-/// O(nodes actually touched) instead of O(graph), an epoch counter that
-/// makes target-set setup/teardown O(1), and an indexed 4-ary min-heap with
-/// decrease-key.
+/// The search state of one Dijkstra run: per-node labels
+/// (dist/parent/parent_edge) and an indexed 4-ary min-heap with
+/// decrease-key. A ShortestPathTree owns its arena and keeps it after the
+/// run stops, so a paused run resumes exactly where it stopped: the heap
+/// still holds the frontier and every label is where the run left it
+/// (DESIGN.md §8). Nothing is exported or copied when a run ends.
 ///
-/// The distance array upholds one invariant between runs: every node not
-/// touched by the current run holds kInfiniteWeight. begin_run() restores
-/// it by rewriting only the previous run's dirty list, so the relaxation
-/// test in the hot loop is a single array load (`nd < dist_[v]`) with no
-/// validity branch, and a scoped run that touches 50 nodes of a 100k-node
-/// graph pays for 50, not 100k. Target marks (dijkstra_within) use an
-/// epoch-stamped array instead: marking and discarding the target set is
-/// O(1) regardless of how many targets a caller passes. The arrays grow
-/// monotonically to the largest graph seen and are never shrunk, making
-/// repeated single-source runs allocation-free at steady state.
+/// The distance array upholds one invariant: every node the run has not
+/// touched holds kInfiniteWeight, so the relaxation test in the hot loop is
+/// a single array load (`nd < dist_[v]`) with no validity branch. The
+/// parent and heap-position arrays are left uninitialized and read only for
+/// touched nodes, so a fresh run over a large graph writes one array, not
+/// three, and only faults in the pages its ball touches.
 ///
 /// Heap entries carry their key inline, so sift comparisons stay within the
 /// heap array instead of chasing dist_ at scattered indices; pos_ maps a
 /// touched, unsettled node back to its entry for decrease-key, so each node
-/// appears at most once. An entry packs (distance bits << 32 | node id)
-/// into one 128-bit integer: distances are non-negative finite doubles,
-/// whose IEEE-754 bit patterns order identically to their values, so a
-/// single integer comparison reproduces the (dist, node) lexicographic
-/// order — smaller node id first among equal distances — that the previous
-/// std::priority_queue engine used. Settle order, and with it the parent
-/// forest, is therefore bit-identical, and the tie-heavy comparisons of
-/// uniform-weight graphs cost one predictable compare instead of a
-/// FP-equality branch cascade.
+/// appears at most once. An entry packs (key bits << 32 | node id) into one
+/// 128-bit integer: keys are non-negative finite doubles, whose IEEE-754 bit
+/// patterns order identically to their values, so a single integer
+/// comparison reproduces the (key, node) lexicographic order — smaller node
+/// id first among equal keys — that the historical std::priority_queue
+/// engine used. Settle order, and with it the parent forest, is therefore
+/// bit-identical, and the tie-heavy comparisons of uniform-weight graphs
+/// cost one predictable compare instead of a FP-equality branch cascade.
 ///
-/// One arena serves one thread. Use thread_local_instance() to get this
-/// thread's pooled arena; that composes with the src/core/parallel pool
-/// (each worker thread owns one arena for the pool's lifetime) and with
-/// ad-hoc std::threads alike. Isolation is by construction (thread_local
-/// storage), not by locking, so no member carries an FPR_GUARDED_BY from
-/// core/annotations.hpp: an arena is never reachable from two threads.
+/// Because plain Dijkstra settles in strictly increasing (dist, id) order,
+/// the settled set is derived, not stored: a touched node is settled iff
+/// its packed label is below the heap minimum (see settled_by_key). The
+/// point-to-point mode keys by f = d + h instead, which breaks that
+/// derivation, so it marks each popped node in its pos_ slot.
+///
+/// An arena belongs to one tree, and a tree to one thread at a time
+/// (reading a paused tree may grow it), so no member carries an
+/// FPR_GUARDED_BY from core/annotations.hpp.
 class DijkstraArena {
  public:
-  /// This thread's pooled arena.
-  static DijkstraArena& thread_local_instance();
-
-  /// Starts a new run over a graph of `node_count` nodes: grows the arrays
-  /// if needed and invalidates every label from the previous run, paying
-  /// only for the nodes that run actually touched.
+  /// Starts a new run over a graph of `node_count` nodes: (re)allocates the
+  /// arrays if the graph is larger than any this arena has seen, and resets
+  /// every distance to kInfiniteWeight.
   void begin_run(NodeId node_count);
 
-  // ---- per-node labels (valid only when touched this run) ----
+  // ---- per-node labels ----
 
   bool touched(NodeId v) const { return dist_[static_cast<std::size_t>(v)] < kInfiniteWeight; }
 
@@ -83,7 +80,6 @@ class DijkstraArena {
     origin_[idx] = {par, via};
     std::int32_t i;
     if (first_touch) {
-      dirty_.push_back(v);
       i = static_cast<std::int32_t>(heap_.size());
       heap_.push_back(make_entry(key, v));
     } else {
@@ -111,33 +107,29 @@ class DijkstraArena {
     if (!heap_.empty()) sift_down_from_root(last);
   }
 
-  // ---- settle log (point-to-point mode) ----
+  // ---- settled set ----
 
-  /// Nodes in the order they were popped this run. Plain Dijkstra derives
-  /// its settled set from (dist, id) instead and never writes this.
-  void log_settle(NodeId v) { settled_log_.push_back(v); }
-  const std::vector<NodeId>& settle_log() const { return settled_log_; }
+  /// Plain Dijkstra: v is settled iff it was touched and (dist(v), v) is
+  /// below the heap minimum, or the heap has drained.
+  bool settled_by_key(NodeId v) const {
+    if (heap_.empty()) return true;
+    return touched(v) && make_entry(dist(v), v) < heap_.front();
+  }
 
-  // ---- pending-target bookkeeping (dijkstra_within) ----
-
-  void mark_pending(NodeId v) { pending_stamp_[static_cast<std::size_t>(v)] = epoch_; }
-  bool pending(NodeId v) const { return pending_stamp_[static_cast<std::size_t>(v)] == epoch_; }
-  void clear_pending(NodeId v) { pending_stamp_[static_cast<std::size_t>(v)] = 0; }
-
-  NodeId capacity() const { return static_cast<NodeId>(dist_.size()); }
-
-  /// Copies this run's labels for nodes [0, node_count) into the output
-  /// arrays (resized to fit; reuse keeps their capacity). dist_ already
-  /// holds kInfiniteWeight for untouched nodes, so the distance column is a
-  /// wholesale copy; parent columns mask untouched entries branchlessly.
-  void export_labels(NodeId node_count, std::vector<Weight>& dist, std::vector<NodeId>& parent,
-                     std::vector<EdgeId>& parent_edge) const;
+  /// Point-to-point mode: pop marks. A popped node's pos_ slot is free, so
+  /// it holds the mark; mark_unsettled withdraws one (a budget stop's
+  /// trailing tie run).
+  void mark_settled(NodeId v) { pos_[static_cast<std::size_t>(v)] = kSettledMark; }
+  void mark_unsettled(NodeId v) { pos_[static_cast<std::size_t>(v)] = kUnsettledMark; }
+  bool settled_by_mark(NodeId v) const {
+    return touched(v) && pos_[static_cast<std::size_t>(v)] == kSettledMark;
+  }
 
  private:
-  // (dist bits << 32) | node id. Heap keys are always finite non-negative
+  // (key bits << 32) | node id. Heap keys are always finite non-negative
   // (an infinite tentative distance can never win the strict-improvement
   // test), and non-negative doubles order as their uint64 bit patterns, so
-  // one unsigned comparison yields the lexicographic (dist, node) order.
+  // one unsigned comparison yields the lexicographic (key, node) order.
   // __extension__ keeps -Wpedantic quiet about the non-ISO 128-bit type;
   // both GCC and clang honor it, and both targets guarantee __int128.
   __extension__ typedef unsigned __int128 HeapEntry;
@@ -145,6 +137,8 @@ class DijkstraArena {
     NodeId parent;
     EdgeId via;
   };
+  static constexpr std::int32_t kSettledMark = -1;
+  static constexpr std::int32_t kUnsettledMark = -2;
 
   static HeapEntry make_entry(Weight d, NodeId v) {
     return (static_cast<HeapEntry>(std::bit_cast<std::uint64_t>(d)) << 32) |
@@ -210,14 +204,40 @@ class DijkstraArena {
     sift_up(i);
   }
 
-  std::uint32_t epoch_ = 0;               // validates pending_stamp_ marks
+  std::size_t capacity_ = 0;
+  std::vector<Weight> dist_;          // invariant: kInfiniteWeight unless touched
+  std::unique_ptr<Origin[]> origin_;  // {parent, parent_edge}; valid where touched
+  std::unique_ptr<std::int32_t[]> pos_;  // heap index of a touched, unsettled node
+  std::vector<HeapEntry> heap_;          // 4-ary implicit heap, keys inline
+};
+
+/// Per-thread scratch for one settle call: an epoch-stamped target-mark
+/// array, so a scoped run marks and discards its pending targets in O(1)
+/// regardless of how many a caller passes, and the point-to-point mode's
+/// pop log. Neither outlives the call, so unlike a tree's labels they can
+/// be pooled per thread; the arrays grow monotonically to the largest
+/// graph seen.
+class DijkstraScratch {
+ public:
+  /// This thread's pooled scratch.
+  static DijkstraScratch& thread_local_instance();
+
+  /// Starts a new call over a graph of `node_count` nodes: invalidates every
+  /// mark in O(1) and empties the pop log.
+  void begin(NodeId node_count);
+
+  void mark_pending(NodeId v) { pending_stamp_[static_cast<std::size_t>(v)] = epoch_; }
+  bool pending(NodeId v) const { return pending_stamp_[static_cast<std::size_t>(v)] == epoch_; }
+  void clear_pending(NodeId v) { pending_stamp_[static_cast<std::size_t>(v)] = 0; }
+
+  /// Nodes in the order the point-to-point mode popped them this call.
+  void log_settle(NodeId v) { settle_log_.push_back(v); }
+  const std::vector<NodeId>& settle_log() const { return settle_log_; }
+
+ private:
+  std::uint32_t epoch_ = 0;  // validates pending_stamp_ marks
   std::vector<std::uint32_t> pending_stamp_;
-  std::vector<Weight> dist_;    // invariant: kInfiniteWeight unless touched
-  std::vector<Origin> origin_;  // {parent, parent_edge}, written as one record
-  std::vector<NodeId> dirty_;      // nodes touched by the current run
-  std::vector<std::int32_t> pos_;  // heap index of a touched, unsettled node
-  std::vector<HeapEntry> heap_;    // 4-ary implicit heap, keys inline
-  std::vector<NodeId> settled_log_;  // pop order (point-to-point mode only)
+  std::vector<NodeId> settle_log_;
 };
 
 }  // namespace fpr

@@ -6,8 +6,8 @@
 #include <utility>
 #include <vector>
 
-#include "graph/dijkstra.hpp"
 #include "graph/graph.hpp"
+#include "graph/types.hpp"
 
 /// The pre-CSR Dijkstra engine, frozen verbatim: per-call vector
 /// initialization, lazy-deletion binary priority_queue of (dist, node)
@@ -20,6 +20,10 @@
 ///  - bench/micro_dijkstra can report the speedup of the current engine
 ///    over this baseline into the BENCH_dijkstra.json perf trajectory.
 ///
+/// It fills its own label-array tree type (fpr::reference::Tree) rather
+/// than ShortestPathTree, whose labels live in the search state and are
+/// read through growing accessors.
+///
 /// Known quirk, preserved on purpose: when a radius-bounded run exhausts
 /// the whole component, this engine may still report it as stopped-early
 /// (settled flags populated) if a superseded heap entry above the radius
@@ -28,11 +32,24 @@
 /// exactly this relationship.
 namespace fpr::reference {
 
-inline ShortestPathTree dijkstra_impl(const Graph& g, NodeId source,
-                                      std::span<const NodeId> targets, double radius_factor,
-                                      Weight slack) {
+/// A shortest-path tree as plain label arrays: `settled` is empty for a
+/// complete run and flags the final labels of a stopped-early one.
+struct Tree {
+  NodeId source = kInvalidNode;
+  std::vector<Weight> dist;
+  std::vector<NodeId> parent;
+  std::vector<EdgeId> parent_edge;
+  std::vector<char> settled;
+  int inactive_targets = 0;
+
+  bool reached(NodeId v) const { return dist[static_cast<std::size_t>(v)] < kInfiniteWeight; }
+  bool complete() const { return settled.empty(); }
+};
+
+inline Tree dijkstra_impl(const Graph& g, NodeId source, std::span<const NodeId> targets,
+                          double radius_factor, Weight slack) {
   const auto n = static_cast<std::size_t>(g.node_count());
-  ShortestPathTree t;
+  Tree t;
   t.source = source;
   t.dist.assign(n, kInfiniteWeight);
   t.parent.assign(n, kInvalidNode);
@@ -96,13 +113,12 @@ inline ShortestPathTree dijkstra_impl(const Graph& g, NodeId source,
   return t;
 }
 
-inline ShortestPathTree dijkstra(const Graph& g, NodeId source) {
+inline Tree dijkstra(const Graph& g, NodeId source) {
   return dijkstra_impl(g, source, {}, 0, 0);
 }
 
-inline ShortestPathTree dijkstra_within(const Graph& g, NodeId source,
-                                        std::span<const NodeId> targets,
-                                        double radius_factor = 1.3, Weight slack = 4.0) {
+inline Tree dijkstra_within(const Graph& g, NodeId source, std::span<const NodeId> targets,
+                             double radius_factor = 1.3, Weight slack = 4.0) {
   return dijkstra_impl(g, source, targets, radius_factor, slack);
 }
 

@@ -6,9 +6,30 @@ namespace fpr {
 
 void PathOracle::refresh() {
   if (revision_ != g_->revision()) {
+    for (const auto& [source, tree] : cache_) {  // keep their growth counts
+      retired_resumes_ += tree->resumes();
+      retired_resume_pops_ += tree->resume_pops();
+    }
     cache_.clear();
     revision_ = g_->revision();
   }
+}
+
+void PathOracle::set_budget(WorkBudget* budget) {
+  budget_ = budget;
+  for (const auto& [source, tree] : cache_) tree->charge_growth_to(budget);
+}
+
+std::int64_t PathOracle::resumes() const {
+  std::int64_t n = retired_resumes_;
+  for (const auto& [source, tree] : cache_) n += tree->resumes();
+  return n;
+}
+
+std::int64_t PathOracle::resume_pops() const {
+  std::int64_t n = retired_resume_pops_;
+  for (const auto& [source, tree] : cache_) n += tree->resume_pops();
+  return n;
 }
 
 NodeId PathOracle::point_to_point_goal(NodeId source) const {
@@ -28,8 +49,10 @@ const ShortestPathTree& PathOracle::from(NodeId source) {
     } else if (const NodeId goal = point_to_point_goal(source); goal != kInvalidNode) {
       dijkstra_to(*g_, source, goal, *bound_, *tree, budget_);
     } else {
-      dijkstra_within(*g_, source, scope_, *tree, 1.3, 4.0, budget_);
+      // Paused at the last target; reads grow it toward 1.3 * d + 4.
+      dijkstra_within_paused(*g_, source, scope_, *tree, 1.3, 4.0, budget_);
     }
+    run_pops_ += tree->run_pops();
     it = cache_.emplace(source, std::move(tree)).first;
     ++runs_;
     ++misses_;
@@ -42,20 +65,27 @@ const ShortestPathTree& PathOracle::from(NodeId source) {
 const ShortestPathTree& PathOracle::from_knowing(NodeId source, NodeId probe) {
   const ShortestPathTree& tree = from(source);
   if (tree.knows(probe)) return tree;
-  // An exhausted budget cannot buy a better tree: the upgrade run would
-  // abort before its first expansion, throwing away the partial labels we
-  // already paid for. Return the partial tree; the caller sees a tentative
-  // or infinite distance and degrades into an "unreachable" answer.
+  // An exhausted budget cannot buy a better tree: the upgrade would stop
+  // before its first expansion. Return the partial tree; the caller sees a
+  // tentative or infinite distance and degrades into an "unreachable"
+  // answer.
   if (budget_exhausted()) return tree;
-  // The bounded tree stopped short of the probe: upgrade to a complete run.
-  // Run INTO the cached object (not a pointer swap) so references handed
-  // out by from() earlier stay valid — algorithms hold the source tree
-  // across queries that may trigger upgrades.
-  auto it = cache_.find(source);
-  dijkstra(*g_, source, *it->second, budget_);
+  // The tree stopped short of the probe: upgrade it in place (not a pointer
+  // swap) so references handed out by from() earlier stay valid —
+  // algorithms hold the source tree across queries that may upgrade it. A
+  // paused ball just loses its limit and keeps growing from its frontier;
+  // a sealed tree (point-to-point, or an unscoped run a budget stopped)
+  // re-runs unbounded.
+  ShortestPathTree& upgraded = *cache_.find(source)->second;
+  if (upgraded.paused()) {
+    upgraded.lift_limit();
+  } else {
+    dijkstra(*g_, source, upgraded, budget_);
+    run_pops_ += upgraded.run_pops();
+  }
   ++runs_;
   ++misses_;
-  return *it->second;
+  return upgraded;
 }
 
 const ShortestPathTree* PathOracle::cached(NodeId source) {
@@ -98,6 +128,9 @@ void PathOracle::clear() {
   runs_ = 0;
   hits_ = 0;
   misses_ = 0;
+  run_pops_ = 0;
+  retired_resumes_ = 0;
+  retired_resume_pops_ = 0;
   revision_ = g_->revision();
 }
 

@@ -31,11 +31,11 @@ namespace fpr {
 /// to run Dijkstra (including bounded-tree upgrades). src/core/metrics
 /// snapshots both for reporting.
 ///
-/// Thread model: one oracle per thread, like the DijkstraArena it drives —
-/// the parallel sweeps give every worker its own oracle over its own Device
-/// copy, so the cache map is deliberately unsynchronized (no Mutex /
-/// FPR_GUARDED_BY from core/annotations.hpp). Sharing one instance across
-/// threads is a bug.
+/// Thread model: one oracle per thread — the parallel sweeps give every
+/// worker its own oracle over its own Device copy, so the cache map is
+/// deliberately unsynchronized (no Mutex / FPR_GUARDED_BY from
+/// core/annotations.hpp). Reading a cached tree may grow it, so neither the
+/// oracle nor a tree it hands out may be shared across threads.
 class PathOracle {
  public:
   explicit PathOracle(const Graph& g) : g_(&g), revision_(g.revision()) {}
@@ -43,12 +43,15 @@ class PathOracle {
   const Graph& graph() const { return *g_; }
 
   /// Restricts fresh Dijkstra runs to a radius-bounded search around the
-  /// given target set (see dijkstra_within). distance()/path_between()
-  /// transparently upgrade a bounded tree to a complete one when a query
-  /// falls outside its settled region, so scoping is purely a performance
-  /// hint — but algorithms that scan raw from() trees over ALL nodes
-  /// (PFA's MaxDom, ZEL's triple medians) must run unscoped. The FPGA
-  /// router sets the scope per net for the scan-free algorithms.
+  /// given target set. Each fresh tree is a paused dijkstra_within run: it
+  /// stops right after its last target settles and grows on demand as
+  /// queries read it, never past the ball 1.3 * d + 4 a one-shot run would
+  /// have settled, so every answer equals the one-shot ball's. distance()/
+  /// path_between() transparently upgrade a tree to an unbounded one when a
+  /// query falls outside that ball (see from_knowing), so scoping is purely
+  /// a performance hint — but algorithms that scan raw from() trees over
+  /// ALL nodes (PFA's MaxDom, ZEL's triple medians) must run unscoped. The
+  /// FPGA router sets the scope per net for the scan-free algorithms.
   ///
   /// With a `bound` (consistent toward every target, see DistanceBound) a
   /// scope of exactly two distinct nodes {a, b} makes from(a) a
@@ -68,14 +71,16 @@ class PathOracle {
   }
 
   /// Attaches a shared node-expansion budget (graph/budget.hpp): every
-  /// Dijkstra run this oracle performs charges it. Once the budget is
-  /// exhausted, fresh runs abort immediately and cached partial trees stop
-  /// being upgraded, so queries may return tentative/infinite distances —
-  /// the algorithms above degrade into "unreachable" answers and the
-  /// router marks the in-flight net kAbortedBudget. Deterministic: a given
-  /// budget always yields the same (partial) trees. The caller owns the
-  /// budget; nullptr (the default) disables budgeting.
-  void set_budget(WorkBudget* budget) { budget_ = budget; }
+  /// Dijkstra run this oracle performs charges it, and so does every read
+  /// that grows a paused tree — growth charges the budget attached at the
+  /// time of the read, so after set_budget(nullptr) reads grow for free.
+  /// Once the budget is exhausted, fresh runs abort immediately and cached
+  /// partial trees stop growing, so queries may return tentative/infinite
+  /// distances — the algorithms above degrade into "unreachable" answers
+  /// and the router marks the in-flight net kAbortedBudget. Deterministic:
+  /// a given budget always yields the same (partial) trees. The caller owns
+  /// the budget; nullptr (the default) disables budgeting.
+  void set_budget(WorkBudget* budget);
   WorkBudget* budget() const { return budget_; }
 
   /// True when the attached budget has run out (never true without one).
@@ -85,8 +90,12 @@ class PathOracle {
   /// when a scope is set).
   const ShortestPathTree& from(NodeId source);
 
-  /// A tree rooted at `source` that is guaranteed to know `probe`
-  /// (recomputes completely if a bounded tree stopped short of it).
+  /// A tree rooted at `source` that is guaranteed to know `probe` (unless
+  /// the budget runs out). When the probe lies outside a scoped tree's
+  /// ball, the upgrade lifts the tree's limit to infinity and lets the
+  /// reads resume it — the ball is never recomputed; a point-to-point or
+  /// budget-stopped unscoped tree is re-run unbounded. Either way the
+  /// upgrade happens in place, so references handed out earlier stay valid.
   const ShortestPathTree& from_knowing(NodeId source, NodeId probe);
 
   /// Shortest-path distance between two nodes (graph is undirected, so this
@@ -117,8 +126,19 @@ class PathOracle {
   std::size_t cache_hits() const { return hits_; }
 
   /// Queries that had to run Dijkstra: cold from() calls and bounded-tree
-  /// upgrades in from_knowing().
+  /// upgrades in from_knowing(). On-demand growth of a paused tree is
+  /// neither a run nor a miss; resumes() counts it.
   std::size_t cache_misses() const { return misses_; }
+
+  /// Heap pops of the runs counted by dijkstra_runs() (re-runs included,
+  /// limit lifts excluded: their pops are growth).
+  std::int64_t run_pops() const { return run_pops_; }
+
+  /// Reads that resumed a paused tree, and the pops they settled, over the
+  /// same lifetime as cache_hits(). run_pops() + resume_pops() is every pop
+  /// the oracle performed, so under a budget it equals the budget's use.
+  std::int64_t resumes() const;
+  std::int64_t resume_pops() const;
 
   /// hits / (hits + misses); 0 when nothing was queried yet.
   double hit_rate() const {
@@ -142,6 +162,9 @@ class PathOracle {
   std::size_t runs_ = 0;
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
+  std::int64_t run_pops_ = 0;
+  std::int64_t retired_resumes_ = 0;      // growth of trees already dropped
+  std::int64_t retired_resume_pops_ = 0;
 };
 
 }  // namespace fpr

@@ -110,7 +110,7 @@ TwoPinOutcome route_two_pin_decomposed(Device& device, const Net& net,
       // rest of the pass.
       router_internal::rollback_commits(device, log, congestion_penalty);
       TwoPinOutcome failed;
-      failed.budget_aborted = spt.budget_aborted;
+      failed.budget_aborted = spt.budget_aborted();
       return failed;  // routed == false, zero wires held
     }
     const auto path = spt.path_edges_to(sink);

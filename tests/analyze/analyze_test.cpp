@@ -190,13 +190,15 @@ TEST(AnalyzeDyadic, SuppressionCoversTheDisplayOnlyConstant) {
 
 TEST(AnalyzeGlobals, FiresOnNamespaceScopeAndFunctionLocalStatics) {
   const auto findings = unsuppressed(analyze_fixture("globals", "src"));
-  EXPECT_EQ(findings.size(), 4u);
+  EXPECT_EQ(findings.size(), 5u);
   EXPECT_TRUE(has_finding(findings, "src/globals_bad.cpp", "global-state", "'g_counter'"));
   EXPECT_TRUE(has_finding(findings, "src/globals_bad.cpp", "global-state", "'g_scratch'"));
+  EXPECT_TRUE(has_finding(findings, "src/globals_bad.cpp", "global-state", "'g_wide'"));
   EXPECT_TRUE(has_finding(findings, "src/globals_bad.cpp", "global-state", "'g_flag'"));
   EXPECT_TRUE(has_finding(findings, "src/globals_bad.cpp", "global-state", "'calls'"));
-  // Precision: constants, members, locals and the testhooks namespace in the
-  // adjacent files contribute nothing.
+  // Precision: constants, members, locals, type aliases (an __extension__
+  // typedef included) and the testhooks namespace in the adjacent files
+  // contribute nothing.
   for (const auto& f : findings) EXPECT_EQ(f.file, "src/globals_bad.cpp");
 }
 

@@ -2,6 +2,7 @@
 
 int g_counter = 0;                 // VIOLATION: namespace-scope mutable
 std::vector<int> g_scratch;        // VIOLATION: namespace-scope mutable
+__extension__ unsigned __int128 g_wide = 0;  // VIOLATION: the marker hides nothing
 
 namespace impl {
 bool g_flag{false};                // VIOLATION: nested namespace is still global

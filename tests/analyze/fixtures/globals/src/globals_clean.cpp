@@ -10,6 +10,10 @@ namespace impl {
 constexpr char kName[] = "clean";
 }
 
+// A type alias, whatever marker leads it (GCC's __extension__ keeps
+// -Wpedantic quiet about the non-ISO 128-bit type).
+__extension__ typedef unsigned __int128 Wide;
+
 struct Widget {
   int mutable_member = 0;  // object state, not program state
   static int count(Widget w) { return w.mutable_member; }

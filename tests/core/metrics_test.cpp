@@ -79,11 +79,14 @@ TEST(MetricsTest, OracleStatsSnapshotMatchesOracle) {
   oracle.from(0);
   const OracleStats s = oracle_stats(oracle);
   EXPECT_EQ(s.dijkstra_runs, 1u);
+  EXPECT_EQ(s.run_pops, 16);  // an unscoped run settles the whole grid
+  EXPECT_EQ(s.resumes, 0);
   EXPECT_EQ(s.cache_hits, 1u);
   EXPECT_EQ(s.cache_misses, 1u);
   EXPECT_DOUBLE_EQ(s.hit_rate, 0.5);
   const std::string line = format_oracle_stats(s);
   EXPECT_NE(line.find("1/2 hits"), std::string::npos);
+  EXPECT_NE(line.find("runs 1 (16 pops), resumes 0 (0 pops)"), std::string::npos);
   EXPECT_NE(line.find("50.0%"), std::string::npos);
 }
 

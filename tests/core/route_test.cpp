@@ -144,6 +144,37 @@ TEST(RouteSearchCountTest, ThreeTerminalNetsKeepTheirSearchCount) {
   EXPECT_EQ(search_runs(device, net, Algorithm::kIdom), 3u);
 }
 
+TEST(OracleGrowthTest, IkmbRunAndResumePopsAddUpToTheBudgetUsed) {
+  // Every heap pop is either part of a run (dijkstra_runs) or of a read
+  // that grew a paused tree (resumes), and both charge the budget the
+  // oracle holds — under a generous budget and one that runs out mid-route.
+  const Device device(ArchSpec::xc4000(10, 10, 6));
+  const Graph& g = device.graph();
+  const Net net{device.block_node(5, 1), {device.block_node(1, 8), device.block_node(9, 6)}};
+  for (const long long limit : {1000000LL, 600LL}) {
+    SCOPED_TRACE(::testing::Message() << "budget " << limit);
+    WorkBudget budget{limit};
+    PathOracle oracle(g);
+    oracle.set_budget(&budget);
+    oracle.set_scope(net.terminals(), device.distance_bound());
+    const RoutingTree tree = route(g, net, Algorithm::kIkmb, oracle);
+    const OracleStats s = oracle_stats(oracle);
+    EXPECT_EQ(s.run_pops + s.resume_pops, budget.used);
+    if (limit == 600) {
+      EXPECT_TRUE(budget.exhausted());
+    } else {
+      EXPECT_EQ(s.dijkstra_runs, 4u);  // RouteSearchCountTest's count
+      EXPECT_GT(s.resumes, 0);
+    }
+    EXPECT_EQ(tree.spans(net.terminals()), !budget.exhausted());
+    // Reads under no budget grow for free and charge nothing.
+    oracle.set_budget(nullptr);
+    const long long used = budget.used;
+    (void)measure(g, net, tree, oracle);
+    EXPECT_EQ(budget.used, used);
+  }
+}
+
 TEST(NetTest, TerminalsPutSourceFirst) {
   Net net;
   net.source = 7;

@@ -18,6 +18,7 @@
 #include "fpga/tile_template.hpp"
 #include "graph/dijkstra.hpp"
 #include "router/router.hpp"
+#include "test_util.hpp"
 
 namespace fpr {
 namespace {
@@ -159,7 +160,7 @@ TEST(DeviceDifferentialTest, TemplateCompiledOncePerFamilyAcrossSizes) {
 TEST(DeviceDifferentialTest, StampedMatchesLegacyXc4000) {
   for (const auto& [rows, cols, width] :
        std::vector<std::tuple<int, int, int>>{{7, 7, 4}, {9, 8, 6}, {12, 12, 5}}) {
-    SCOPED_TRACE(testing::Message() << rows << "x" << cols << " w=" << width);
+    SCOPED_TRACE(::testing::Message() << rows << "x" << cols << " w=" << width);
     const ArchSpec spec = ArchSpec::xc4000(rows, cols, width);
     const Device legacy(spec, DeviceBuild::kLegacy);
     const Device stamped(spec);
@@ -172,7 +173,7 @@ TEST(DeviceDifferentialTest, StampedMatchesLegacyXc4000) {
 TEST(DeviceDifferentialTest, StampedMatchesLegacyXc3000) {
   for (const auto& [rows, cols, width] :
        std::vector<std::tuple<int, int, int>>{{7, 9, 5}, {11, 7, 8}}) {
-    SCOPED_TRACE(testing::Message() << rows << "x" << cols << " w=" << width);
+    SCOPED_TRACE(::testing::Message() << rows << "x" << cols << " w=" << width);
     const ArchSpec spec = ArchSpec::xc3000(rows, cols, width);
     const Device legacy(spec, DeviceBuild::kLegacy);
     const Device stamped(spec);
@@ -191,7 +192,7 @@ TEST(DeviceDifferentialTest, StampedMatchesLegacy3d) {
   cases.push_back({ArchSpec::xc4000(8, 15, 4), 2, 3, 1.5});
   cases.push_back({ArchSpec::xc3000(7, 14, 5), 3, 2, 2.0});
   for (const Arch3dSpec& spec : cases) {
-    SCOPED_TRACE(testing::Message()
+    SCOPED_TRACE(::testing::Message()
                  << spec.layer.rows << "x" << spec.layer.cols << " w=" << spec.layer.channel_width
                  << " layers=" << spec.layers << " via_spacing=" << spec.via_spacing);
     const Device3d legacy(spec, DeviceBuild::kLegacy);
@@ -215,7 +216,7 @@ TEST(DeviceDifferentialTest, FaultDrawsIdenticalAcrossBuilders) {
   ASSERT_TRUE(stamped.tiled());
 
   for (const std::uint64_t seed : {3u, 17u, 99u}) {
-    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
     const FaultSpec fs = stress_faults(seed);
     const FaultModel ma = FaultModel::draw(legacy, fs);
     const FaultModel mb = FaultModel::draw(stamped, fs);
@@ -242,8 +243,8 @@ TEST(DeviceDifferentialTest, DijkstraTreesIdenticalAcrossBuilders) {
   stamped.install_faults(stress_faults(7));
 
   for (const NodeId source : {NodeId{0}, legacy.block_node(4, 4), legacy.block_node(8, 0)}) {
-    const ShortestPathTree ta = dijkstra(legacy.graph(), source);
-    const ShortestPathTree tb = dijkstra(stamped.graph(), source);
+    const testing::TreeLabels ta = testing::labels_of(dijkstra(legacy.graph(), source));
+    const testing::TreeLabels tb = testing::labels_of(dijkstra(stamped.graph(), source));
     ASSERT_EQ(ta.dist, tb.dist) << "source " << source;
     ASSERT_EQ(ta.parent, tb.parent) << "source " << source;
     ASSERT_EQ(ta.parent_edge, tb.parent_edge) << "source " << source;
@@ -289,7 +290,7 @@ TEST(DeviceDifferentialTest, BothSidesOfFlatAdjacencyCutMatchLegacy) {
   for (const Side& side : {Side{ArchSpec::xc4000(46, 46, 12), true},
                            Side{ArchSpec::xc4000(47, 47, 12), false}}) {
     const int n = side.spec.rows;
-    SCOPED_TRACE(testing::Message() << n << "x" << n << (side.flat ? " flat" : " arithmetic"));
+    SCOPED_TRACE(::testing::Message() << n << "x" << n << (side.flat ? " flat" : " arithmetic"));
     Device legacy(side.spec, DeviceBuild::kLegacy);
     Device stamped(side.spec);
     ASSERT_TRUE(stamped.tiled());
@@ -308,8 +309,8 @@ TEST(DeviceDifferentialTest, BothSidesOfFlatAdjacencyCutMatchLegacy) {
     mutate(stamped);
     expect_graphs_identical(legacy.graph(), stamped.graph());
     for (const NodeId source : {legacy.block_node(0, 0), legacy.block_node(n / 2, n / 3)}) {
-      const ShortestPathTree ta = dijkstra(legacy.graph(), source);
-      const ShortestPathTree tb = dijkstra(stamped.graph(), source);
+      const testing::TreeLabels ta = testing::labels_of(dijkstra(legacy.graph(), source));
+      const testing::TreeLabels tb = testing::labels_of(dijkstra(stamped.graph(), source));
       ASSERT_EQ(ta.dist, tb.dist) << "source " << source;
       ASSERT_EQ(ta.parent, tb.parent) << "source " << source;
       ASSERT_EQ(ta.parent_edge, tb.parent_edge) << "source " << source;

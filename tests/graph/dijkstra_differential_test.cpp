@@ -34,17 +34,18 @@ void expect_bits_equal(const std::vector<T>& got, const std::vector<T>& want, co
   }
 }
 
-void expect_same_tree(const ShortestPathTree& got, const ShortestPathTree& want) {
-  EXPECT_EQ(got.source, want.source);
-  EXPECT_EQ(got.inactive_targets, want.inactive_targets);
-  expect_bits_equal(got.dist, want.dist, "dist");
-  expect_bits_equal(got.parent, want.parent, "parent");
-  expect_bits_equal(got.parent_edge, want.parent_edge, "parent_edge");
+void expect_same_tree(const ShortestPathTree& got, const reference::Tree& want) {
+  EXPECT_EQ(got.source(), want.source);
+  EXPECT_EQ(got.inactive_targets(), want.inactive_targets);
+  const testing::TreeLabels labels = testing::labels_of(got);
+  expect_bits_equal(labels.dist, want.dist, "dist");
+  expect_bits_equal(labels.parent, want.parent, "parent");
+  expect_bits_equal(labels.parent_edge, want.parent_edge, "parent_edge");
 
   if (want.complete()) {
     EXPECT_TRUE(got.complete());
   } else if (!got.complete()) {
-    expect_bits_equal(got.settled, want.settled, "settled");
+    expect_bits_equal(labels.known, want.settled, "settled");
   } else {
     // Exhaustion upgrade: the new engine drained its heap, so the old
     // engine must have settled every node it ever reached — both trees
@@ -146,7 +147,7 @@ TEST(DijkstraDifferentialTest, EqualWeightParentTieBreakMatches) {
   g.add_edge(2, 3, 1);
   const auto got = dijkstra(g, 0);
   expect_same_tree(got, reference::dijkstra(g, 0));
-  EXPECT_EQ(got.parent[3], 1);  // node 1 settles before node 2 at distance 1
+  EXPECT_EQ(got.parent(3), 1);  // node 1 settles before node 2 at distance 1
 }
 
 }  // namespace

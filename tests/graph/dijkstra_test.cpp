@@ -23,8 +23,8 @@ TEST(DijkstraTest, SimplePath) {
   g.add_edge(1, 2, 3);
   const auto spt = dijkstra(g, 0);
   EXPECT_DOUBLE_EQ(spt.distance(2), 5);
-  EXPECT_EQ(spt.parent[2], 1);
-  EXPECT_EQ(spt.parent[1], 0);
+  EXPECT_EQ(spt.parent(2), 1);
+  EXPECT_EQ(spt.parent(1), 0);
 }
 
 TEST(DijkstraTest, PrefersCheaperDetour) {
@@ -34,7 +34,7 @@ TEST(DijkstraTest, PrefersCheaperDetour) {
   g.add_edge(1, 2, 1);
   const auto spt = dijkstra(g, 0);
   EXPECT_DOUBLE_EQ(spt.distance(2), 2);
-  EXPECT_EQ(spt.parent[2], 1);
+  EXPECT_EQ(spt.parent(2), 1);
 }
 
 TEST(DijkstraTest, UnreachableNodeHasInfiniteDistance) {
@@ -43,7 +43,7 @@ TEST(DijkstraTest, UnreachableNodeHasInfiniteDistance) {
   const auto spt = dijkstra(g, 0);
   EXPECT_FALSE(spt.reached(2));
   EXPECT_EQ(spt.distance(2), kInfiniteWeight);
-  EXPECT_EQ(spt.parent[2], kInvalidNode);
+  EXPECT_EQ(spt.parent(2), kInvalidNode);
 }
 
 TEST(DijkstraTest, SkipsRemovedEdges) {
@@ -124,10 +124,12 @@ TEST(DijkstraTest, ReuseOverloadMatchesByValue) {
   for (NodeId src : {NodeId{0}, grid.node_at(3, 4), grid.node_at(7, 7)}) {
     dijkstra(grid.graph(), src, reused);
     const auto fresh = dijkstra(grid.graph(), src);
-    EXPECT_EQ(reused.dist, fresh.dist);
-    EXPECT_EQ(reused.parent, fresh.parent);
-    EXPECT_EQ(reused.parent_edge, fresh.parent_edge);
-    EXPECT_EQ(reused.settled, fresh.settled);
+    const testing::TreeLabels a = testing::labels_of(reused);
+    const testing::TreeLabels b = testing::labels_of(fresh);
+    EXPECT_EQ(a.dist, b.dist);
+    EXPECT_EQ(a.parent, b.parent);
+    EXPECT_EQ(a.parent_edge, b.parent_edge);
+    EXPECT_EQ(a.known, b.known);
   }
 }
 
@@ -170,8 +172,8 @@ TEST_P(DijkstraPropertyTest, ParentDistancesConsistent) {
   const auto spt = dijkstra(g, 0);
   for (NodeId v = 1; v < g.node_count(); ++v) {
     ASSERT_TRUE(spt.reached(v));
-    const NodeId p = spt.parent[static_cast<std::size_t>(v)];
-    const EdgeId e = spt.parent_edge[static_cast<std::size_t>(v)];
+    const NodeId p = spt.parent(v);
+    const EdgeId e = spt.parent_edge(v);
     ASSERT_NE(p, kInvalidNode);
     EXPECT_TRUE(weight_eq(spt.distance(v), spt.distance(p) + g.edge_weight(e)));
   }

@@ -25,6 +25,7 @@
 #include "graph/dijkstra.hpp"
 #include "graph/dijkstra_reference.hpp"
 #include "router/router.hpp"
+#include "test_util.hpp"
 
 namespace fpr {
 namespace {
@@ -36,18 +37,18 @@ bool same_bits(const T& a, const T& b) {
 
 /// Every node `got` knows carries the reference's exact label; returns the
 /// number of known nodes. A complete `got` must know every node.
-std::size_t expect_known_labels_match(const ShortestPathTree& got, const ShortestPathTree& want) {
-  EXPECT_EQ(got.source, want.source);
-  EXPECT_EQ(got.dist.size(), want.dist.size());
+std::size_t expect_known_labels_match(const ShortestPathTree& got, const reference::Tree& want) {
+  EXPECT_EQ(got.source(), want.source);
+  EXPECT_EQ(got.node_count(), static_cast<NodeId>(want.dist.size()));
   std::size_t known = 0;
   for (NodeId v = 0; v < static_cast<NodeId>(want.dist.size()); ++v) {
     if (!got.knows(v)) continue;
     ++known;
     const auto i = static_cast<std::size_t>(v);
-    EXPECT_TRUE(same_bits(got.dist[i], want.dist[i]))
-        << "dist of node " << v << ": " << got.dist[i] << " vs " << want.dist[i];
-    EXPECT_EQ(got.parent[i], want.parent[i]) << "parent of node " << v;
-    EXPECT_EQ(got.parent_edge[i], want.parent_edge[i]) << "parent_edge of node " << v;
+    EXPECT_TRUE(same_bits(got.distance(v), want.dist[i]))
+        << "dist of node " << v << ": " << got.distance(v) << " vs " << want.dist[i];
+    EXPECT_EQ(got.parent(v), want.parent[i]) << "parent of node " << v;
+    EXPECT_EQ(got.parent_edge(v), want.parent_edge[i]) << "parent_edge of node " << v;
   }
   return known;
 }
@@ -87,7 +88,7 @@ TableBound hop_bound(const Graph& g, NodeId target) {
 
 /// The exact weighted distance to `target` (0 where unreachable).
 TableBound exact_bound(const Graph& g, NodeId target) {
-  const ShortestPathTree t = reference::dijkstra(g, target);
+  const reference::Tree t = reference::dijkstra(g, target);
   TableBound b{target, t.dist};
   for (Weight& w : b.h) {
     if (w >= kInfiniteWeight) w = 0;
@@ -99,10 +100,10 @@ TableBound exact_bound(const Graph& g, NodeId target) {
 /// tree: known labels match, the target is known (unless a budget stopped
 /// the run), and the run's settled set is budget-deterministic.
 void check_point_to_point(const Graph& g, NodeId source, NodeId target, DistanceBound bound,
-                          const ShortestPathTree& want) {
+                          const reference::Tree& want) {
   ShortestPathTree got;
   dijkstra_to(g, source, target, bound, got);
-  EXPECT_FALSE(got.budget_aborted);
+  EXPECT_FALSE(got.budget_aborted());
   const std::size_t known = expect_known_labels_match(got, want);
   if (g.node_active(source)) {
     EXPECT_TRUE(got.knows(target)) << "target " << target << " not settled";
@@ -126,13 +127,14 @@ void check_point_to_point(const Graph& g, NodeId source, NodeId target, Distance
     again.limit = limit;
     ShortestPathTree repeat;
     dijkstra_to(g, source, target, bound, repeat, &again);
-    EXPECT_EQ(partial.settled, repeat.settled) << "budget " << limit;
-    EXPECT_EQ(partial.budget_aborted, repeat.budget_aborted) << "budget " << limit;
+    EXPECT_EQ(testing::labels_of(partial).known, testing::labels_of(repeat).known)
+        << "budget " << limit;
+    EXPECT_EQ(partial.budget_aborted(), repeat.budget_aborted()) << "budget " << limit;
   }
 }
 
 void check_all_bounds(const Graph& g, NodeId source, NodeId target) {
-  const ShortestPathTree want = reference::dijkstra(g, source);
+  const reference::Tree want = reference::dijkstra(g, source);
   const auto zero = [](NodeId, NodeId) -> Weight { return 0; };
   check_point_to_point(g, source, target, DistanceBound(zero), want);
   const TableBound hops = hop_bound(g, target);
@@ -199,7 +201,7 @@ TEST(DijkstraToTest, ParallelEdgesKeepTheLowestTightEdgeId) {
   const auto zero = [](NodeId, NodeId) -> Weight { return 0; };
   ShortestPathTree t;
   dijkstra_to(g, 0, 2, DistanceBound(zero), t);
-  EXPECT_EQ(t.parent_edge[1], 1);
+  EXPECT_EQ(t.parent_edge(1), 1);
 }
 
 TEST(DijkstraToTest, UnreachableAndInactiveTargets) {
@@ -242,7 +244,7 @@ TEST(DijkstraToTest, ExhaustedBudgetSettlesNothing) {
   budget.used = 1;
   ShortestPathTree t;
   dijkstra_to(g, 0, 1, DistanceBound(zero), t, &budget);
-  EXPECT_TRUE(t.budget_aborted);
+  EXPECT_TRUE(t.budget_aborted());
   EXPECT_FALSE(t.knows(0));
   EXPECT_FALSE(t.knows(1));
 }

@@ -8,6 +8,7 @@
 
 #include "graph/dijkstra.hpp"
 #include "graph/grid.hpp"
+#include "test_util.hpp"
 
 namespace fpr {
 namespace {
@@ -254,8 +255,8 @@ std::shared_ptr<const TiledTopology> tiled_grid(int width, int height, Weight we
 
 void expect_same_trees(const Graph& a, const Graph& b) {
   for (const NodeId source : {0, 8, 29}) {
-    const ShortestPathTree ta = dijkstra(a, source);
-    const ShortestPathTree tb = dijkstra(b, source);
+    const testing::TreeLabels ta = testing::labels_of(dijkstra(a, source));
+    const testing::TreeLabels tb = testing::labels_of(dijkstra(b, source));
     EXPECT_EQ(ta.dist, tb.dist) << "source " << source;
     EXPECT_EQ(ta.parent, tb.parent) << "source " << source;
     EXPECT_EQ(ta.parent_edge, tb.parent_edge) << "source " << source;
@@ -359,11 +360,12 @@ TEST(GraphTest, CopyAndMoveKeepCountersAndRebuildCsr) {
   EXPECT_EQ(copy.active_edge_count(), 1);
   EXPECT_DOUBLE_EQ(copy.mean_active_edge_weight(), 2.0);
   EXPECT_EQ(copy.flat_adjacency()->edge_id.size(), 4u);
-  EXPECT_EQ(dijkstra(copy, 0).dist, dijkstra(g, 0).dist);
+  const std::vector<Weight> want = testing::labels_of(dijkstra(g, 0)).dist;
+  EXPECT_EQ(testing::labels_of(dijkstra(copy, 0)).dist, want);
   Graph moved = std::move(copy);
   EXPECT_EQ(moved.active_edge_count(), 1);
   EXPECT_EQ(moved.flat_adjacency()->offsets.size(), 4u);
-  EXPECT_EQ(dijkstra(moved, 0).dist, dijkstra(g, 0).dist);
+  EXPECT_EQ(testing::labels_of(dijkstra(moved, 0)).dist, want);
   moved.add_edge(0, 2, 1.0);  // structurally mutate the moved-to graph
   EXPECT_EQ(moved.flat_adjacency()->edge_id.size(), 6u);
   EXPECT_EQ(moved.flat_adjacency()->endpoints.size(), 6u);

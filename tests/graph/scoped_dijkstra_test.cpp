@@ -61,7 +61,7 @@ TEST(ScopedDijkstraTest, InactiveTargetStillStopsEarly) {
   grid.graph().remove_node(dead);
   const std::vector<NodeId> targets{grid.node_at(1, 0), grid.node_at(0, 1), dead};
   const auto t = dijkstra_within(grid.graph(), grid.node_at(0, 0), targets);
-  EXPECT_EQ(t.inactive_targets, 1);
+  EXPECT_EQ(t.inactive_targets(), 1);
   EXPECT_FALSE(t.complete());  // still bounded: the live targets set the radius
   EXPECT_FALSE(t.knows(grid.node_at(39, 39)));
   for (const NodeId v : {grid.node_at(1, 0), grid.node_at(0, 1)}) {
@@ -78,7 +78,7 @@ TEST(ScopedDijkstraTest, AllInactiveTargetsRunUnbounded) {
   grid.graph().remove_node(dead);
   const std::vector<NodeId> targets{dead};
   const auto t = dijkstra_within(grid.graph(), grid.node_at(0, 0), targets);
-  EXPECT_EQ(t.inactive_targets, 1);
+  EXPECT_EQ(t.inactive_targets(), 1);
   EXPECT_TRUE(t.complete());
   EXPECT_FALSE(t.reached(dead));
   EXPECT_TRUE(t.reached(grid.node_at(9, 9)));

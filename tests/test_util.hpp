@@ -7,11 +7,33 @@
 #include <vector>
 
 #include "check/generate.hpp"
+#include "graph/dijkstra.hpp"
 #include "graph/graph.hpp"
 #include "graph/grid.hpp"
 #include "graph/mst.hpp"
 
 namespace fpr::testing {
+
+/// A tree's labels over every node of its graph, for whole-tree
+/// comparisons. Reading a paused tree grows it, so `known` is taken after
+/// each node's labels, as a caller reading that node would see it.
+struct TreeLabels {
+  std::vector<Weight> dist;
+  std::vector<NodeId> parent;
+  std::vector<EdgeId> parent_edge;
+  std::vector<char> known;
+};
+
+inline TreeLabels labels_of(const ShortestPathTree& t) {
+  TreeLabels l;
+  for (NodeId v = 0; v < t.node_count(); ++v) {
+    l.dist.push_back(t.distance(v));
+    l.parent.push_back(t.parent(v));
+    l.parent_edge.push_back(t.parent_edge(v));
+    l.known.push_back(static_cast<char>(t.knows(v)));
+  }
+  return l;
+}
 
 /// The one seed-derivation scheme shared by every suite: a per-suite FNV
 /// salt mixed with the case index through splitmix64. Replaces the ad-hoc

@@ -716,9 +716,14 @@ void check_globals(FileInfo& file, const Manifest& manifest) {
     static const char* kSkipLeads[] = {"using",  "typedef",   "template", "friend",
                                        "extern", "namespace", "class",    "struct",
                                        "union",  "enum",      "concept",  "static_assert"};
+    // GCC's __extension__ marker (it silences -Wpedantic, e.g. on
+    // __int128) can precede any declaration without changing what it
+    // declares, so the lead keyword is the first word after it.
+    std::size_t first = skip_spaces(body, 0);
+    if (body.compare(first, 13, "__extension__") == 0) first = skip_spaces(body, first + 13);
     for (const char* lead : kSkipLeads) {
       const std::size_t p = find_word(body, lead);
-      if (p != std::string::npos && p <= skip_spaces(body, 0)) return;
+      if (p != std::string::npos && p <= first) return;
     }
     if (is_const) return;
     // Function declaration/definition heuristic: a '(' before any '='
