@@ -10,7 +10,7 @@
 
 namespace fpr {
 
-/// Which routing-graph builder a Device (or Device3d) uses.
+/// Which routing-graph builder a Device uses.
 enum class DeviceBuild {
   /// Stamp the graph from a verified tile template when one is available
   /// for the spec (tile_template.hpp), else fall back to the legacy

@@ -3,11 +3,10 @@
 #include "core/contract.hpp"
 
 #include "fpga/switchbox.hpp"
-#include "fpga/tile_template.hpp"
 
 namespace fpr {
 
-Device3d::Device3d(const Arch3dSpec& spec, DeviceBuild build) : spec_(spec) {
+Device3d::Device3d(const Arch3dSpec& spec) : spec_(spec) {
   FPR_CHECK(spec.valid(), "Device3D spec with " << spec.layers
                               << " layers — layers >= 1 and a valid per-layer spec required");
   const ArchSpec& a = spec_.layer;
@@ -19,26 +18,6 @@ Device3d::Device3d(const Arch3dSpec& spec, DeviceBuild build) : spec_(spec) {
   hwire_base_ = blocks_per_layer_;
   vwire_base_ = blocks_per_layer_ + hwires;
   per_layer_nodes_ = blocks_per_layer_ + hwires + vwires;
-
-  std::shared_ptr<const TiledTopology> topo;
-  if (build == DeviceBuild::kAuto) topo = tiled_topology_for(spec_);
-  if (topo != nullptr) {
-    FPR_CHECK(topo->node_count == per_layer_nodes_ * spec_.layers,
-              "3-D tile template synthesized " << topo->node_count << " nodes for a device of "
-                                               << per_layer_nodes_ * spec_.layers);
-    graph_ = Graph::from_tiled(std::move(topo));
-    // The via pass emits one track-aligned via per w tracks, every
-    // via_spacing-th horizontal channel tile, between adjacent layers.
-    via_count_ = (spec_.layers - 1) * (rows + 1) *
-                 ((cols + spec_.via_spacing - 1) / spec_.via_spacing) * w;
-    return;
-  }
-  build_legacy();
-}
-
-void Device3d::build_legacy() {
-  const ArchSpec& a = spec_.layer;
-  const int rows = a.rows, cols = a.cols, w = a.channel_width;
   graph_.add_nodes(per_layer_nodes_ * spec_.layers);
 
   // Fc evenly spaced track indices.
@@ -115,16 +94,22 @@ NodeId Device3d::block_node(int layer, int x, int y) const {
 
 NodeId Device3d::wire_node(int layer, Dir dir, int x, int y, int track) const {
   const int w = spec_.layer.channel_width;
+  FPR_CHECK(layer >= 0 && layer < spec_.layers,
+            "wire_node layer " << layer << " outside [0, " << spec_.layers << ")");
   const NodeId base = static_cast<NodeId>(layer) * per_layer_nodes_;
   if (dir == Dir::kHorizontal) {
-    FPR_CHECK(x >= 0 && x < spec_.layer.cols && y >= 0 && y <= spec_.layer.rows,
-              "horizontal wire_node (" << x << ", " << y << ") outside the " << spec_.layer.cols
-                                       << "x" << spec_.layer.rows << " layer");
+    FPR_CHECK(x >= 0 && x < spec_.layer.cols && y >= 0 && y <= spec_.layer.rows && track >= 0 &&
+                  track < w,
+              "horizontal wire_node (" << x << ", " << y << ") track " << track
+                                       << " outside the " << spec_.layer.cols << "x"
+                                       << spec_.layer.rows << " layer at width " << w);
     return base + hwire_base_ + static_cast<NodeId>((y * spec_.layer.cols + x) * w + track);
   }
-  FPR_CHECK(x >= 0 && x <= spec_.layer.cols && y >= 0 && y < spec_.layer.rows,
-            "vertical wire_node (" << x << ", " << y << ") outside the " << spec_.layer.cols
-                                   << "x" << spec_.layer.rows << " layer");
+  FPR_CHECK(x >= 0 && x <= spec_.layer.cols && y >= 0 && y < spec_.layer.rows && track >= 0 &&
+                track < w,
+            "vertical wire_node (" << x << ", " << y << ") track " << track << " outside the "
+                                   << spec_.layer.cols << "x" << spec_.layer.rows
+                                   << " layer at width " << w);
   return base + vwire_base_ + static_cast<NodeId>((y * (spec_.layer.cols + 1) + x) * w + track);
 }
 

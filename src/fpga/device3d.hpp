@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "fpga/arch.hpp"
-#include "fpga/device.hpp"
 #include "graph/graph.hpp"
 
 namespace fpr {
@@ -28,14 +27,12 @@ struct Arch3dSpec {
 
 class Device3d {
  public:
-  explicit Device3d(const Arch3dSpec& spec, DeviceBuild build = DeviceBuild::kAuto);
+  /// Builds the materialized routing graph element by element.
+  explicit Device3d(const Arch3dSpec& spec);
 
   const Arch3dSpec& spec() const { return spec_; }
   Graph& graph() { return graph_; }
   const Graph& graph() const { return graph_; }
-
-  /// True when the graph was stamped from a tile template.
-  bool tiled() const { return graph_.tiled(); }
 
   enum class Dir { kHorizontal, kVertical };
 
@@ -51,8 +48,6 @@ class Device3d {
   int via_count() const { return via_count_; }
 
  private:
-  void build_legacy();
-
   Arch3dSpec spec_;
   Graph graph_;
   NodeId per_layer_nodes_ = 0;

@@ -1,7 +1,5 @@
 #include "fpga/tile_template.hpp"
 
-#include <algorithm>
-#include <functional>
 #include <map>
 #include <tuple>
 #include <utility>
@@ -10,7 +8,6 @@
 #include "core/annotations.hpp"
 #include "core/contract.hpp"
 #include "fpga/device.hpp"
-#include "fpga/device3d.hpp"
 #include "graph/graph.hpp"
 
 namespace fpr {
@@ -22,6 +19,16 @@ namespace {
 /// held-out verification passes would catch a cut that is too narrow.
 constexpr int kCut = 2;
 
+/// Classes per axis: kCut low-edge cells, one interior class, kCut high-edge
+/// cells.
+constexpr int kClasses = 2 * kCut + 1;
+
+/// Smallest dimension a role grid can be fit at: both cuts plus three
+/// interior cells — one to anchor, one for the slope, and margin so the
+/// slope cell is not itself cut-adjacent. Also the base sample's rows and
+/// cols, and so the smallest device a template instantiates at.
+constexpr int kMinDim = 2 * kCut + 3;
+
 /// Family-cache bound: cleared wholesale (deterministically) when full.
 /// Sixteen families is far beyond any single run's working set — a width
 /// search probes ~10 widths of one family.
@@ -31,15 +38,12 @@ struct RoleGeom {
   int tracks = 1;
   int xdim = 0;
   int ydim = 0;
-  int xperiod = 1;
-  int yperiod = 1;
 };
 
 /// Integer function of the sample-grid coordinates (nr, nc), bilinear:
 /// g00 + gr*nr + gc*nc + grc*nr*nc. Fit from the four fit samples by plain
 /// differences — exact in integers, no divisions, no rounding. nr/nc are
-/// the target dims' offsets from the base sample in units of the sample
-/// deltas, so congruent dims always evaluate exactly.
+/// the target dims' offsets from the base sample.
 struct Lin {
   std::int64_t g00 = 0;
   std::int64_t gr = 0;
@@ -56,7 +60,7 @@ struct Lin {
 };
 
 /// One slot's concrete affine coefficients within a single sample device:
-/// field(ux, uy) = a + dx*ux + dy*uy.
+/// field(x, y) = a + dx*x + dy*y.
 struct SlotFit {
   std::int64_t nbr_a = 0, nbr_dx = 0, nbr_dy = 0;
   std::int64_t edge_a = 0, edge_dx = 0, edge_dy = 0;
@@ -81,19 +85,17 @@ struct SampleFit {
 };
 
 /// Representative cells of one axis class: c1 is the canonical cell; c2
-/// (>= 0 only for interior classes) sits one period further in, providing
+/// (>= 0 only for the interior class) sits one cell further in, providing
 /// the second point the affine slope is fit from.
 struct AxisRep {
   int c1 = 0;
   int c2 = -1;
 };
 
-AxisRep axis_rep(int dim, int period, int cls) {
+AxisRep axis_rep(int dim, int cls) {
   if (cls < kCut) return {cls, -1};
-  if (cls >= kCut + period) return {dim - kCut + (cls - kCut - period), -1};
-  const int rho = cls - kCut;  // interior classes are residues mod period
-  const int c1 = kCut + (((rho - kCut) % period) + period) % period;
-  return {c1, c1 + period};
+  if (cls > kCut) return {dim - kCut + (cls - kCut - 1), -1};
+  return {kCut, kCut + 1};
 }
 
 struct Inc {
@@ -123,10 +125,7 @@ std::shared_ptr<const TiledTopology> build_topology(const std::vector<RoleGeom>&
     role.xdim = rg.xdim;
     role.ydim = rg.ydim;
     role.xlo = role.xhi = role.ylo = role.yhi = kCut;
-    role.xperiod = rg.xperiod;
-    role.yperiod = rg.yperiod;
-    role.xclasses = 2 * kCut + rg.xperiod;
-    role.yclasses = 2 * kCut + rg.yperiod;
+    role.xclasses = role.yclasses = kClasses;
     for (const auto& slots : fits[r]) {
       role.pattern_first.push_back(static_cast<std::uint32_t>(topo->slots.size()));
       role.pattern_count.push_back(static_cast<std::uint32_t>(slots.size()));
@@ -195,24 +194,18 @@ bool fit_sample(const std::vector<RoleGeom>& geom, const Graph& g, SampleFit& ou
   NodeId base = 0;
   for (std::size_t r = 0; r < geom.size(); ++r) {
     const RoleGeom& rg = geom[r];
-    // Three period-cells of interior per axis: one to anchor, one for the
-    // slope, and margin so the slope cell is not itself cut-adjacent.
-    if (rg.xdim < 2 * kCut + 3 * rg.xperiod || rg.ydim < 2 * kCut + 3 * rg.yperiod) return false;
-    const int xclasses = 2 * kCut + rg.xperiod;
-    const int yclasses = 2 * kCut + rg.yperiod;
+    if (rg.xdim < kMinDim || rg.ydim < kMinDim) return false;
     auto node_at = [&](int x, int y, int t) {
       return base + static_cast<NodeId>(
                         (static_cast<std::int64_t>(y) * rg.xdim + x) * rg.tracks + t);
     };
     auto& classes = out.roles[r];
-    classes.resize(static_cast<std::size_t>(xclasses) * yclasses * rg.tracks);
+    classes.resize(static_cast<std::size_t>(kClasses) * kClasses * rg.tracks);
     std::size_t ci = 0;
-    for (int yc = 0; yc < yclasses; ++yc) {
-      const AxisRep ay = axis_rep(rg.ydim, rg.yperiod, yc);
-      const int uy1 = ay.c1 / rg.yperiod;
-      for (int xc = 0; xc < xclasses; ++xc) {
-        const AxisRep ax = axis_rep(rg.xdim, rg.xperiod, xc);
-        const int ux1 = ax.c1 / rg.xperiod;
+    for (int yc = 0; yc < kClasses; ++yc) {
+      const AxisRep ay = axis_rep(rg.ydim, yc);
+      for (int xc = 0; xc < kClasses; ++xc) {
+        const AxisRep ax = axis_rep(rg.xdim, xc);
         for (int t = 0; t < rg.tracks; ++t, ++ci) {
           incident_of(g, node_at(ax.c1, ay.c1, t), l00);
           const bool ix = ax.c2 >= 0;
@@ -235,8 +228,10 @@ bool fit_sample(const std::vector<RoleGeom>& geom, const Graph& g, SampleFit& ou
             s.nbr_dy = iy ? static_cast<std::int64_t>(ly[i].nbr) - l00[i].nbr : 0;
             s.edge_dx = ix ? static_cast<std::int64_t>(lx[i].e) - l00[i].e : 0;
             s.edge_dy = iy ? static_cast<std::int64_t>(ly[i].e) - l00[i].e : 0;
-            s.nbr_a = static_cast<std::int64_t>(l00[i].nbr) - s.nbr_dx * ux1 - s.nbr_dy * uy1;
-            s.edge_a = static_cast<std::int64_t>(l00[i].e) - s.edge_dx * ux1 - s.edge_dy * uy1;
+            s.nbr_a = static_cast<std::int64_t>(l00[i].nbr) - s.nbr_dx * ax.c1 -
+                      s.nbr_dy * ay.c1;
+            s.edge_a = static_cast<std::int64_t>(l00[i].e) - s.edge_dx * ax.c1 -
+                       s.edge_dy * ay.c1;
             slots[i] = s;
           }
         }
@@ -247,23 +242,34 @@ bool fit_sample(const std::vector<RoleGeom>& geom, const Graph& g, SampleFit& ou
   return matches_legacy(*build_topology(geom, out.roles, out.edge_count), g);
 }
 
-/// A compiled family template: symbolic patterns plus the geometry needed to
-/// stamp a TiledTopology at any congruent device size.
+/// Role grids of a rows x cols device at channel width w, in node-id order:
+/// logic blocks, horizontal wires, vertical wires.
+std::vector<RoleGeom> device_geometry(int w, int rows, int cols) {
+  return {{1, cols, rows}, {w, cols, rows + 1}, {w, cols + 1, rows}};
+}
+
+/// The legacy builder's graph for `family` resized to rows x cols.
+Graph legacy_graph(const ArchSpec& family, int rows, int cols) {
+  ArchSpec s = family;
+  s.rows = rows;
+  s.cols = cols;
+  Device d(s, DeviceBuild::kLegacy);
+  return std::move(d.graph());
+}
+
+/// A compiled family template: symbolic patterns plus the channel width
+/// needed to stamp a TiledTopology at any device size from kMinDim up.
 struct TileTemplateImpl {
-  std::function<std::vector<RoleGeom>(int, int)> geometry;
-  int rows0 = 0, cols0 = 0;  // base sample dims (instantiation floor)
-  int dr = 1, dc = 1;        // sample deltas; target dims ≡ base (mod delta)
+  int width = 0;
   Patterns<SlotSym> roles;
   Lin edge_count;
 
   std::shared_ptr<const TiledTopology> instantiate(int rows, int cols) const {
-    FPR_CHECK(rows >= rows0 && (rows - rows0) % dr == 0 && cols >= cols0 &&
-                  (cols - cols0) % dc == 0,
+    FPR_CHECK(rows >= kMinDim && cols >= kMinDim,
               "tile template instantiated at " << rows << "x" << cols << " — requires dims >= "
-                                               << rows0 << "x" << cols0 << " congruent mod "
-                                               << dr << "/" << dc);
-    const std::int64_t nr = (rows - rows0) / dr;
-    const std::int64_t nc = (cols - cols0) / dc;
+                                               << kMinDim << "x" << kMinDim);
+    const std::int64_t nr = rows - kMinDim;
+    const std::int64_t nc = cols - kMinDim;
     Patterns<SlotFit> fits(roles.size());
     for (std::size_t r = 0; r < roles.size(); ++r) {
       fits[r].resize(roles[r].size());
@@ -278,33 +284,29 @@ struct TileTemplateImpl {
         }
       }
     }
-    return build_topology(geometry(rows, cols),
-                          fits, static_cast<EdgeId>(edge_count.at(nr, nc)));
+    return build_topology(device_geometry(width, rows, cols), fits,
+                          static_cast<EdgeId>(edge_count.at(nr, nc)));
   }
 };
 
 /// Compiles a family template from five legacy sample builds: a 2x2 grid of
-/// fit samples plus a held-out verify sample two deltas out on both axes
-/// (where any dependence the bilinear fit could not represent would first
-/// diverge). Returns nullptr on any fit or verification failure.
-std::shared_ptr<const TileTemplateImpl> compile(
-    std::function<std::vector<RoleGeom>(int, int)> geometry,
-    const std::function<Graph(int, int)>& legacy, int rows0, int cols0, int dr, int dc) {
+/// fit samples at kMinDim and kMinDim + 1 plus a held-out verify sample two
+/// cells out on both axes (where any dependence the bilinear fit could not
+/// represent would first diverge). Returns nullptr on any fit or
+/// verification failure.
+std::shared_ptr<const TileTemplateImpl> compile(const ArchSpec& family) {
+  const int w = family.channel_width;
   SampleFit fit[2][2];
   for (int a = 0; a < 2; ++a) {
     for (int b = 0; b < 2; ++b) {
-      const int rows = rows0 + a * dr;
-      const int cols = cols0 + b * dc;
-      const Graph g = legacy(rows, cols);
-      if (!fit_sample(geometry(rows, cols), g, fit[a][b])) return nullptr;
+      const int rows = kMinDim + a;
+      const int cols = kMinDim + b;
+      const Graph g = legacy_graph(family, rows, cols);
+      if (!fit_sample(device_geometry(w, rows, cols), g, fit[a][b])) return nullptr;
     }
   }
   auto tmpl = std::make_shared<TileTemplateImpl>();
-  tmpl->geometry = std::move(geometry);
-  tmpl->rows0 = rows0;
-  tmpl->cols0 = cols0;
-  tmpl->dr = dr;
-  tmpl->dc = dc;
+  tmpl->width = w;
   const SampleFit& f00 = fit[0][0];
   tmpl->roles.resize(f00.roles.size());
   for (std::size_t r = 0; r < f00.roles.size(); ++r) {
@@ -340,30 +342,15 @@ std::shared_ptr<const TileTemplateImpl> compile(
   tmpl->edge_count = Lin::fit(f00.edge_count, fit[1][0].edge_count, fit[0][1].edge_count,
                               fit[1][1].edge_count);
 
-  const int rv = rows0 + 2 * dr;
-  const int cv = cols0 + 2 * dc;
-  const Graph gv = legacy(rv, cv);
+  constexpr int kVerifyDim = kMinDim + 2;
+  const Graph gv = legacy_graph(family, kVerifyDim, kVerifyDim);
   if (!lower_endpoint_first(gv)) return nullptr;
-  if (!matches_legacy(*tmpl->instantiate(rv, cv), gv)) return nullptr;
+  if (!matches_legacy(*tmpl->instantiate(kVerifyDim, kVerifyDim), gv)) return nullptr;
   return tmpl;
 }
 
-struct CacheKey {
-  int kind = 0;  // 0: Device, 1: Device3d
-  int width = 0;
-  int pattern = 0;
-  int fc_rule = 0;
-  int layers = 1;
-  int via_spacing = 1;
-  Weight via_weight = 0;
-  int cols_mod = 0;  // target cols modulo the x-period lcm
-
-  bool operator<(const CacheKey& o) const {
-    return std::tie(kind, width, pattern, fc_rule, layers, via_spacing, via_weight, cols_mod) <
-           std::tie(o.kind, o.width, o.pattern, o.fc_rule, o.layers, o.via_spacing,
-                    o.via_weight, o.cols_mod);
-  }
-};
+/// A family: (channel width, switch pattern, Fc rule).
+using CacheKey = std::tuple<int, int, int>;
 
 // fpr-lint: allow(global-state) process-wide template cache: keyed by arch params only, immutable payloads, so hits are replay-neutral
 Mutex g_cache_mu;
@@ -376,9 +363,9 @@ TileTemplateStats g_stats FPR_GUARDED_BY(g_cache_mu);
 /// it is deterministic, touches only small sample devices (built with
 /// DeviceBuild::kLegacy, so no re-entry into this cache), and serializing it
 /// means concurrent width probes of the same family compile exactly once.
-std::shared_ptr<const TileTemplateImpl> template_for(
-    const CacheKey& key,
-    const std::function<std::shared_ptr<const TileTemplateImpl>()>& make) {
+std::shared_ptr<const TileTemplateImpl> template_for(const ArchSpec& family) {
+  const CacheKey key{family.channel_width, static_cast<int>(family.switch_pattern),
+                     static_cast<int>(family.fc_rule)};
   MutexLock lock(g_cache_mu);
   const auto it = g_cache.find(key);
   if (it != g_cache.end()) {
@@ -386,7 +373,7 @@ std::shared_ptr<const TileTemplateImpl> template_for(
     return it->second;
   }
   ++g_stats.compiles;
-  auto tmpl = make();
+  auto tmpl = compile(family);
   if (tmpl == nullptr) ++g_stats.compile_failures;
   if (g_cache.size() >= kCacheCap) g_cache.clear();
   g_cache.emplace(key, tmpl);
@@ -406,95 +393,17 @@ void count_instantiation() {
 }  // namespace
 
 std::shared_ptr<const TiledTopology> tiled_topology_for(const ArchSpec& spec) {
-  constexpr int kMinDim = 2 * kCut + 3;  // base sample dims; 2-D periods are all 1
   if (!spec.valid() || spec.rows < kMinDim || spec.cols < kMinDim) {
     count_fallback();
     return nullptr;
   }
-  const CacheKey key{0,
-                     spec.channel_width,
-                     static_cast<int>(spec.switch_pattern),
-                     static_cast<int>(spec.fc_rule),
-                     1,
-                     1,
-                     0,
-                     0};
-  const ArchSpec family = spec;
-  const auto tmpl = template_for(key, [&family] {
-    return compile(
-        [w = family.channel_width](int rows, int cols) {
-          return std::vector<RoleGeom>{{1, cols, rows, 1, 1},
-                                       {w, cols, rows + 1, 1, 1},
-                                       {w, cols + 1, rows, 1, 1}};
-        },
-        [&family](int rows, int cols) {
-          ArchSpec s = family;
-          s.rows = rows;
-          s.cols = cols;
-          Device d(s, DeviceBuild::kLegacy);
-          return std::move(d.graph());
-        },
-        kMinDim, kMinDim, 1, 1);
-  });
+  const auto tmpl = template_for(spec);
   if (tmpl == nullptr) {
     count_fallback();
     return nullptr;
   }
   count_instantiation();
   return tmpl->instantiate(spec.rows, spec.cols);
-}
-
-std::shared_ptr<const TiledTopology> tiled_topology_for(const Arch3dSpec& spec) {
-  if (!spec.valid()) {
-    count_fallback();
-    return nullptr;
-  }
-  // The via pass makes horizontal-wire patterns periodic in x with the via
-  // spacing; sample cols must therefore be congruent with the target's.
-  const int per = spec.layers > 1 ? spec.via_spacing : 1;
-  const int rows0 = 2 * kCut + 3;
-  const int cmin = 2 * kCut + 3 * per;
-  const int cols0 = cmin + (((spec.layer.cols - cmin) % per) + per) % per;
-  if (spec.layer.rows < rows0 || spec.layer.cols < cols0) {
-    count_fallback();
-    return nullptr;
-  }
-  const CacheKey key{1,
-                     spec.layer.channel_width,
-                     static_cast<int>(spec.layer.switch_pattern),
-                     static_cast<int>(spec.layer.fc_rule),
-                     spec.layers,
-                     per,
-                     spec.via_weight,
-                     spec.layer.cols % per};
-  const Arch3dSpec family = spec;
-  const auto tmpl = template_for(key, [&family, per, rows0, cols0] {
-    return compile(
-        [w = family.layer.channel_width, layers = family.layers, per](int rows, int cols) {
-          std::vector<RoleGeom> geom;
-          geom.reserve(static_cast<std::size_t>(layers) * 3);
-          for (int l = 0; l < layers; ++l) {
-            geom.push_back({1, cols, rows, 1, 1});
-            geom.push_back({w, cols, rows + 1, per, 1});
-            geom.push_back({w, cols + 1, rows, 1, 1});
-          }
-          return geom;
-        },
-        [&family](int rows, int cols) {
-          Arch3dSpec s = family;
-          s.layer.rows = rows;
-          s.layer.cols = cols;
-          Device3d d(s, DeviceBuild::kLegacy);
-          return std::move(d.graph());
-        },
-        rows0, cols0, 1, per);
-  });
-  if (tmpl == nullptr) {
-    count_fallback();
-    return nullptr;
-  }
-  count_instantiation();
-  return tmpl->instantiate(spec.layer.rows, spec.layer.cols);
 }
 
 TileTemplateStats tile_template_stats() {

@@ -14,19 +14,17 @@ void TiledTopology::validate() const {
     FPR_CHECK(role.tracks >= 1 && role.xdim >= 1 && role.ydim >= 1,
               "role " << r << " has degenerate grid " << role.xdim << "x" << role.ydim << "x"
                       << role.tracks);
-    FPR_CHECK(role.xperiod >= 1 && role.yperiod >= 1,
-              "role " << r << " has invalid periods " << role.xperiod << "/" << role.yperiod);
-    FPR_CHECK(role.xclasses == role.xlo + role.xperiod + role.xhi &&
-                  role.yclasses == role.ylo + role.yperiod + role.yhi,
-              "role " << r << " class counts do not match cuts + period");
+    FPR_CHECK(role.xclasses == role.xlo + 1 + role.xhi &&
+                  role.yclasses == role.ylo + 1 + role.yhi,
+              "role " << r << " class counts do not match cuts + interior");
     // Boundary cuts must not overlap: every x (resp. y) must classify
     // uniquely, which requires the interior span to be non-empty.
-    FPR_CHECK(role.xdim >= role.xlo + role.xhi + role.xperiod,
+    FPR_CHECK(role.xdim > role.xlo + role.xhi,
               "role " << r << " xdim " << role.xdim << " too small for cuts " << role.xlo << "+"
-                      << role.xhi << " and period " << role.xperiod);
-    FPR_CHECK(role.ydim >= role.ylo + role.yhi + role.yperiod,
+                      << role.xhi);
+    FPR_CHECK(role.ydim > role.ylo + role.yhi,
               "role " << r << " ydim " << role.ydim << " too small for cuts " << role.ylo << "+"
-                      << role.yhi << " and period " << role.yperiod);
+                      << role.yhi);
     const std::size_t patterns =
         static_cast<std::size_t>(role.xclasses) * static_cast<std::size_t>(role.yclasses) *
         static_cast<std::size_t>(role.tracks);

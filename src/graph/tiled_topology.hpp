@@ -15,22 +15,21 @@ namespace fpr {
 /// DESIGN.md §12).
 ///
 /// Nodes are grouped into *roles* (e.g. logic blocks, horizontal wires,
-/// vertical wires — one triple per layer for 3-D devices). A role occupies a
+/// vertical wires). A role occupies a
 /// contiguous id range laid out as a (ydim × xdim × tracks) grid:
 ///
 ///   id = base + (y * xdim + x) * tracks + t
 ///
 /// Every node's incident edge list is an instance of a per-(boundary class,
 /// track) *pattern*: an ordered list of slots whose neighbor and edge ids are
-/// affine in the node's period-reduced cell coordinates (ux, uy):
+/// affine in the node's cell coordinates (x, y):
 ///
-///   neighbor = nbr_base  + nbr_dx  * ux + nbr_dy  * uy
-///   edge     = edge_base + edge_dx * ux + edge_dy * uy
+///   neighbor = nbr_base  + nbr_dx  * x + nbr_dy  * y
+///   edge     = edge_base + edge_dx * x + edge_dy * y
 ///
 /// Boundary classes capture the device perimeter (the first `xlo`/last `xhi`
-/// columns and first `ylo`/last `yhi` rows get their own patterns); interior
-/// cells share one pattern per residue class modulo `xperiod`/`yperiod`
-/// (periods > 1 model sub-tile structure such as a 3-D device's via spacing).
+/// columns and first `ylo`/last `yhi` rows get their own patterns); all
+/// interior cells share one pattern.
 ///
 /// Equivalence contract: a TiledTopology compiled for a device spec
 /// synthesizes, for every node, the exact incident list — same edge ids, same
@@ -42,7 +41,7 @@ namespace fpr {
 /// device size before a template is ever used.
 struct TiledSlot {
   // int64 bases: an affine base is the extrapolation of the pattern to
-  // ux = uy = 0, which can fall outside the id range (or below zero) even
+  // x = y = 0, which can fall outside the id range (or below zero) even
   // though every *applied* value is in range. Applied values are validated
   // exhaustively by Graph::from_tiled's stamping pass.
   std::int64_t nbr_base = 0;
@@ -59,15 +58,13 @@ struct TiledRole {
   std::int32_t tracks = 1;
   std::int32_t xdim = 0;
   std::int32_t ydim = 0;
-  // Boundary cut widths and interior periods (see class comment).
+  // Boundary cut widths (see class comment).
   std::int32_t xlo = 0;
   std::int32_t xhi = 0;
   std::int32_t ylo = 0;
   std::int32_t yhi = 0;
-  std::int32_t xperiod = 1;
-  std::int32_t yperiod = 1;
-  std::int32_t xclasses = 0;  // xlo + xperiod + xhi
-  std::int32_t yclasses = 0;  // ylo + yperiod + yhi
+  std::int32_t xclasses = 0;  // xlo + 1 + xhi
+  std::int32_t yclasses = 0;  // ylo + 1 + yhi
   // Pattern table, indexed ((yc * xclasses + xc) * tracks + t): slot-pool
   // range [pattern_first[i], pattern_first[i] + pattern_count[i]).
   std::vector<std::uint32_t> pattern_first;
@@ -79,14 +76,14 @@ struct TiledRole {
 
   std::int32_t xclass(std::int32_t x) const {
     if (x < xlo) return x;
-    if (x >= xdim - xhi) return xlo + xperiod + (x - (xdim - xhi));
-    return xlo + x % xperiod;
+    if (x >= xdim - xhi) return xlo + 1 + (x - (xdim - xhi));
+    return xlo;
   }
 
   std::int32_t yclass(std::int32_t y) const {
     if (y < ylo) return y;
-    if (y >= ydim - yhi) return ylo + yperiod + (y - (ydim - yhi));
-    return ylo + y % yperiod;
+    if (y >= ydim - yhi) return ylo + 1 + (y - (ydim - yhi));
+    return ylo;
   }
 };
 
@@ -102,8 +99,6 @@ class TiledTopology {
     std::int32_t x = 0;
     std::int32_t y = 0;
     std::int32_t t = 0;
-    std::int32_t ux = 0;  // x / role->xperiod — the coordinate patterns are affine in
-    std::int32_t uy = 0;  // y / role->yperiod
     std::uint32_t first = 0;  // slot-pool range of this node's pattern
     std::uint32_t count = 0;
   };
@@ -128,8 +123,6 @@ class TiledTopology {
     }
     d.x = i % role->xdim;
     d.y = i / role->xdim;
-    d.ux = d.x / role->xperiod;
-    d.uy = d.y / role->yperiod;
     const std::size_t p = static_cast<std::size_t>(
         (role->yclass(d.y) * role->xclasses + role->xclass(d.x)) * role->tracks + d.t);
     d.first = role->pattern_first[p];
@@ -153,8 +146,8 @@ class TiledTopology {
     const TiledSlot* s = slots.data() + d.first;
     const TiledSlot* end = s + d.count;
     for (; s < end; ++s) {
-      const auto nbr = static_cast<NodeId>(s->nbr_base + s->nbr_dx * d.ux + s->nbr_dy * d.uy);
-      const auto e = static_cast<EdgeId>(s->edge_base + s->edge_dx * d.ux + s->edge_dy * d.uy);
+      const auto nbr = static_cast<NodeId>(s->nbr_base + s->nbr_dx * d.x + s->nbr_dy * d.y);
+      const auto e = static_cast<EdgeId>(s->edge_base + s->edge_dx * d.x + s->edge_dy * d.y);
       fn(nbr, e, *s);
     }
   }
@@ -171,7 +164,6 @@ class TiledTopology {
       NodeId v = role.base;
       for (std::int32_t y = 0; y < role.ydim; ++y) {
         const std::int32_t yc = role.yclass(y);
-        const std::int32_t uy = y / role.yperiod;
         for (std::int32_t x = 0; x < role.xdim; ++x) {
           const std::size_t p0 = static_cast<std::size_t>(
               (yc * role.xclasses + role.xclass(x)) * role.tracks);
@@ -179,8 +171,6 @@ class TiledTopology {
           d.role = &role;
           d.x = x;
           d.y = y;
-          d.ux = x / role.xperiod;
-          d.uy = uy;
           for (std::int32_t t = 0; t < role.tracks; ++t, ++v) {
             d.t = t;
             d.first = role.pattern_first[p0 + static_cast<std::size_t>(t)];

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "arbor/idom.hpp"
+#include "core/contract.hpp"
 #include "core/route.hpp"
 #include "graph/dijkstra.hpp"
 
@@ -96,6 +99,49 @@ TEST(Device3dTest, ViaWeightModelsInterLayerDelay) {
   const auto e = dijkstra(expensive.graph(), expensive.block_node(0, 0, 0));
   EXPECT_LT(c.distance(cheap.block_node(1, 0, 0)),
             e.distance(expensive.block_node(1, 0, 0)));
+}
+
+TEST(Device3dTest, WireNodeRejectsOutOfRangeLayerAndTrack) {
+  const Device3d device(small_spec(2));
+  const int w = device.spec().layer.channel_width;
+  for (const Device3d::Dir dir : {Device3d::Dir::kHorizontal, Device3d::Dir::kVertical}) {
+    EXPECT_NO_THROW((void)device.wire_node(1, dir, 1, 1, w - 1));
+    EXPECT_THROW((void)device.wire_node(-1, dir, 1, 1, 0), ContractViolation);
+    EXPECT_THROW((void)device.wire_node(2, dir, 1, 1, 0), ContractViolation);
+    EXPECT_THROW((void)device.wire_node(0, dir, 1, 1, -1), ContractViolation);
+    EXPECT_THROW((void)device.wire_node(0, dir, 1, 1, w), ContractViolation);
+  }
+}
+
+// Layer counts, sparse via spacing, a heavier via weight and both switch
+// families: the graph is materialized, carries one track-aligned via per
+// track on every via_spacing-th horizontal channel tile, and connects the
+// bottom layer to the top.
+TEST(Device3dTest, SparseViaDevicesAreMaterializedAndConnected) {
+  std::vector<Arch3dSpec> cases;
+  cases.push_back({ArchSpec::xc4000(7, 8, 4), 2, 1, 1.0});
+  cases.push_back({ArchSpec::xc4000(8, 15, 4), 2, 3, 1.5});
+  cases.push_back({ArchSpec::xc3000(7, 14, 5), 3, 2, 2.0});
+  for (const Arch3dSpec& spec : cases) {
+    const int rows = spec.layer.rows, cols = spec.layer.cols, w = spec.layer.channel_width;
+    SCOPED_TRACE(::testing::Message() << rows << "x" << cols << " w=" << w
+                                      << " layers=" << spec.layers
+                                      << " via_spacing=" << spec.via_spacing);
+    const Device3d device(spec);
+    EXPECT_FALSE(device.graph().tiled());
+    const int via_columns = (cols + spec.via_spacing - 1) / spec.via_spacing;
+    EXPECT_EQ(device.via_count(), (spec.layers - 1) * (rows + 1) * via_columns * w);
+    const NodeId source = device.block_node(0, 0, 0);
+    const NodeId sink = device.block_node(spec.layers - 1, cols - 1, rows - 1);
+    const auto spt = dijkstra(device.graph(), source);
+    ASSERT_TRUE(spt.reached(sink));
+    // Vias join adjacent layers only, so the route passes through each one.
+    std::vector<bool> visited(static_cast<std::size_t>(spec.layers), false);
+    for (const NodeId v : spt.path_nodes_to(sink)) {
+      visited[static_cast<std::size_t>(device.layer_of(v))] = true;
+    }
+    EXPECT_EQ(visited, std::vector<bool>(static_cast<std::size_t>(spec.layers), true));
+  }
 }
 
 }  // namespace

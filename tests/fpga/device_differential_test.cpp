@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "fpga/device.hpp"
-#include "fpga/device3d.hpp"
 #include "fpga/faults.hpp"
 #include "fpga/tile_template.hpp"
 #include "graph/dijkstra.hpp"
@@ -179,28 +178,6 @@ TEST(DeviceDifferentialTest, StampedMatchesLegacyXc3000) {
     const Device stamped(spec);
     ASSERT_TRUE(stamped.tiled());
     expect_devices_identical(legacy, stamped);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Structural bit-identity, 3-D (layers, via spacing, via weights — the
-// hwire role's x-period becomes via_spacing, the hardest template case).
-
-TEST(DeviceDifferentialTest, StampedMatchesLegacy3d) {
-  std::vector<Arch3dSpec> cases;
-  cases.push_back({ArchSpec::xc4000(7, 8, 4), 2, 1, 1.0});
-  cases.push_back({ArchSpec::xc4000(8, 15, 4), 2, 3, 1.5});
-  cases.push_back({ArchSpec::xc3000(7, 14, 5), 3, 2, 2.0});
-  for (const Arch3dSpec& spec : cases) {
-    SCOPED_TRACE(::testing::Message()
-                 << spec.layer.rows << "x" << spec.layer.cols << " w=" << spec.layer.channel_width
-                 << " layers=" << spec.layers << " via_spacing=" << spec.via_spacing);
-    const Device3d legacy(spec, DeviceBuild::kLegacy);
-    const Device3d stamped(spec);
-    ASSERT_TRUE(stamped.tiled());
-    ASSERT_FALSE(legacy.tiled());
-    EXPECT_EQ(legacy.via_count(), stamped.via_count());
-    expect_graphs_identical(legacy.graph(), stamped.graph());
   }
 }
 

@@ -6,6 +6,7 @@
 #include <memory>
 #include <random>
 
+#include "core/contract.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/grid.hpp"
 #include "test_util.hpp"
@@ -322,6 +323,31 @@ TEST(GraphTest, CsrSnapshotMatchesIncidentListsAndSurvivesWeightMutation) {
   EXPECT_EQ(g.flat_adjacency()->edge_id.size(), static_cast<std::size_t>(g.edge_count()) * 2);
   EXPECT_EQ(dijkstra(g, 0).distance(29), 0.5);
   expect_same_trees(g, tiled);
+}
+
+// Graph::from_tiled validates the topology's structure before stamping.
+TEST(GraphTest, FromTiledRejectsMalformedTopologies) {
+  const auto variant = [](const auto& edit) {
+    auto topo = std::make_shared<TiledTopology>(*tiled_grid(6, 5, 1.0));
+    edit(*topo);
+    return topo;
+  };
+  EXPECT_NO_THROW((void)Graph::from_tiled(variant([](TiledTopology&) {})));
+  // A class count other than lo + 1 + hi.
+  EXPECT_THROW(
+      (void)Graph::from_tiled(variant([](TiledTopology& t) { t.roles[0].xclasses = 4; })),
+      ContractViolation);
+  // A dim not larger than its two cuts (node count kept consistent).
+  EXPECT_THROW((void)Graph::from_tiled(variant([](TiledTopology& t) {
+                 t.roles[0].ydim = 2;
+                 t.node_count = t.roles[0].count();
+               })),
+               ContractViolation);
+  // A pattern range past the end of the slot pool.
+  EXPECT_THROW((void)Graph::from_tiled(variant([](TiledTopology& t) {
+                 t.roles[0].pattern_first.back() = static_cast<std::uint32_t>(t.slots.size());
+               })),
+               ContractViolation);
 }
 
 TEST(GraphTest, TraversalWeightsTrackUsability) {
