@@ -15,15 +15,10 @@ void Counters::reset() {
   parallel_waves.store(0, std::memory_order_relaxed);
   nets_speculated.store(0, std::memory_order_relaxed);
   nets_spec_accepted.store(0, std::memory_order_relaxed);
-  negotiate_runs.store(0, std::memory_order_relaxed);
   negotiate_passes.store(0, std::memory_order_relaxed);
-  pattern_attempts.store(0, std::memory_order_relaxed);
-  pattern_accepts.store(0, std::memory_order_relaxed);
   congestion_reliefs.store(0, std::memory_order_relaxed);
   move_to_front_reorders.store(0, std::memory_order_relaxed);
-  repair_events.store(0, std::memory_order_relaxed);
   repair_nets_ripped.store(0, std::memory_order_relaxed);
-  repair_nets_rerouted.store(0, std::memory_order_relaxed);
 }
 
 Counters& counters() {

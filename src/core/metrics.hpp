@@ -38,10 +38,7 @@ struct Counters {
   std::atomic<std::uint64_t> nets_spec_accepted{0};
 
   // Negotiated-congestion mode (router/negotiate, DESIGN.md §13).
-  std::atomic<std::uint64_t> negotiate_runs{0};    // route_circuit calls in negotiated mode
   std::atomic<std::uint64_t> negotiate_passes{0};  // rip-up-and-reroute passes executed
-  std::atomic<std::uint64_t> pattern_attempts{0};  // two-pin corridor probes tried
-  std::atomic<std::uint64_t> pattern_accepts{0};   // probes shipped as final pass routes
 
   // Paper-mode-only machinery engagement. The mode-gating contract
   // (negotiate_paper_boundary_test): neither may advance during a
@@ -51,11 +48,8 @@ struct Counters {
   std::atomic<std::uint64_t> move_to_front_reorders{0};   // inter-pass reorders applied
 
   // Incremental ECO repair (router/repair, DESIGN.md §14). ripped >= the
-  // delta's direct hits (cone expansion only adds); rerouted counts the
-  // cone nets that ended kRouted after the event.
-  std::atomic<std::uint64_t> repair_events{0};        // repair_route calls
-  std::atomic<std::uint64_t> repair_nets_ripped{0};   // cone nets ripped up
-  std::atomic<std::uint64_t> repair_nets_rerouted{0}; // cone nets routed again
+  // delta's direct hits (cone expansion only adds).
+  std::atomic<std::uint64_t> repair_nets_ripped{0};  // cone nets ripped up
 
   /// Zeroes every counter.
   void reset();

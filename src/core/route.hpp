@@ -35,11 +35,12 @@ std::string_view algorithm_name(Algorithm a);
 /// True for algorithms that guarantee optimal source-sink pathlengths.
 bool is_arborescence_algorithm(Algorithm a);
 
-/// True for algorithms that only ever query the path oracle about terminals
-/// and corridor nodes, so a radius-bounded PathOracle scope (set_scope) is a
-/// pure speedup. False for the algorithms that scan full SSSP trees over
-/// every graph node (PFA's MaxDom, ZEL/IZEL's triple medians, the exact
-/// subset DPs).
+/// True for algorithms that read the path oracle's trees only through
+/// knows()-guarded queries or about terminals, so a PathOracle scope
+/// (set_scope) is a pure speedup. A scoped tree of a two-terminal net is a
+/// sealed point-to-point search that knows only its shortest-path corridor,
+/// so the algorithms that scan raw SSSP trees over every graph node (PFA's
+/// MaxDom, ZEL/IZEL's triple medians, the exact subset DPs) return false.
 bool algorithm_supports_scoped_paths(Algorithm a);
 
 /// The eight heuristics of Table 1, in the paper's row order.

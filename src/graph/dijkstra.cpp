@@ -51,18 +51,14 @@ struct GoalBound {
 }  // namespace
 
 void ShortestPathTree::start(const Graph& g, NodeId source, std::span<const NodeId> targets,
-                             double radius_factor, Weight slack, WorkBudget* budget,
-                             bool goal_directed, Weight source_key) {
+                             WorkBudget* budget, bool goal_directed, Weight source_key) {
   source_ = source;
   node_count_ = g.node_count();
   inactive_targets_ = 0;
   goal_directed_ = goal_directed;
-  radius_factor_ = radius_factor;
-  slack_ = slack;
   graph_ = &g;
   revision_ = g.revision();
   budget_ = budget;
-  limit_ = kInfiniteWeight;
   pending_.clear();
   budget_aborted_ = false;
   run_pops_ = 0;
@@ -79,8 +75,8 @@ void ShortestPathTree::start(const Graph& g, NodeId source, std::span<const Node
   for (const NodeId v : targets) {
     if (!g.node_active(v)) {
       // A removed target can never be settled; counting it would keep the
-      // pending set non-empty forever, the radius limit infinite, and
-      // silently degrade every scoped run to a full-graph Dijkstra.
+      // pending set non-empty forever, so the run would never pause and
+      // every scoped run would silently degrade to a full-graph Dijkstra.
       ++inactive_targets_;
       continue;
     }
@@ -92,8 +88,8 @@ void ShortestPathTree::start(const Graph& g, NodeId source, std::span<const Node
     }
   }
   // With every target inactive (or coincident with the source) there is no
-  // settle event to derive a radius from: the run is explicitly unbounded,
-  // exactly like a plain dijkstra() call.
+  // settle event to pause at: the run is explicitly unbounded, exactly like
+  // a plain dijkstra() call.
   arena_.relax(source, 0, source_key, kInvalidNode, kInvalidEdge);
 }
 
@@ -105,10 +101,7 @@ void ShortestPathTree::start(const Graph& g, NodeId source, std::span<const Node
 /// == incident-list order == tiled slot order), so dist/parent/parent_edge
 /// are bit-identical to the historical engine. A paused run resumes this
 /// same loop on the same heap, so where it pauses cannot change what it
-/// settles. One deliberate divergence: when the search exhausts the
-/// component, the result is always complete, where the old engine could
-/// still report stopped-early if a superseded heap entry above the limit
-/// survived to the top (see dijkstra_reference.hpp).
+/// settles.
 ///
 /// With a GoalBound the same loop is the point-to-point mode (dijkstra_to):
 /// the heap key is f = d + h(v), the pending set holds just the goal, and
@@ -132,6 +125,7 @@ std::int64_t ShortestPathTree::settle(const Graph& g, const Bound& h, NodeId pro
   scratch.begin(node_count_);
   for (const NodeId v : pending_) scratch.mark_pending(v);
   auto pending_count = static_cast<std::int64_t>(pending_.size());
+  Weight limit = kInfiniteWeight;  // d* once the point-to-point goal settles
   budget_aborted_ = false;
   std::int64_t pops = 0;
   // Point-to-point only: the key of the latest pops and the pop-log index
@@ -145,7 +139,7 @@ std::int64_t ShortestPathTree::settle(const Graph& g, const Bound& h, NodeId pro
     while (!arena.heap_empty()) {
       const NodeId u = arena.heap_min();
       const Weight key = arena.heap_min_key();
-      if (key > limit_) break;
+      if (key > limit) break;
       if (budget_ != nullptr && !budget_->charge()) {
         // Budget spent: u is NOT settled (its label may still be tentative).
         // (key, u) stays the heap minimum, so the settled set is exactly
@@ -179,7 +173,7 @@ std::int64_t ShortestPathTree::settle(const Graph& g, const Bound& h, NodeId pro
       if (pending_count > 0 && scratch.pending(u)) {
         scratch.clear_pending(u);
         if (--pending_count == 0) {
-          limit_ = radius_factor_ * d + slack_;
+          if constexpr (kGoal) limit = d;
           last_target = true;
         }
       }
@@ -235,13 +229,8 @@ std::int64_t ShortestPathTree::settle(const Graph& g, const Bound& h, NodeId pro
                              [&](NodeId v, EdgeId e, const TiledSlot&) { relax_slot(u, d, v, e); });
     });
   }
-  // Keep the targets a budget stop left pending, so a resume still derives
-  // the limit from the last of them.
-  if (pending_count == 0) {
-    pending_.clear();
-  } else {
-    std::erase_if(pending_, [&](NodeId v) { return !scratch.pending(v); });
-  }
+  // Only the first run pauses at the targets; growth runs to its probe.
+  pending_.clear();
   return pops;
 }
 
@@ -265,39 +254,22 @@ ShortestPathTree dijkstra(const Graph& g, NodeId source) {
 }
 
 void dijkstra(const Graph& g, NodeId source, ShortestPathTree& out, WorkBudget* budget) {
-  out.start(g, source, {}, 0, 0, budget, false, 0);
+  out.start(g, source, {}, budget, false, 0);
   out.run_pops_ = out.settle(g, ZeroBound{}, kInvalidNode, false);
   out.seal();
 }
 
 void dijkstra_within_paused(const Graph& g, NodeId source, std::span<const NodeId> targets,
-                            ShortestPathTree& out, double radius_factor, Weight slack,
-                            WorkBudget* budget) {
-  out.start(g, source, targets, radius_factor, slack, budget, false, 0);
+                            ShortestPathTree& out, WorkBudget* budget) {
+  out.start(g, source, targets, budget, false, 0);
   out.run_pops_ = out.settle(g, ZeroBound{}, kInvalidNode, true);
-}
-
-ShortestPathTree dijkstra_within(const Graph& g, NodeId source, std::span<const NodeId> targets,
-                                 double radius_factor, Weight slack) {
-  ShortestPathTree t;
-  dijkstra_within(g, source, targets, t, radius_factor, slack);
-  return t;
-}
-
-void dijkstra_within(const Graph& g, NodeId source, std::span<const NodeId> targets,
-                     ShortestPathTree& out, double radius_factor, Weight slack,
-                     WorkBudget* budget) {
-  dijkstra_within_paused(g, source, targets, out, radius_factor, slack, budget);
-  out.grow_to(kInvalidNode);
-  out.seal();
 }
 
 void dijkstra_to(const Graph& g, NodeId source, NodeId target, DistanceBound bound,
                  ShortestPathTree& out, WorkBudget* budget) {
-  // The limit is 1.0 * d* + 0 == d* exactly.
   const GoalBound h{bound, target};
   const NodeId goal[] = {target};
-  out.start(g, source, goal, 1.0, 0, budget, true, h(source));
+  out.start(g, source, goal, budget, true, h(source));
   out.run_pops_ = out.settle(g, h, kInvalidNode, false);
   out.seal();
 }

@@ -22,13 +22,12 @@ namespace fpr {
 /// positions stay where the run stopped. A tree from dijkstra_within_paused
 /// is a *paused* run that grows on reads: every read of a node (knows,
 /// reached, distance, parent, parent_edge, path_edges_to, path_nodes_to)
-/// first resumes the run until that node settles or the frontier passes
-/// the run's limit, and complete() grows it to the limit. Growth settles in
-/// the same packed (dist, id) order as one uninterrupted run, so a paused
-/// tree answers every read bit for bit as the fully grown ball would —
-/// DESIGN.md §8. Reading a paused tree mutates it, so a tree must not be
-/// read from two threads at once (DESIGN.md §7). Every other tree is
-/// sealed: reads never grow it.
+/// first resumes the run until that node settles or the heap drains, and
+/// complete() drains it. Growth settles in the same packed (dist, id) order
+/// as one uninterrupted run, so every read of a paused tree answers bit for
+/// bit as dijkstra() would — DESIGN.md §8. Reading a paused tree mutates
+/// it, so a tree must not be read from two threads at once (DESIGN.md §7).
+/// Every other tree is sealed: reads never grow it.
 class ShortestPathTree {
  public:
   NodeId source() const { return source_; }
@@ -37,16 +36,16 @@ class ShortestPathTree {
   NodeId node_count() const { return node_count_; }
 
   /// Targets the scoped run skipped because they were deactivated — they
-  /// can never be settled, so they must not hold the radius limit open.
+  /// can never be settled, so they must not hold the pause off.
   /// Nonzero values make that (previously silent) degradation observable.
   int inactive_targets() const { return inactive_targets_; }
 
   /// True when the run (or the latest growth of a paused tree) stopped
   /// because a WorkBudget ran out of node expansions (see
   /// graph/budget.hpp). The tree is partial: only the nodes settled before
-  /// the stop are known, exactly as for a radius-bounded early stop, and
-  /// queries outside them must consult knows(). Budget stops are
-  /// deterministic — the same budget always settles the same node set.
+  /// the stop are known, and queries outside them must consult knows().
+  /// Budget stops are deterministic — the same budget always settles the
+  /// same node set.
   bool budget_aborted() const { return budget_aborted_; }
 
   bool reached(NodeId v) const {
@@ -62,7 +61,7 @@ class ShortestPathTree {
   }
 
   /// True when the run drained the source's component, so every node is
-  /// known. A paused tree grows to its limit first.
+  /// known. A paused tree grows until its heap drains first.
   bool complete() const {
     grow_to(kInvalidNode);
     return arena_.heap_empty();
@@ -103,13 +102,6 @@ class ShortestPathTree {
   /// PathOracle re-points its trees whenever its own budget changes.
   void charge_growth_to(WorkBudget* budget) { budget_ = budget; }
 
-  /// Lifts a paused tree's limit to infinity: later reads grow it past its
-  /// ball, toward a complete tree (PathOracle::from_knowing's upgrade).
-  void lift_limit() {
-    limit_ = kInfiniteWeight;
-    pending_.clear();
-  }
-
   /// Growth observability: the pops of the run that filled this tree, and
   /// the number of resumes (reads that had to grow it) and their pops.
   std::int64_t run_pops() const { return run_pops_; }
@@ -121,29 +113,26 @@ class ShortestPathTree {
   friend void dijkstra_to(const Graph&, NodeId, NodeId, DistanceBound, ShortestPathTree&,
                           WorkBudget*);
   friend void dijkstra_within_paused(const Graph&, NodeId, std::span<const NodeId>,
-                                     ShortestPathTree&, double, Weight, WorkBudget*);
-  friend void dijkstra_within(const Graph&, NodeId, std::span<const NodeId>, ShortestPathTree&,
-                              double, Weight, WorkBudget*);
+                                     ShortestPathTree&, WorkBudget*);
 
   /// Resets the tree and seeds a run from `source` (heap key
   /// `source_key`) toward `targets`.
-  void start(const Graph& g, NodeId source, std::span<const NodeId> targets,
-             double radius_factor, Weight slack, WorkBudget* budget, bool goal_directed,
-             Weight source_key);
+  void start(const Graph& g, NodeId source, std::span<const NodeId> targets, WorkBudget* budget,
+             bool goal_directed, Weight source_key);
 
   /// The one settle loop (dijkstra.cpp), shared by first runs and growth.
-  /// Pops until the heap drains, the minimum key passes limit_, the budget
-  /// runs out, `probe` settles, or — with `pause` — the last pending target
-  /// settles. Returns the number of pops.
+  /// Pops until the heap drains, the budget runs out, `probe` settles, or —
+  /// with `pause` — the last pending target settles; the point-to-point
+  /// mode also stops once its minimum key passes d*. Returns the number of
+  /// pops.
   template <typename Bound>
   std::int64_t settle(const Graph& g, const Bound& h, NodeId probe, bool pause) const;
 
   /// Resumes a paused run until `probe` settles (kInvalidNode: until the
-  /// limit). No-op on a sealed tree or when nothing is left to grow.
+  /// heap drains). No-op on a sealed tree or when nothing is left to grow.
   void grow_to(NodeId probe) const {
     if (graph_ == nullptr || arena_.heap_empty()) return;
     if (probe != kInvalidNode && settled(probe)) return;
-    if (arena_.heap_min_key() > limit_) return;
     resume(probe);
   }
   void resume(NodeId probe) const;
@@ -160,15 +149,12 @@ class ShortestPathTree {
   NodeId node_count_ = 0;
   int inactive_targets_ = 0;
   bool goal_directed_ = false;
-  double radius_factor_ = 0;  // the limit is radius_factor_ * d + slack_,
-  Weight slack_ = 0;          // d the last pending target's distance
   const Graph* graph_ = nullptr;  // non-null while paused
   std::uint64_t revision_ = 0;    // graph_->revision() when the run started
   WorkBudget* budget_ = nullptr;
   // Search state: a paused tree's reads advance it.
   mutable DijkstraArena arena_;
-  mutable Weight limit_ = kInfiniteWeight;  // infinite until the targets settle
-  mutable std::vector<NodeId> pending_;     // live targets not yet settled
+  mutable std::vector<NodeId> pending_;  // live targets of the first run
   mutable bool budget_aborted_ = false;
   std::int64_t run_pops_ = 0;
   mutable std::int64_t resumes_ = 0;
@@ -214,41 +200,21 @@ void dijkstra(const Graph& g, NodeId source, ShortestPathTree& out, WorkBudget* 
 void dijkstra_to(const Graph& g, NodeId source, NodeId target, DistanceBound bound,
                  ShortestPathTree& out, WorkBudget* budget = nullptr);
 
-/// Radius-bounded Dijkstra, paused: settles every reachable node in
-/// `targets` and stops right after the last one settles, at distance d. The
-/// limit radius_factor * d + slack that a one-shot run would have expanded
-/// to is recorded as the tree's logical extent: reads grow the tree on
-/// demand, never past it, so each read answers as if the whole ball had
-/// been settled up front (see ShortestPathTree). Growth charges the budget
-/// last given to charge_growth_to (initially `budget`), and both that
-/// budget and `g` must outlive every read that can grow the tree. Growth
-/// also requires the graph unchanged: growing after g.revision() moved is
-/// an FPR_CHECK failure. PathOracle's scoped trees are paused runs; lift_limit() turns
-/// one into an unbounded run without restarting it.
+/// Scoped Dijkstra, paused: settles every reachable node in `targets` and
+/// stops right after the last one settles. Reads then grow the tree on
+/// demand, each until the node it reads settles (see ShortestPathTree), so
+/// every answer is dijkstra()'s. Growth charges the budget last given to
+/// charge_growth_to (initially `budget`), and both that budget and `g` must
+/// outlive every read that can grow the tree. Growth also requires the
+/// graph unchanged: growing after g.revision() moved is an FPR_CHECK
+/// failure. PathOracle's scoped trees are paused runs.
 ///
-/// On large FPGA routing graphs this prices a local net at the cost of its
-/// neighborhood instead of the whole device; the generous default radius
-/// covers the Steiner "corridor" (nodes on shortest paths between targets
-/// plus their neighbors) from every target's viewpoint. If the ball
-/// exhausts the component, the grown tree is complete. Deactivated targets
+/// On large FPGA routing graphs this prices a local net at the cost of the
+/// nodes its queries read instead of the whole device. Deactivated targets
 /// are skipped (counted in inactive_targets()) rather than left pending
-/// forever; if every target is inactive the run is unbounded, like
+/// forever; if every target is inactive the run never pauses, like
 /// dijkstra().
 void dijkstra_within_paused(const Graph& g, NodeId source, std::span<const NodeId> targets,
-                            ShortestPathTree& out, double radius_factor = 1.3,
-                            Weight slack = 4.0, WorkBudget* budget = nullptr);
-
-/// The one-shot ball: dijkstra_within_paused, then grown to its limit and
-/// sealed. Queries outside the ball must consult knows() — PathOracle does
-/// this and transparently falls back to an unbounded run.
-ShortestPathTree dijkstra_within(const Graph& g, NodeId source, std::span<const NodeId> targets,
-                                 double radius_factor = 1.3, Weight slack = 4.0);
-
-/// Reuse variant of dijkstra_within (see the dijkstra() overload above).
-/// `budget` as in the dijkstra() reuse overload: node-expansion-bounded,
-/// deterministic early abort.
-void dijkstra_within(const Graph& g, NodeId source, std::span<const NodeId> targets,
-                     ShortestPathTree& out, double radius_factor = 1.3, Weight slack = 4.0,
-                     WorkBudget* budget = nullptr);
+                            ShortestPathTree& out, WorkBudget* budget = nullptr);
 
 }  // namespace fpr

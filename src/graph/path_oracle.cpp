@@ -49,8 +49,8 @@ const ShortestPathTree& PathOracle::from(NodeId source) {
     } else if (const NodeId goal = point_to_point_goal(source); goal != kInvalidNode) {
       dijkstra_to(*g_, source, goal, *bound_, *tree, budget_);
     } else {
-      // Paused at the last target; reads grow it toward 1.3 * d + 4.
-      dijkstra_within_paused(*g_, source, scope_, *tree, 1.3, 4.0, budget_);
+      // Paused at the last target; reads grow it.
+      dijkstra_within_paused(*g_, source, scope_, *tree, budget_);
     }
     run_pops_ += tree->run_pops();
     it = cache_.emplace(source, std::move(tree)).first;
@@ -70,19 +70,14 @@ const ShortestPathTree& PathOracle::from_knowing(NodeId source, NodeId probe) {
   // tentative or infinite distance and degrades into an "unreachable"
   // answer.
   if (budget_exhausted()) return tree;
-  // The tree stopped short of the probe: upgrade it in place (not a pointer
-  // swap) so references handed out by from() earlier stay valid —
-  // algorithms hold the source tree across queries that may upgrade it. A
-  // paused ball just loses its limit and keeps growing from its frontier;
-  // a sealed tree (point-to-point, or an unscoped run a budget stopped)
-  // re-runs unbounded.
+  // A paused tree grows to any probe, so only a sealed tree (point-to-point,
+  // or an unscoped run a budget stopped) stops short of one. Re-run it
+  // unbounded in place (not a pointer swap) so references handed out by
+  // from() earlier stay valid — algorithms hold the source tree across
+  // queries that may upgrade it.
   ShortestPathTree& upgraded = *cache_.find(source)->second;
-  if (upgraded.paused()) {
-    upgraded.lift_limit();
-  } else {
-    dijkstra(*g_, source, upgraded, budget_);
-    run_pops_ += upgraded.run_pops();
-  }
+  dijkstra(*g_, source, upgraded, budget_);
+  run_pops_ += upgraded.run_pops();
   ++runs_;
   ++misses_;
   return upgraded;

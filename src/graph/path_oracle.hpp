@@ -28,7 +28,7 @@ namespace fpr {
 ///
 /// Cache effectiveness is observable: cache_hits() counts queries served
 /// from an already-computed tree, cache_misses() counts the ones that had
-/// to run Dijkstra (including bounded-tree upgrades). src/core/metrics
+/// to run Dijkstra (including re-runs of sealed trees). src/core/metrics
 /// snapshots both for reporting.
 ///
 /// Thread model: one oracle per thread — the parallel sweeps give every
@@ -42,25 +42,22 @@ class PathOracle {
 
   const Graph& graph() const { return *g_; }
 
-  /// Restricts fresh Dijkstra runs to a radius-bounded search around the
-  /// given target set. Each fresh tree is a paused dijkstra_within run: it
-  /// stops right after its last target settles and grows on demand as
-  /// queries read it, never past the ball 1.3 * d + 4 a one-shot run would
-  /// have settled, so every answer equals the one-shot ball's. distance()/
-  /// path_between() transparently upgrade a tree to an unbounded one when a
-  /// query falls outside that ball (see from_knowing), so scoping is purely
-  /// a performance hint — but algorithms that scan raw from() trees over
-  /// ALL nodes (PFA's MaxDom, ZEL's triple medians) must run unscoped. The
-  /// FPGA router sets the scope per net for the scan-free algorithms.
+  /// Scopes fresh Dijkstra runs to the given target set. Each fresh tree is
+  /// a dijkstra_within_paused run: it stops right after its last target
+  /// settles and grows on demand, each read until the node it reads
+  /// settles, so every answer is the unscoped tree's.
   ///
   /// With a `bound` (consistent toward every target, see DistanceBound) a
   /// scope of exactly two distinct nodes {a, b} makes from(a) a
   /// point-to-point search toward b (dijkstra_to) and from(b) one toward a:
-  /// a two-terminal net then pays one goal-directed search instead of a
-  /// radius ball. Its trees know fewer nodes than a radius ball, but every
-  /// query a two-terminal construction makes stays inside them. Any other
-  /// scope ignores the bound. The bound is held by reference and must
-  /// outlive the scope.
+  /// a two-terminal net then pays one goal-directed search. Such a tree is
+  /// sealed and knows only the nodes that can lie on a shortest a-b path.
+  /// distance()/path_between() re-run it unbounded when a query falls
+  /// outside (see from_knowing), but algorithms that read raw from() trees
+  /// over ALL nodes (PFA's MaxDom, ZEL's triple medians) must run unscoped.
+  /// The FPGA router sets the scope per net for the others. Any other scope
+  /// ignores the bound. The bound is held by reference and must outlive
+  /// the scope.
   void set_scope(std::vector<NodeId> targets, std::optional<DistanceBound> bound = {}) {
     scope_ = std::move(targets);
     bound_ = bound;
@@ -86,16 +83,15 @@ class PathOracle {
   /// True when the attached budget has run out (never true without one).
   bool budget_exhausted() const { return budget_ != nullptr && budget_->exhausted(); }
 
-  /// The SSSP tree rooted at `source` (computed on first use; radius-bounded
-  /// when a scope is set).
+  /// The SSSP tree rooted at `source` (computed on first use; paused or
+  /// point-to-point when a scope is set).
   const ShortestPathTree& from(NodeId source);
 
   /// A tree rooted at `source` that is guaranteed to know `probe` (unless
-  /// the budget runs out). When the probe lies outside a scoped tree's
-  /// ball, the upgrade lifts the tree's limit to infinity and lets the
-  /// reads resume it — the ball is never recomputed; a point-to-point or
-  /// budget-stopped unscoped tree is re-run unbounded. Either way the
-  /// upgrade happens in place, so references handed out earlier stay valid.
+  /// the budget runs out). A paused tree grows to the probe; a sealed tree
+  /// that does not know it (point-to-point, or an unscoped run a budget
+  /// stopped) is re-run unbounded in place, so references handed out
+  /// earlier stay valid.
   const ShortestPathTree& from_knowing(NodeId source, NodeId probe);
 
   /// Shortest-path distance between two nodes (graph is undirected, so this
@@ -125,13 +121,12 @@ class PathOracle {
   /// a high hit rate even though the router mutates the graph between nets.
   std::size_t cache_hits() const { return hits_; }
 
-  /// Queries that had to run Dijkstra: cold from() calls and bounded-tree
-  /// upgrades in from_knowing(). On-demand growth of a paused tree is
+  /// Queries that had to run Dijkstra: cold from() calls and sealed-tree
+  /// re-runs in from_knowing(). On-demand growth of a paused tree is
   /// neither a run nor a miss; resumes() counts it.
   std::size_t cache_misses() const { return misses_; }
 
-  /// Heap pops of the runs counted by dijkstra_runs() (re-runs included,
-  /// limit lifts excluded: their pops are growth).
+  /// Heap pops of the runs counted by dijkstra_runs(), re-runs included.
   std::int64_t run_pops() const { return run_pops_; }
 
   /// Reads that resumed a paused tree, and the pops they settled, over the

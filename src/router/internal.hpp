@@ -26,8 +26,8 @@ struct NetContext {
   /// The mode policy. Null (paper mode): a commit consumes the net's wires
   /// and charges options.congestion_penalty. Non-null (negotiated mode): a
   /// commit adds the net's wires to the layer's occupancy, and two-pin
-  /// nets first try the L/Z pattern probe when options.pattern_route is
-  /// set. Edge pricing is the same in both: route() reads graph weights.
+  /// nets first try the L/Z pattern probe. Edge pricing is the same in
+  /// both: route() reads graph weights.
   CongestionLayer* layer = nullptr;
   /// Indexed like circuit.nets: each commit writes net idx's undo record
   /// to (*commit_logs)[idx]. Optional in paper mode, required with a layer

@@ -19,6 +19,21 @@ std::atomic<bool> negotiate_break_history_update{false};
 
 namespace {
 
+/// Present-overflow factor of the first pass and its geometric per-pass
+/// growth and cap. A wire at or over capacity charges
+/// present * (occupancy + 1 - capacity) to every prospective new occupant;
+/// doubling each pass turns "sharing is cheap" exploration into "sharing is
+/// prohibitive" resolution. All dyadic, so repricing arithmetic is bit-exact
+/// on every platform.
+constexpr double kPresentFactor = 0.5;
+constexpr double kPresentGrowth = 2.0;
+constexpr double kPresentFactorMax = 4096.0;
+
+/// History cost accrued by every overflowed wire at the end of each pass.
+/// History never decays — it is the memory that steers nets away from
+/// chronically contested wires even when they are momentarily free.
+constexpr double kHistoryIncrement = 0.25;
+
 /// End-of-pass sweep: tallies total overflow over the occupied wires,
 /// accrues history on every overflowed one and lists them in `overflowed`
 /// (ascending) — the wires whose owners the next pass rips up. Lives here
@@ -49,7 +64,6 @@ RoutingResult route_circuit_negotiated(Device& device, const Circuit& circuit,
   FPR_CHECK(!options.decompose_two_pin,
             "negotiated mode routes whole nets only — decompose_two_pin is the paper-mode "
             "baseline and its per-sink commits have no negotiated meaning");
-  counters().negotiate_runs.fetch_add(1, std::memory_order_relaxed);
   const std::size_t net_count = circuit.nets.size();
 
   device.reset();
@@ -78,7 +92,7 @@ RoutingResult route_circuit_negotiated(Device& device, const Circuit& circuit,
   std::vector<char> rip(net_count, 1);                // pass 1 routes every net
   std::vector<NodeId> overflowed;
   std::vector<std::size_t> failed;
-  double present = options.present_factor;
+  double present = kPresentFactor;
   const int pass_cap = std::max(1, options.negotiate_passes);
   const int stall_window = options.stall_passes > 0 ? std::max(options.stall_passes, 6) : 0;
   int best_overflow_seen = std::numeric_limits<int>::max();
@@ -117,7 +131,7 @@ RoutingResult route_circuit_negotiated(Device& device, const Circuit& circuit,
     }
 
     const int previous_overflow = last_overflow;
-    last_overflow = tally_overflow_and_accrue(layer, options.history_increment, overflowed);
+    last_overflow = tally_overflow_and_accrue(layer, kHistoryIncrement, overflowed);
     best_overflow_seen = std::min(best_overflow_seen, last_overflow);
     result.overflow_trend.push_back(best_overflow_seen);
 
@@ -138,7 +152,7 @@ RoutingResult route_circuit_negotiated(Device& device, const Circuit& circuit,
       converged = true;
       break;
     }
-    present = std::min(present * options.present_growth, options.present_factor_max);
+    present = std::min(present * kPresentGrowth, kPresentFactorMax);
 
     // The next pass re-routes the failed nets and the owners of every
     // overflowed wire. A pass that did not strictly lower the overflow

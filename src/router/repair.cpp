@@ -263,8 +263,6 @@ RepairOutcome repair_route(Device& device, Circuit& circuit, RoutingResult& resu
             "repair_route: result carries " << result.commit_logs.size() << " commit logs for "
                                             << circuit.nets.size()
                                             << " nets — route with record_commits");
-  counters().repair_events.fetch_add(1, std::memory_order_relaxed);
-
   const auto check_pins = [&](const CircuitNet& net) {
     const auto on_array = [&](const PinRef& p) {
       return p.x >= 0 && p.x < circuit.cols && p.y >= 0 && p.y < circuit.rows;
@@ -363,9 +361,6 @@ RepairOutcome repair_route(Device& device, Circuit& circuit, RoutingResult& resu
       return;
     }
     router_internal::route_net_live(ctx, idx, record);
-    if (record.routed()) {
-      counters().repair_nets_rerouted.fetch_add(1, std::memory_order_relaxed);
-    }
   };
   for (const std::size_t idx : result.net_order) {
     if (idx < pending.size()) repair_net(idx);

@@ -33,6 +33,12 @@ std::string_view net_status_name(NetStatus status) {
 
 namespace {
 
+/// Geometric congestion-relief factor for fault retries: on retry r every
+/// edge weight w is temporarily remapped to 1 + (w - 1) * backoff^r, so
+/// accumulated congestion matters less and less while base wirelength
+/// still breaks ties. Exact originals are restored after each attempt.
+constexpr double kFaultReliefBackoff = 0.5;
+
 /// Installed faults or a live fault-event overlay: either arms the
 /// fault-retry ladder and the post-hoc fault classification. A
 /// from-scratch route on a device that survived apply_fault_event() sees
@@ -337,7 +343,7 @@ void route_net_live(NetContext& ctx, std::size_t idx, NetRouteResult& record) {
     double relief_scale = 1.0;
     while (!out.routed && !out.budget_aborted && record.retries < ctx.fault_retries) {
       ++record.retries;
-      relief_scale *= options.fault_relief_backoff;
+      relief_scale *= kFaultReliefBackoff;
       CongestionRelief relief(g, relief_scale);
       out = route_two_pin_decomposed(device, net, options.congestion_penalty, &budget, log);
     }
@@ -352,13 +358,11 @@ void route_net_live(NetContext& ctx, std::size_t idx, NetRouteResult& record) {
     return;
   }
 
-  if (ctx.layer != nullptr && options.pattern_route && net.sinks.size() == 1) {
+  if (ctx.layer != nullptr && net.sinks.size() == 1) {
     ++ctx.pattern_attempts;
-    counters().pattern_attempts.fetch_add(1, std::memory_order_relaxed);
     PatternProbe probe = pattern_route(device, *ctx.layer, net.source, net.sinks[0], &budget);
     if (probe.accepted) {
       ++ctx.pattern_accepts;
-      counters().pattern_accepts.fetch_add(1, std::memory_order_relaxed);
       // A pattern accept IS the net's measurement: the probe's path cost is
       // the live wirelength and (two-pin) worst pathlength, and stands in
       // for the Dijkstra optimum bound as a recorded upper bound — running
@@ -382,9 +386,9 @@ void route_net_live(NetContext& ctx, std::size_t idx, NetRouteResult& record) {
   const std::vector<NodeId> terminals = net.terminals();
   const bool critical = ctx.circuit.nets[idx].critical;
   const Algorithm algo = critical ? options.critical_algorithm : options.algorithm;
-  // Radius-bounded shortest paths: local nets only pay for their
-  // neighborhood of the device graph, not the whole chip. A two-terminal
-  // net gets one goal-directed search toward its other end instead.
+  // Scoped shortest paths: local nets only pay for the part of the device
+  // graph their queries read, not the whole chip. A two-terminal net gets
+  // one goal-directed search toward its other end instead.
   if (algorithm_supports_scoped_paths(algo)) {
     oracle.set_scope(terminals, device.distance_bound());
   }
@@ -399,7 +403,7 @@ void route_net_live(NetContext& ctx, std::size_t idx, NetRouteResult& record) {
   while (!tree.spans(terminals) && !budget.exhausted() &&
          record.retries < ctx.fault_retries) {
     ++record.retries;
-    relief_scale *= options.fault_relief_backoff;
+    relief_scale *= kFaultReliefBackoff;
     CongestionRelief relief(g, relief_scale);
     PathOracle retry_oracle(g);
     retry_oracle.set_budget(&budget);

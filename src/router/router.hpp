@@ -72,18 +72,12 @@ struct RouterOptions {
   /// Rip-up-and-reroute attempts for a net that fails on a device with
   /// installed faults (Device::has_faults()). Each retry widens the search —
   /// full candidate set, unscoped oracle, arborescence fallback — under
-  /// progressively relaxed congestion weighting (see fault_relief_backoff),
-  /// because a defect often forces a detour straight through the corridor
-  /// the congestion penalties were steering nets away from. 0 disables; on
+  /// progressively relaxed congestion weighting, because a defect often
+  /// forces a detour straight through the corridor the congestion
+  /// penalties were steering nets away from. 0 disables; on
   /// a fault-free device retries never happen (a failed deterministic
   /// search would just fail identically again).
   int fault_retries = 2;
-
-  /// Geometric congestion-relief factor for fault retries: on retry r every
-  /// edge weight w is temporarily remapped to 1 + (w - 1) * backoff^r, so
-  /// accumulated congestion matters less and less while base wirelength
-  /// still breaks ties. Exact originals are restored after each attempt.
-  double fault_relief_backoff = 0.5;
 
   /// Deterministic work budget for the whole route_circuit call, measured
   /// in Dijkstra node expansions (heap pops) — never wall-clock, so a
@@ -103,39 +97,18 @@ struct RouterOptions {
   /// commit. kPaper consumes wires and charges congestion_penalty, the
   /// historical router bit-for-bit. kNegotiated switches route_circuit to
   /// the negotiated-congestion loop, whose commit charges occupancy to a
-  /// congestion layer; it reads only the negotiate_* / pattern_route knobs
-  /// below plus the shared algorithm/candidate/budget options
-  /// (move_to_front, congestion_penalty, fault_retries and max_passes are
-  /// paper-mode machinery and are never consulted). Negotiated mode routes
-  /// whole nets only: decompose_two_pin must stay false.
+  /// congestion layer; it reads only negotiate_passes below plus the shared
+  /// algorithm/candidate/budget options (move_to_front, congestion_penalty,
+  /// fault_retries and max_passes are paper-mode machinery and are never
+  /// consulted). Its pricing constants live in router/negotiate.cpp.
+  /// Negotiated mode routes whole nets only: decompose_two_pin must stay
+  /// false.
   RouterMode mode = RouterMode::kPaper;
 
   /// Negotiated mode: cap on rip-up-and-reroute passes (its feasibility
   /// threshold). Deliberately independent of max_passes so a shared options
   /// object keeps the paper-mode meaning of that field intact.
   int negotiate_passes = 32;
-
-  /// Negotiated mode: present-overflow factor of the first pass and its
-  /// geometric per-pass growth/cap. A wire at or over capacity charges
-  /// present_factor * (occupancy + 1 - capacity) to every prospective new
-  /// occupant; doubling each pass turns "sharing is cheap" exploration into
-  /// "sharing is prohibitive" resolution. All dyadic, so repricing
-  /// arithmetic is bit-exact on every platform.
-  double present_factor = 0.5;
-  double present_growth = 2.0;
-  double present_factor_max = 4096.0;
-
-  /// Negotiated mode: history cost accrued by every overflowed wire at the
-  /// end of each pass. History never decays — it is the memory that steers
-  /// nets away from chronically contested wires even when they are
-  /// momentarily free.
-  double history_increment = 0.25;
-
-  /// Negotiated mode: attempt L/Z corridor pattern probes before the scoped
-  /// engine on two-pin nets (router/patterns.hpp). Purely a fast path: a
-  /// probe is accepted only when its corridor path is fault-free and
-  /// congestion-free; anything else falls back to the engine.
-  bool pattern_route = true;
 
   /// Record a per-net commit log (RoutingResult::commit_logs): the wire
   /// nodes each net consumed and — paper mode — the exact edges its commit

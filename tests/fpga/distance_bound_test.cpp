@@ -71,7 +71,9 @@ TEST(DistanceBoundTest, EdgesSpanAtMostTwoHalfTileUnits) {
                        << (xc3000 ? "xc3000 " : "xc4000 ") << shape.rows << "x" << shape.cols
                        << " w=" << width << (build == DeviceBuild::kLegacy ? " legacy" : " auto"));
           const Device device(spec, build);
-          if (build == DeviceBuild::kLegacy) EXPECT_FALSE(device.tiled());
+          if (build == DeviceBuild::kLegacy) {
+            EXPECT_FALSE(device.tiled());
+          }
           expect_edges_span_at_most_two(device);
         }
       }

@@ -1,18 +1,14 @@
 // Differential pinning of the flat-adjacency/arena Dijkstra engine against the frozen
 // pre-change engine (graph/dijkstra_reference.hpp): over random graphs and
 // grid graphs, with node/edge removals, restores and weight mutations
-// interleaved, dist/parent/parent_edge must be BIT-identical for both
-// unbounded and radius-bounded runs.
-//
-// The `settled` flags are pinned up to the one documented semantic upgrade:
-// when a bounded run exhausts the component, the old engine could still
-// label it stopped-early (if a superseded heap entry above the limit
-// survived to the top of its lazy-deletion queue) while the new engine
-// reports it complete. In that case the old settled set must cover every
-// reached node, so the two answers agree on every query.
+// interleaved, dist/parent/parent_edge must be BIT-identical to the
+// reference's unbounded run, both for dijkstra() and for a paused scoped
+// run (dijkstra_within_paused) read at every node — each read grows the
+// paused tree until that node settles.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <random>
 
@@ -34,29 +30,27 @@ void expect_bits_equal(const std::vector<T>& got, const std::vector<T>& want, co
   }
 }
 
+/// `want` is an unbounded reference run, so every node is known.
 void expect_same_tree(const ShortestPathTree& got, const reference::Tree& want) {
+  ASSERT_TRUE(want.complete());
   EXPECT_EQ(got.source(), want.source);
-  EXPECT_EQ(got.inactive_targets(), want.inactive_targets);
   const testing::TreeLabels labels = testing::labels_of(got);
   expect_bits_equal(labels.dist, want.dist, "dist");
   expect_bits_equal(labels.parent, want.parent, "parent");
   expect_bits_equal(labels.parent_edge, want.parent_edge, "parent_edge");
+  EXPECT_TRUE(std::all_of(labels.known.begin(), labels.known.end(), [](char k) { return k; }));
+  EXPECT_TRUE(got.complete());
+}
 
-  if (want.complete()) {
-    EXPECT_TRUE(got.complete());
-  } else if (!got.complete()) {
-    expect_bits_equal(labels.known, want.settled, "settled");
-  } else {
-    // Exhaustion upgrade: the new engine drained its heap, so the old
-    // engine must have settled every node it ever reached — both trees
-    // then answer every knows()/distance() query identically.
-    for (NodeId v = 0; v < static_cast<NodeId>(want.dist.size()); ++v) {
-      if (want.reached(v)) {
-        EXPECT_TRUE(want.settled[static_cast<std::size_t>(v)] != 0)
-            << "old engine stopped early without exhausting node " << v;
-      }
-    }
-  }
+/// A paused scoped run from `source` toward `targets`, read at every node.
+void expect_paused_matches(const Graph& g, NodeId source, const std::vector<NodeId>& targets,
+                           const reference::Tree& want) {
+  ShortestPathTree paused;
+  dijkstra_within_paused(g, source, targets, paused);
+  // The frozen engine's scoped run counts the same inactive targets.
+  EXPECT_EQ(paused.inactive_targets(),
+            reference::dijkstra_within(g, source, targets).inactive_targets);
+  expect_same_tree(paused, want);
 }
 
 /// One random mutation, mirrored on nothing — both engines read the same
@@ -80,8 +74,9 @@ void mutate(Graph& g, std::mt19937_64& rng) {
 void compare_runs(const Graph& g, std::mt19937_64& rng) {
   std::uniform_int_distribution<NodeId> node(0, g.node_count() - 1);
   const NodeId source = node(rng);
+  const reference::Tree want = reference::dijkstra(g, source);
 
-  expect_same_tree(dijkstra(g, source), reference::dijkstra(g, source));
+  expect_same_tree(dijkstra(g, source), want);
 
   // Scoped run with a random target set (possibly containing the source,
   // duplicates, and inactive nodes — all contract-relevant cases).
@@ -89,8 +84,7 @@ void compare_runs(const Graph& g, std::mt19937_64& rng) {
   std::vector<NodeId> targets;
   for (int i = tcount(rng); i > 0; --i) targets.push_back(node(rng));
   if (tcount(rng) > 3) targets.push_back(targets.front());  // duplicate
-  expect_same_tree(dijkstra_within(g, source, targets),
-                   reference::dijkstra_within(g, source, targets));
+  expect_paused_matches(g, source, targets, want);
 }
 
 class DijkstraDifferentialTest : public ::testing::TestWithParam<unsigned> {};
@@ -124,7 +118,7 @@ TEST_P(DijkstraDifferentialTest, GridGraphWithInterleavedMutations) {
 }
 
 // 100 random-graph instances + 100 grid instances, each compared at ~7
-// mutation checkpoints for both unbounded and scoped runs.
+// mutation checkpoints for both unbounded and paused scoped runs.
 INSTANTIATE_TEST_SUITE_P(Seeds, DijkstraDifferentialTest, ::testing::Range(0u, 100u));
 
 TEST(DijkstraDifferentialTest, InactiveSourceMatches) {
@@ -132,9 +126,9 @@ TEST(DijkstraDifferentialTest, InactiveSourceMatches) {
   g.add_edge(0, 1, 1);
   g.add_edge(1, 2, 2);
   g.remove_node(0);
-  expect_same_tree(dijkstra(g, 0), reference::dijkstra(g, 0));
-  const std::vector<NodeId> targets{2};
-  expect_same_tree(dijkstra_within(g, 0, targets), reference::dijkstra_within(g, 0, targets));
+  const reference::Tree want = reference::dijkstra(g, 0);
+  expect_same_tree(dijkstra(g, 0), want);
+  expect_paused_matches(g, 0, {2}, want);
 }
 
 TEST(DijkstraDifferentialTest, EqualWeightParentTieBreakMatches) {

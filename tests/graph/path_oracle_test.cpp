@@ -79,11 +79,14 @@ TEST(PathOracleTest, PathBetweenCountsCacheHits) {
 }
 
 TEST(PathOracleTest, UpgradeCountsAsMiss) {
+  // A sealed point-to-point tree that does not know the probe is re-run.
   GridGraph grid(20, 20);
   PathOracle oracle(grid.graph());
   const std::vector<NodeId> net{grid.node_at(0, 0), grid.node_at(1, 1)};
-  oracle.set_scope(net);
-  oracle.from(net[0]);  // bounded: miss
+  const auto zero = [](NodeId, NodeId) { return Weight{0}; };
+  oracle.set_scope(net, DistanceBound(zero));
+  oracle.from(net[0]);  // point-to-point: miss
+  ASSERT_FALSE(oracle.cached(net[0])->paused());
   ASSERT_FALSE(oracle.cached(net[0])->complete());
   oracle.from_knowing(net[0], grid.node_at(19, 19));  // hit + upgrade miss
   EXPECT_EQ(oracle.cache_misses(), 2u);

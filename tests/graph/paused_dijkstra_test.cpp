@@ -1,14 +1,14 @@
 // Differential pinning of paused scoped searches (dijkstra_within_paused,
 // the trees PathOracle caches). A paused tree stops right after its last
-// target settles and grows on every read; it must answer each read exactly
-// as the one-shot ball (dijkstra_within) and the frozen reference engine
-// (graph/dijkstra_reference.hpp) do.
+// target settles and grows on every read until the node read settles; it
+// must answer each read exactly as dijkstra() and the frozen reference
+// engine's unbounded run (graph/dijkstra_reference.hpp) do.
 //
 // Graphs: random check/generate graphs with interleaved mutations, and
 // legacy, tiled-flat and tiled-above-the-cut devices with faults and
 // congestion. Each is driven with random probe sequences, checked after
-// every probe, then grown fully (must equal the ball), upgraded (must equal
-// dijkstra()) and re-run under budgets (must be deterministic).
+// every probe, then grown fully (must equal dijkstra()) and re-run under
+// budgets (must be deterministic).
 
 #include <gtest/gtest.h>
 
@@ -34,21 +34,19 @@ bool same_bits(Weight a, Weight b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
-/// One read of node v: the paused tree's answers must equal the one-shot
-/// ball's (knows, reached) and carry the reference engine's exact labels.
-void expect_read_matches(const ShortestPathTree& paused, NodeId v, const ShortestPathTree& ball,
+/// One read of node v: the paused tree knows v and carries the reference
+/// engine's exact labels and dijkstra()'s path.
+void expect_read_matches(const ShortestPathTree& paused, NodeId v, const ShortestPathTree& full,
                          const reference::Tree& ref) {
   const auto i = static_cast<std::size_t>(v);
-  EXPECT_EQ(paused.knows(v), ball.knows(v)) << "knows " << v;
-  EXPECT_EQ(paused.reached(v), ball.reached(v)) << "reached " << v;
+  EXPECT_TRUE(paused.knows(v)) << "knows " << v;
   EXPECT_EQ(paused.reached(v), ref.reached(v)) << "reached " << v;
-  EXPECT_TRUE(same_bits(paused.distance(v), ball.distance(v))) << "dist " << v;
   EXPECT_TRUE(same_bits(paused.distance(v), ref.dist[i])) << "dist " << v;
   EXPECT_EQ(paused.parent(v), ref.parent[i]) << "parent " << v;
   EXPECT_EQ(paused.parent_edge(v), ref.parent_edge[i]) << "parent_edge " << v;
-  EXPECT_EQ(paused.path_edges_to(v), ball.path_edges_to(v)) << "path to " << v;
-  // Every node on the path before v (a frontier node when v lies outside
-  // the ball) has settled: its labels are final and read without growing.
+  EXPECT_EQ(paused.path_edges_to(v), full.path_edges_to(v)) << "path to " << v;
+  // Every node on the path before v has settled: its labels are final and
+  // read without growing.
   const std::vector<NodeId> path = paused.path_nodes_to(v);
   for (std::size_t k = 0; k + 1 < path.size(); ++k) {
     const NodeId u = path[k];
@@ -60,17 +58,18 @@ void expect_read_matches(const ShortestPathTree& paused, NodeId v, const Shortes
 }
 
 /// Drives a paused tree from `source` toward `targets` through `probes`,
-/// checking every read; then pins full growth, the upgrade and budgets.
+/// checking every read; then pins full growth and budgets.
 void check_paused(const Graph& g, NodeId source, const std::vector<NodeId>& targets,
                   const std::vector<NodeId>& probes) {
   SCOPED_TRACE(::testing::Message() << "source " << source);
-  const ShortestPathTree ball = dijkstra_within(g, source, targets);
-  const reference::Tree ref = reference::dijkstra_within(g, source, targets);
+  const ShortestPathTree full = dijkstra(g, source);
+  const reference::Tree ref = reference::dijkstra(g, source);
 
   ShortestPathTree paused;
   dijkstra_within_paused(g, source, targets, paused);
-  EXPECT_EQ(paused.inactive_targets(), ball.inactive_targets());
-  EXPECT_LE(paused.run_pops(), ball.run_pops() + ball.resume_pops());
+  EXPECT_EQ(paused.inactive_targets(),
+            reference::dijkstra_within(g, source, targets).inactive_targets);
+  EXPECT_LE(paused.run_pops(), full.run_pops());
   for (const NodeId t : targets) {
     if (g.node_active(t)) {
       EXPECT_TRUE(paused.knows(t)) << "target " << t;
@@ -78,41 +77,26 @@ void check_paused(const Graph& g, NodeId source, const std::vector<NodeId>& targ
   }
   std::vector<NodeId> seen;
   for (const NodeId p : probes) {
-    expect_read_matches(paused, p, ball, ref);
+    expect_read_matches(paused, p, full, ref);
     seen.push_back(p);
     // Growing for p must not move an answer given earlier.
     for (const NodeId q : seen) {
       EXPECT_TRUE(same_bits(paused.distance(q), ref.dist[static_cast<std::size_t>(q)]));
-      EXPECT_EQ(paused.knows(q), ball.knows(q));
+      EXPECT_TRUE(paused.knows(q));
     }
   }
-  // Growth never settles more than the one-shot ball did.
-  EXPECT_LE(paused.run_pops() + paused.resume_pops(), ball.run_pops() + ball.resume_pops());
+  // Growth never settles more than the unbounded run does.
+  EXPECT_LE(paused.run_pops() + paused.resume_pops(), full.run_pops());
 
-  // Fully grown: the one-shot ball, node for node.
-  EXPECT_EQ(paused.complete(), ball.complete());
-  EXPECT_EQ(paused.run_pops() + paused.resume_pops(), ball.run_pops() + ball.resume_pops());
+  // Fully grown: dijkstra(), node for node, with every node popped once.
+  EXPECT_TRUE(paused.complete());
+  EXPECT_EQ(paused.run_pops() + paused.resume_pops(), full.run_pops());
   const testing::TreeLabels grown = testing::labels_of(paused);
-  const testing::TreeLabels want = testing::labels_of(ball);
+  const testing::TreeLabels want = testing::labels_of(full);
   EXPECT_EQ(grown.dist, want.dist);
   EXPECT_EQ(grown.parent, want.parent);
   EXPECT_EQ(grown.parent_edge, want.parent_edge);
   EXPECT_EQ(grown.known, want.known);
-
-  // Upgraded, from the pause point and from the grown ball: dijkstra().
-  const testing::TreeLabels full = testing::labels_of(dijkstra(g, source));
-  for (const bool grow_first : {false, true}) {
-    ShortestPathTree upgraded;
-    dijkstra_within_paused(g, source, targets, upgraded);
-    if (grow_first) (void)upgraded.complete();
-    upgraded.lift_limit();
-    EXPECT_TRUE(upgraded.complete());
-    const testing::TreeLabels got = testing::labels_of(upgraded);
-    EXPECT_EQ(got.dist, full.dist);
-    EXPECT_EQ(got.parent, full.parent);
-    EXPECT_EQ(got.parent_edge, full.parent_edge);
-    EXPECT_EQ(got.known, full.known);
-  }
 
   // Budgets: the same budget and reads give the same partial tree, its
   // known labels are the reference's, and every pop is charged.
@@ -123,7 +107,7 @@ void check_paused(const Graph& g, NodeId source, const std::vector<NodeId>& targ
     for (int r = 0; r < 2; ++r) {
       WorkBudget budget{limit};
       ShortestPathTree partial;
-      dijkstra_within_paused(g, source, targets, partial, 1.3, 4.0, &budget);
+      dijkstra_within_paused(g, source, targets, partial, &budget);
       for (const NodeId p : probes) (void)partial.distance(p);
       runs[r] = testing::labels_of(partial);
       used[r] = budget.used;
@@ -141,8 +125,8 @@ void check_paused(const Graph& g, NodeId source, const std::vector<NodeId>& targ
   }
 }
 
-/// Random probes: uniform nodes (mostly outside small balls), the targets'
-/// neighbourhoods, and repeats.
+/// Random probes: uniform nodes (mostly far past the pause point), the
+/// targets' neighbourhoods, and repeats.
 std::vector<NodeId> random_probes(const Graph& g, const std::vector<NodeId>& targets,
                                   std::mt19937_64& rng, int count) {
   std::uniform_int_distribution<NodeId> node(0, g.node_count() - 1);
@@ -270,19 +254,23 @@ TEST(PausedDijkstraTest, PausesAtTheLastTargetAndGrowsOnRead) {
   const std::vector<NodeId> targets{grid.node_at(2, 0), grid.node_at(0, 3)};
   ShortestPathTree paused;
   dijkstra_within_paused(grid.graph(), src, targets, paused);
-  const ShortestPathTree ball = dijkstra_within(grid.graph(), src, targets);
+  const ShortestPathTree full = dijkstra(grid.graph(), src);
   EXPECT_TRUE(paused.paused());
-  EXPECT_FALSE(ball.paused());
-  EXPECT_LT(paused.run_pops(), ball.run_pops() + ball.resume_pops());
+  EXPECT_FALSE(full.paused());
+  EXPECT_EQ(paused.run_pops(), 10);  // the nodes at distance <= 3
   EXPECT_EQ(paused.resumes(), 0);
-  // The ball's limit is 1.3 * 3 + 4 = 7.9: (5, 2) is inside, (9, 9) not.
   EXPECT_TRUE(paused.knows(grid.node_at(5, 2)));
   EXPECT_EQ(paused.resumes(), 1);
-  EXPECT_FALSE(paused.knows(grid.node_at(9, 9)));
+  // Far past the targets, a read still grows the tree to the node it reads.
+  EXPECT_TRUE(paused.knows(grid.node_at(9, 9)));
+  EXPECT_EQ(paused.distance(grid.node_at(9, 9)), 18);
   EXPECT_EQ(paused.resumes(), 2);
-  EXPECT_EQ(paused.run_pops() + paused.resume_pops(), ball.run_pops() + ball.resume_pops());
-  EXPECT_FALSE(paused.knows(grid.node_at(9, 9)));  // nothing left to grow
+  EXPECT_LT(paused.run_pops() + paused.resume_pops(), full.run_pops());
+  EXPECT_TRUE(paused.knows(grid.node_at(9, 9)));  // already settled
   EXPECT_EQ(paused.resumes(), 2);
+  EXPECT_TRUE(paused.complete());  // drains the heap
+  EXPECT_EQ(paused.resumes(), 3);
+  EXPECT_EQ(paused.run_pops() + paused.resume_pops(), full.run_pops());
 }
 
 TEST(PausedDijkstraTest, GrowingAfterARevisionChangeIsAContractViolation) {
@@ -300,9 +288,12 @@ TEST(PausedDijkstraTest, GrowingAfterARevisionChangeIsAContractViolation) {
   EXPECT_THROW((void)paused.knows(grid.node_at(5, 5)), ContractViolation);
   EXPECT_THROW((void)paused.complete(), ContractViolation);
   // A sealed tree never grows, so it never checks.
-  const ShortestPathTree ball = dijkstra_within(g, src, targets);
+  WorkBudget budget{20};
+  ShortestPathTree sealed;
+  dijkstra(g, src, sealed, &budget);
+  ASSERT_TRUE(sealed.budget_aborted());
   g.add_edge_weight(0, 1);
-  EXPECT_FALSE(ball.knows(grid.node_at(29, 29)));
+  EXPECT_FALSE(sealed.knows(grid.node_at(29, 29)));
 }
 
 TEST(PausedDijkstraTest, OracleUpgradeResumesInsteadOfRestarting) {
@@ -316,8 +307,9 @@ TEST(PausedDijkstraTest, OracleUpgradeResumesInsteadOfRestarting) {
   const NodeId far = grid.node_at(29, 29);
   EXPECT_DOUBLE_EQ(oracle.distance(src, far), 58);
   EXPECT_TRUE(tree.complete());
-  EXPECT_EQ(oracle.dijkstra_runs(), 2u);  // the paused run and its upgrade
-  // Every node settled once: the upgrade did not re-pop the ball.
+  EXPECT_EQ(oracle.dijkstra_runs(), 1u);  // the paused run, grown by the read
+  EXPECT_EQ(oracle.cache_hits(), 1u);
+  // Every node settled once: the read did not re-pop the first run.
   EXPECT_EQ(budget.used, grid.graph().node_count());
   EXPECT_EQ(oracle.run_pops() + oracle.resume_pops(), budget.used);
   // Without a budget, reads grow for free.
@@ -326,7 +318,7 @@ TEST(PausedDijkstraTest, OracleUpgradeResumesInsteadOfRestarting) {
   (void)oracle.from(src);
   const long long used = budget.used;
   oracle.set_budget(nullptr);
-  EXPECT_TRUE(oracle.cached(src)->knows(grid.node_at(3, 3)));  // 6 <= 1.3 * 3 + 4
+  EXPECT_TRUE(oracle.cached(src)->knows(grid.node_at(3, 3)));
   EXPECT_EQ(budget.used, used);
   EXPECT_GT(oracle.resume_pops(), 0);
 }

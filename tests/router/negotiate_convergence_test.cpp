@@ -189,7 +189,6 @@ TEST(NegotiateBoundaryTest, PaperMachineryNeverEngagesInNegotiatedMode) {
   EXPECT_EQ(counters().move_to_front_reorders.load(), 0u)
       << "move-to-front reordering engaged during a negotiated run";
   // Negotiated machinery did engage (the gate is directional, not dead).
-  EXPECT_GT(counters().negotiate_runs.load(), 0u);
   EXPECT_FALSE(r.overflow_trend.empty());
   for (const auto& net : r.nets) EXPECT_EQ(net.retries, 0);
 }
@@ -215,8 +214,6 @@ TEST(NegotiateBoundaryTest, ReliefCountersAreLiveInPaperMode) {
   EXPECT_TRUE(r.overflow_trend.empty());
   EXPECT_EQ(r.pattern_attempts, 0);
   EXPECT_EQ(r.pattern_accepts, 0);
-  EXPECT_EQ(counters().negotiate_runs.load(), 0u);
-  EXPECT_EQ(counters().pattern_attempts.load(), 0u);
 }
 
 }  // namespace

@@ -90,8 +90,12 @@ TEST_F(PatternRouteTest, AcceptedProbeIsFeasibleAndNeverBeatsDijkstra) {
     EXPECT_EQ(verify_path(device_, probe.edges, net.source, net.sinks[0]), probe.cost);
     for (const EdgeId e : probe.edges) {
       const Graph::Edge ed = g.edge(e);
-      if (device_.is_wire(ed.u)) EXPECT_FALSE(layer.would_overflow(ed.u));
-      if (device_.is_wire(ed.v)) EXPECT_FALSE(layer.would_overflow(ed.v));
+      if (device_.is_wire(ed.u)) {
+        EXPECT_FALSE(layer.would_overflow(ed.u));
+      }
+      if (device_.is_wire(ed.v)) {
+        EXPECT_FALSE(layer.would_overflow(ed.v));
+      }
     }
     // The equivalence pin: full Dijkstra on the same snapshot is never
     // worse than the corridor probe.
@@ -125,8 +129,12 @@ TEST_F(PatternRouteTest, EquivalenceHoldsUnderPartialCongestion) {
     EXPECT_EQ(verify_path(device_, probe.edges, net.source, net.sinks[0]), probe.cost);
     for (const EdgeId e : probe.edges) {
       const Graph::Edge ed = g.edge(e);
-      if (device_.is_wire(ed.u)) EXPECT_FALSE(layer.would_overflow(ed.u));
-      if (device_.is_wire(ed.v)) EXPECT_FALSE(layer.would_overflow(ed.v));
+      if (device_.is_wire(ed.u)) {
+        EXPECT_FALSE(layer.would_overflow(ed.u));
+      }
+      if (device_.is_wire(ed.v)) {
+        EXPECT_FALSE(layer.would_overflow(ed.v));
+      }
     }
     EXPECT_LE(oracle.distance(net.source, net.sinks[0]), probe.cost);
   }

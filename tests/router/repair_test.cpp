@@ -260,7 +260,6 @@ TEST_F(RepairTest, OverlappingDeltasRipEachConeNetOnce) {
   const RepairOutcome out = repair_route(device, circuit, result, ev, options);
   EXPECT_GE(out.cone_nets, 2);
   EXPECT_EQ(counters().repair_nets_ripped.load(), static_cast<std::uint64_t>(out.cone_nets));
-  EXPECT_EQ(counters().repair_events.load(), 1u);
 
   // The changed net re-routed against its new pin set; the removed net
   // degenerated in place (index stability: still slot 3, zero wires).
