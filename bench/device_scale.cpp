@@ -10,7 +10,10 @@
 // re-invoked with --child) so getrusage's ru_maxrss high-water mark
 // measures exactly one build+route and nothing else — an in-line sweep
 // would report every case at the footprint of the largest one. The parent
-// only parses one RESULT line per child and aggregates.
+// only parses one RESULT line per child and aggregates. Every case runs
+// kSamples times, the two builders alternating, and records the median
+// build and route time with the samples' min and max: one wall-clock
+// sample on a shared host spreads too widely to show a change.
 //
 // A legacy (materialized) graph builds its flat adjacency from its
 // incident lists on first use. A tiled graph at or below
@@ -24,6 +27,7 @@
 // tiled build+route at n x n in-process and fails (exit 1) if the route
 // does not complete or the peak RSS exceeds the envelope.
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -44,6 +48,7 @@ namespace {
 using namespace fpr;
 
 constexpr int kWidth = 12;  // a realistic XC4000-class channel width
+constexpr int kSamples = 5;  // child processes per (builder, size) case
 
 /// Deterministic cross-array workload scaled to the device: corner-to-
 /// corner, center fan-out, and spanning bus nets. Small enough that the
@@ -173,6 +178,45 @@ CaseResult spawn_case(const char* self, const char* builder, int n) {
   return r;
 }
 
+/// The median and range of one timing over a case's samples.
+struct Spread {
+  double median = 0;
+  double min = 0;
+  double max = 0;
+};
+
+template <typename Field>
+Spread spread(const std::vector<CaseResult>& samples, Field field) {
+  std::vector<double> values;
+  for (const CaseResult& r : samples) values.push_back(field(r));
+  std::sort(values.begin(), values.end());
+  return {values[values.size() / 2], values.front(), values.back()};
+}
+
+/// One builder's case over kSamples children: timings as median and range,
+/// RSS and counts from the median-route sample. ok only when every sample
+/// routed and all digests agree.
+struct Summary {
+  CaseResult median;  // the sample whose route time is the median
+  Spread build_ms;
+  Spread route_ms;
+  bool ok = false;
+};
+
+Summary summarize(std::vector<CaseResult> samples) {
+  Summary s;
+  s.build_ms = spread(samples, [](const CaseResult& r) { return r.build_s * 1e3; });
+  s.route_ms = spread(samples, [](const CaseResult& r) { return r.route_s * 1e3; });
+  s.ok = true;
+  for (const CaseResult& r : samples) {
+    s.ok = s.ok && r.ok && r.digest == samples.front().digest;
+  }
+  std::sort(samples.begin(), samples.end(),
+            [](const CaseResult& a, const CaseResult& b) { return a.route_s < b.route_s; });
+  s.median = samples[samples.size() / 2];
+  return s;
+}
+
 int parse_int_flag(int argc, char** argv, const char* flag, int fallback) {
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], flag) == 0) return std::atoi(argv[i + 1]);
@@ -226,44 +270,61 @@ int main(int argc, char** argv) {
   bool all_ok = true;
 
   for (const int n : sizes) {
-    const CaseResult legacy = spawn_case(argv[0], "legacy", n);
-    const CaseResult tiled = spawn_case(argv[0], "tiled", n);
-    all_ok = all_ok && legacy.ok && tiled.ok;
-    const bool identical = legacy.ok && tiled.ok && legacy.digest == tiled.digest;
+    std::vector<CaseResult> legacy_samples;
+    std::vector<CaseResult> tiled_samples;
+    for (int i = 0; i < kSamples; ++i) {
+      legacy_samples.push_back(spawn_case(argv[0], "legacy", n));
+      tiled_samples.push_back(spawn_case(argv[0], "tiled", n));
+    }
+    const Summary legacy_sum = summarize(legacy_samples);
+    const Summary tiled_sum = summarize(tiled_samples);
+    const CaseResult& legacy = legacy_sum.median;
+    const CaseResult& tiled = tiled_sum.median;
+    all_ok = all_ok && legacy_sum.ok && tiled_sum.ok;
+    const bool identical = legacy_sum.ok && tiled_sum.ok && legacy.digest == tiled.digest;
     all_identical = all_identical && identical;
-
-    std::printf("%3dx%-3d w=%d  %lld nodes %lld edges  tiled adjacency: %s\n", n, n, kWidth,
-                tiled.nodes, tiled.edges, tiled.flat ? "flat" : "arithmetic");
-    std::printf("    legacy: build %8.1f ms  route %8.1f ms  graph rss %9ld KiB  total %9ld KiB\n",
-                legacy.build_s * 1e3, legacy.route_s * 1e3, legacy.build_rss_kib, legacy.rss_kib);
-    std::printf("    tiled:  build %8.1f ms  route %8.1f ms  graph rss %9ld KiB  total %9ld KiB\n",
-                tiled.build_s * 1e3, tiled.route_s * 1e3, tiled.build_rss_kib, tiled.rss_kib);
-    std::printf(
-        "    build speedup %.2fx  graph-rss ratio %.2fx  routes %s\n",
-        tiled.build_s > 0 ? legacy.build_s / tiled.build_s : 0.0,
+    const double build_speedup =
+        tiled_sum.build_ms.median > 0 ? legacy_sum.build_ms.median / tiled_sum.build_ms.median
+                                      : 0.0;
+    const double rss_ratio =
         tiled.build_rss_kib > 0 ? static_cast<double>(legacy.build_rss_kib) / tiled.build_rss_kib
-                                : 0.0,
-        identical ? "bit-identical" : "DIVERGED");
+                                : 0.0;
+
+    std::printf("%3dx%-3d w=%d  %lld nodes %lld edges  tiled adjacency: %s  (median of %d)\n", n,
+                n, kWidth, tiled.nodes, tiled.edges, tiled.flat ? "flat" : "arithmetic",
+                kSamples);
+    const auto print = [](const char* name, const Summary& sum) {
+      std::printf(
+          "    %-7s build %8.1f ms [%.1f, %.1f]  route %8.1f ms [%.1f, %.1f]  graph rss %9ld "
+          "KiB  total %9ld KiB\n",
+          name, sum.build_ms.median, sum.build_ms.min, sum.build_ms.max, sum.route_ms.median,
+          sum.route_ms.min, sum.route_ms.max, sum.median.build_rss_kib, sum.median.rss_kib);
+    };
+    print("legacy:", legacy_sum);
+    print("tiled:", tiled_sum);
+    std::printf("    build speedup %.2fx  graph-rss ratio %.2fx  routes %s\n", build_speedup,
+                rss_ratio, identical ? "bit-identical" : "DIVERGED");
 
     bench::Json row = bench::Json::object();
     row.field("size", n)
         .field("width", kWidth)
         .field("nodes", tiled.nodes)
         .field("edges", tiled.edges)
-        .field("tiled_adjacency", tiled.flat ? "flat" : "arithmetic")
-        .field("legacy_build_ms", legacy.build_s * 1e3)
-        .field("legacy_route_ms", legacy.route_s * 1e3)
-        .field("legacy_graph_rss_kib", static_cast<long long>(legacy.build_rss_kib))
-        .field("legacy_peak_rss_kib", static_cast<long long>(legacy.rss_kib))
-        .field("tiled_build_ms", tiled.build_s * 1e3)
-        .field("tiled_route_ms", tiled.route_s * 1e3)
-        .field("tiled_graph_rss_kib", static_cast<long long>(tiled.build_rss_kib))
-        .field("tiled_peak_rss_kib", static_cast<long long>(tiled.rss_kib))
-        .field("build_speedup", tiled.build_s > 0 ? legacy.build_s / tiled.build_s : 0.0)
-        .field("graph_rss_ratio",
-               tiled.build_rss_kib > 0
-                   ? static_cast<double>(legacy.build_rss_kib) / tiled.build_rss_kib
-                   : 0.0)
+        .field("tiled_adjacency", tiled.flat ? "flat" : "arithmetic");
+    const auto add = [&row](const std::string& name, const Summary& sum) {
+      row.field(name + "_build_ms", sum.build_ms.median)
+          .field(name + "_build_ms_min", sum.build_ms.min)
+          .field(name + "_build_ms_max", sum.build_ms.max)
+          .field(name + "_route_ms", sum.route_ms.median)
+          .field(name + "_route_ms_min", sum.route_ms.min)
+          .field(name + "_route_ms_max", sum.route_ms.max)
+          .field(name + "_graph_rss_kib", static_cast<long long>(sum.median.build_rss_kib))
+          .field(name + "_peak_rss_kib", static_cast<long long>(sum.median.rss_kib));
+    };
+    add("legacy", legacy_sum);
+    add("tiled", tiled_sum);
+    row.field("build_speedup", build_speedup)
+        .field("graph_rss_ratio", rss_ratio)
         .field("route_bit_identical", identical);
     rows.element(row);
   }
@@ -277,6 +338,7 @@ int main(int argc, char** argv) {
       .field("git_rev", FPR_GIT_REV)
       .field("flat_adjacency_max_edges", static_cast<long long>(Graph::kFlatAdjacencyMaxEdges))
       .field("width", kWidth)
+      .field("samples", kSamples)
       .field("template_compile_failures", static_cast<long long>(stats.compile_failures))
       .field("all_routes_bit_identical", all_identical)
       .field("cases", rows);

@@ -37,10 +37,11 @@ bool is_arborescence_algorithm(Algorithm a);
 
 /// True for algorithms that read the path oracle's trees only through
 /// knows()-guarded queries or about terminals, so a PathOracle scope
-/// (set_scope) is a pure speedup. A scoped tree of a two-terminal net is a
-/// sealed point-to-point search that knows only its shortest-path corridor,
-/// so the algorithms that scan raw SSSP trees over every graph node (PFA's
-/// MaxDom, ZEL/IZEL's triple medians, the exact subset DPs) return false.
+/// (set_scope) is a pure speedup. A scoped tree pauses at its targets and
+/// grows on every read, so the algorithms that scan raw SSSP trees over
+/// every graph node (PFA's MaxDom, ZEL/IZEL's triple medians, the exact
+/// subset DPs) would grow each tree to the whole graph, a goal-directed
+/// one at more pops than a plain ball; they return false.
 bool algorithm_supports_scoped_paths(Algorithm a);
 
 /// The eight heuristics of Table 1, in the paper's row order.

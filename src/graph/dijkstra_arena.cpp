@@ -18,7 +18,7 @@ void DijkstraArena::begin_run(NodeId node_count) {
 }
 
 DijkstraScratch& DijkstraScratch::thread_local_instance() {
-  // fpr-lint: allow(global-state) per-thread scratch: epoch-versioned target marks and a pop log, fully reset per settle call, so reuse is observationally pure
+  // fpr-lint: allow(global-state) per-thread scratch: epoch-versioned target marks, fully reset per settle call, so reuse is observationally pure
   thread_local DijkstraScratch scratch;
   return scratch;
 }
@@ -26,7 +26,6 @@ DijkstraScratch& DijkstraScratch::thread_local_instance() {
 void DijkstraScratch::begin(NodeId node_count) {
   const auto n = static_cast<std::size_t>(node_count);
   if (n > pending_stamp_.size()) pending_stamp_.resize(n, 0);
-  settle_log_.clear();
   if (++epoch_ == 0) {
     // Epoch counter wrapped (once per 2^32 calls): marks from 4 billion
     // calls ago could collide, so pay one real reinitialization.

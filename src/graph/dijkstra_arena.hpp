@@ -38,8 +38,9 @@ namespace fpr {
 /// Because plain Dijkstra settles in strictly increasing (dist, id) order,
 /// the settled set is derived, not stored: a touched node is settled iff
 /// its packed label is below the heap minimum (see settled_by_key). The
-/// point-to-point mode keys by f = d + h instead, which breaks that
-/// derivation, so it marks each popped node in its pos_ slot.
+/// goal-directed mode keys by f = d + h instead, which breaks that
+/// derivation, so it records each popped node's pop index in its pos_
+/// slot.
 ///
 /// An arena belongs to one tree, and a tree to one thread at a time
 /// (reading a paused tree may grow it), so no member carries an
@@ -70,7 +71,7 @@ class DijkstraArena {
   /// Records an improved label d for v and inserts it into the heap under
   /// `key` (first touch this run) or sifts its entry up in place
   /// (decrease-key). Plain Dijkstra keys by the label itself; the
-  /// point-to-point mode keys by d + h(v). Callers only invoke this after
+  /// goal-directed mode keys by d + h(v). Callers only invoke this after
   /// `d < dist(v)`, so `dist(v) == kInfiniteWeight` identifies the first
   /// touch.
   void relax(NodeId v, Weight d, Weight key, NodeId par, EdgeId via) {
@@ -90,7 +91,7 @@ class DijkstraArena {
   }
 
   /// Re-points v's label at `par` via `via` without changing its distance
-  /// (the point-to-point mode's tie-break recovery, see dijkstra.cpp).
+  /// (the goal-directed mode's tie-break recovery, see dijkstra.cpp).
   void set_origin(NodeId v, NodeId par, EdgeId via) {
     origin_[static_cast<std::size_t>(v)] = {par, via};
   }
@@ -116,13 +117,15 @@ class DijkstraArena {
     return touched(v) && make_entry(dist(v), v) < heap_.front();
   }
 
-  /// Point-to-point mode: pop marks. A popped node's pos_ slot is free, so
-  /// it holds the mark; mark_unsettled withdraws one (a budget stop's
-  /// trailing tie run).
-  void mark_settled(NodeId v) { pos_[static_cast<std::size_t>(v)] = kSettledMark; }
-  void mark_unsettled(NodeId v) { pos_[static_cast<std::size_t>(v)] = kUnsettledMark; }
-  bool settled_by_mark(NodeId v) const {
-    return touched(v) && pos_[static_cast<std::size_t>(v)] == kSettledMark;
+  /// Goal-directed mode: a popped node's pos_ slot is free, so it holds the
+  /// node's pop index (bit-inverted, so it reads negative). A node is
+  /// settled once the run of pops at its key has drained: the tree counts
+  /// the pops of its drained runs, and every node popped before that count
+  /// is settled.
+  void mark_popped(NodeId v, std::int32_t index) { pos_[static_cast<std::size_t>(v)] = ~index; }
+  bool popped(NodeId v) const { return touched(v) && pos_[static_cast<std::size_t>(v)] < 0; }
+  bool settled_by_pop(NodeId v, std::int32_t drained_pops) const {
+    return popped(v) && ~pos_[static_cast<std::size_t>(v)] < drained_pops;
   }
 
  private:
@@ -137,8 +140,6 @@ class DijkstraArena {
     NodeId parent;
     EdgeId via;
   };
-  static constexpr std::int32_t kSettledMark = -1;
-  static constexpr std::int32_t kUnsettledMark = -2;
 
   static HeapEntry make_entry(Weight d, NodeId v) {
     return (static_cast<HeapEntry>(std::bit_cast<std::uint64_t>(d)) << 32) |
@@ -213,31 +214,25 @@ class DijkstraArena {
 
 /// Per-thread scratch for one settle call: an epoch-stamped target-mark
 /// array, so a scoped run marks and discards its pending targets in O(1)
-/// regardless of how many a caller passes, and the point-to-point mode's
-/// pop log. Neither outlives the call, so unlike a tree's labels they can
-/// be pooled per thread; the arrays grow monotonically to the largest
-/// graph seen.
+/// regardless of how many a caller passes. It does not outlive the call,
+/// so unlike a tree's labels it can be pooled per thread; the array grows
+/// monotonically to the largest graph seen.
 class DijkstraScratch {
  public:
   /// This thread's pooled scratch.
   static DijkstraScratch& thread_local_instance();
 
   /// Starts a new call over a graph of `node_count` nodes: invalidates every
-  /// mark in O(1) and empties the pop log.
+  /// mark in O(1).
   void begin(NodeId node_count);
 
   void mark_pending(NodeId v) { pending_stamp_[static_cast<std::size_t>(v)] = epoch_; }
   bool pending(NodeId v) const { return pending_stamp_[static_cast<std::size_t>(v)] == epoch_; }
   void clear_pending(NodeId v) { pending_stamp_[static_cast<std::size_t>(v)] = 0; }
 
-  /// Nodes in the order the point-to-point mode popped them this call.
-  void log_settle(NodeId v) { settle_log_.push_back(v); }
-  const std::vector<NodeId>& settle_log() const { return settle_log_; }
-
  private:
   std::uint32_t epoch_ = 0;  // validates pending_stamp_ marks
   std::vector<std::uint32_t> pending_stamp_;
-  std::vector<NodeId> settle_log_;
 };
 
 }  // namespace fpr

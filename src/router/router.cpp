@@ -387,8 +387,10 @@ void route_net_live(NetContext& ctx, std::size_t idx, NetRouteResult& record) {
   const bool critical = ctx.circuit.nets[idx].critical;
   const Algorithm algo = critical ? options.critical_algorithm : options.algorithm;
   // Scoped shortest paths: local nets only pay for the part of the device
-  // graph their queries read, not the whole chip. A two-terminal net gets
-  // one goal-directed search toward its other end instead.
+  // graph their queries read, not the whole chip. With the device bound
+  // the oracle aims its trees at the net's other terminals where that pays
+  // (PathOracle::set_scope): a two-terminal net gets one goal-directed
+  // search toward its other end.
   if (algorithm_supports_scoped_paths(algo)) {
     oracle.set_scope(terminals, device.distance_bound());
   }

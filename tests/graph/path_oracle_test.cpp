@@ -79,16 +79,18 @@ TEST(PathOracleTest, PathBetweenCountsCacheHits) {
 }
 
 TEST(PathOracleTest, UpgradeCountsAsMiss) {
-  // A sealed point-to-point tree that does not know the probe is re-run.
+  // A sealed tree that does not know the probe (an unscoped run a budget
+  // stopped) is re-run once the budget is lifted.
   GridGraph grid(20, 20);
   PathOracle oracle(grid.graph());
-  const std::vector<NodeId> net{grid.node_at(0, 0), grid.node_at(1, 1)};
-  const auto zero = [](NodeId, NodeId) { return Weight{0}; };
-  oracle.set_scope(net, DistanceBound(zero));
-  oracle.from(net[0]);  // point-to-point: miss
-  ASSERT_FALSE(oracle.cached(net[0])->paused());
-  ASSERT_FALSE(oracle.cached(net[0])->complete());
-  oracle.from_knowing(net[0], grid.node_at(19, 19));  // hit + upgrade miss
+  WorkBudget budget{10};
+  oracle.set_budget(&budget);
+  const NodeId src = grid.node_at(0, 0);
+  oracle.from(src);  // budget-stopped: miss
+  ASSERT_FALSE(oracle.cached(src)->paused());
+  ASSERT_FALSE(oracle.cached(src)->complete());
+  oracle.set_budget(nullptr);
+  oracle.from_knowing(src, grid.node_at(19, 19));  // hit + upgrade miss
   EXPECT_EQ(oracle.cache_misses(), 2u);
   EXPECT_EQ(oracle.cache_hits(), 1u);
   EXPECT_EQ(oracle.dijkstra_runs(), 2u);

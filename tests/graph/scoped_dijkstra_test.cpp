@@ -139,17 +139,17 @@ TEST(PathOracleScopeTest, ScopedTreeReadFarPastItsTargetsIsExact) {
 
 TEST(PathOracleScopeTest, UpgradePreservesHandedOutReferences) {
   // Regression: algorithms hold `from(source)` across distance() calls that
-  // can upgrade a sealed point-to-point tree to a complete one. The
-  // upgrade must happen in place — same object, previously-unknown entries
-  // becoming valid — or the held reference dangles (this crashed the
-  // Table 4 sweep).
+  // can upgrade a sealed tree (an unscoped run a budget stopped) to a
+  // complete one. The upgrade must happen in place — same object,
+  // previously-unknown entries becoming valid — or the held reference
+  // dangles (this crashed the Table 4 sweep).
   GridGraph grid(30, 30);
   PathOracle oracle(grid.graph());
+  WorkBudget budget{20};
+  oracle.set_budget(&budget);
   const NodeId src = grid.node_at(0, 0);
-  const std::vector<NodeId> net{src, grid.node_at(2, 1)};
-  const auto zero = [](NodeId, NodeId) { return Weight{0}; };
-  oracle.set_scope(net, DistanceBound(zero));
   const ShortestPathTree& held = oracle.from(src);
+  oracle.set_budget(nullptr);
   ASSERT_FALSE(held.paused());
   ASSERT_FALSE(held.complete());
   const NodeId far = grid.node_at(29, 29);
