@@ -4,7 +4,7 @@
 // time per case. This is the committed evidence for the template builder's
 // scaling claim (BENCH_device_scale.json): same routed bits, a fraction of
 // the memory and build time. The record names the host's core count, the
-// build type and the git revision it was measured at.
+// build type and the git revision of the sources it was built from.
 //
 // Each (builder, size) case runs in its OWN child process (this binary
 // re-invoked with --child) so getrusage's ru_maxrss high-water mark
@@ -42,6 +42,10 @@
 #include "fpga/tile_template.hpp"
 #include "netlist/netlist.hpp"
 #include "router/router.hpp"
+
+// The git revision of the sources this binary was built from; defined in the
+// source bench/git_rev.cmake generates on every build.
+const char* fpr_git_rev();
 
 namespace {
 
@@ -335,7 +339,7 @@ int main(int argc, char** argv) {
       .field("timestamp", bench::iso_timestamp())
       .field("host_cores", static_cast<long long>(std::thread::hardware_concurrency()))
       .field("build_type", FPR_BUILD_TYPE)
-      .field("git_rev", FPR_GIT_REV)
+      .field("git_rev", fpr_git_rev())
       .field("flat_adjacency_max_edges", static_cast<long long>(Graph::kFlatAdjacencyMaxEdges))
       .field("width", kWidth)
       .field("samples", kSamples)

@@ -15,8 +15,9 @@
 // identical work. A paused tree must read the frozen engine's unbounded
 // distance at every node.
 //
-// Writes a machine-readable record (default BENCH_dijkstra.json, override
-// with --json <path>) — the start of the repo's perf trajectory.
+// With --json <path> it writes a machine-readable record (the committed one
+// is BENCH_dijkstra.json) — the start of the repo's perf trajectory. A plain
+// run writes nothing.
 
 #include <bit>
 #include <cmath>
@@ -217,8 +218,6 @@ int main(int argc, char** argv) {
       "flat-adjacency/arena/4-ary-heap engine vs the frozen pre-change engine");
 
   const char* json_path = bench::json_output_path(argc, argv);
-  const char* default_path = "BENCH_dijkstra.json";
-  if (json_path == nullptr) json_path = default_path;
 
   // FPR_FULL=1 lengthens each timing window for a quieter measurement.
   const double min_seconds = bench::full_mode() ? 1.0 : 0.25;

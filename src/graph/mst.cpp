@@ -1,62 +1,52 @@
 #include "graph/mst.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <numeric>
+#include <utility>
 
 #include "graph/union_find.hpp"
 
 namespace fpr {
 
-namespace {
-
-std::vector<EdgeId> kruskal_impl(const Graph& g, std::vector<EdgeId> pool) {
-  std::sort(pool.begin(), pool.end());
-  pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
-  std::stable_sort(pool.begin(), pool.end(), [&](EdgeId a, EdgeId b) {
-    const Weight wa = g.edge_weight(a);
-    const Weight wb = g.edge_weight(b);
-    return wa != wb ? wa < wb : a < b;
-  });
+std::vector<EdgeId> kruskal_mst_subgraph(const Graph& g, std::span<const EdgeId> edges) {
+  // Kruskal order is (weight, edge id); weights are read once, not per
+  // comparison, and a repeated id sorts next to itself and is dropped.
+  std::vector<std::pair<Weight, EdgeId>> order;
+  order.reserve(edges.size());
+  for (const EdgeId e : edges) {
+    if (g.edge_usable(e)) order.emplace_back(g.edge_weight(e), e);
+  }
+  std::sort(order.begin(), order.end());
+  order.erase(std::unique(order.begin(), order.end()), order.end());
 
   // Compact node ids so the union-find is sized to the subgraph, not |V|.
-  std::unordered_map<NodeId, std::int32_t> compact;
-  compact.reserve(pool.size() * 2);
-  auto id_of = [&](NodeId v) {
-    auto [it, inserted] = compact.emplace(v, static_cast<std::int32_t>(compact.size()));
-    return it->second;
-  };
-  for (const EdgeId e : pool) {
-    id_of(g.edge(e).u);
-    id_of(g.edge(e).v);
+  std::vector<NodeId> ends;
+  ends.reserve(2 * order.size());
+  for (const auto& [w, e] : order) {
+    const auto ed = g.edge(e);
+    ends.push_back(ed.u);
+    ends.push_back(ed.v);
   }
+  std::vector<NodeId> nodes = ends;
+  std::sort(nodes.begin(), nodes.end());
+  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+  auto id_of = [&](NodeId v) {
+    return static_cast<std::int32_t>(std::lower_bound(nodes.begin(), nodes.end(), v) - nodes.begin());
+  };
 
-  UnionFind uf(static_cast<std::int32_t>(compact.size()));
+  UnionFind uf(static_cast<std::int32_t>(nodes.size()));
   std::vector<EdgeId> mst;
-  mst.reserve(compact.size());
-  for (const EdgeId e : pool) {
-    if (uf.unite(id_of(g.edge(e).u), id_of(g.edge(e).v))) mst.push_back(e);
+  mst.reserve(nodes.size());
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    if (uf.unite(id_of(ends[2 * k]), id_of(ends[2 * k + 1]))) mst.push_back(order[k].second);
   }
   return mst;
 }
 
-}  // namespace
-
-std::vector<EdgeId> kruskal_mst_subgraph(const Graph& g, std::span<const EdgeId> edges) {
-  std::vector<EdgeId> pool;
-  pool.reserve(edges.size());
-  for (const EdgeId e : edges) {
-    if (g.edge_usable(e)) pool.push_back(e);
-  }
-  return kruskal_impl(g, std::move(pool));
-}
-
 std::vector<EdgeId> kruskal_mst(const Graph& g) {
-  std::vector<EdgeId> pool;
-  pool.reserve(static_cast<std::size_t>(g.edge_count()));
-  for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    if (g.edge_usable(e)) pool.push_back(e);
-  }
-  return kruskal_impl(g, std::move(pool));
+  std::vector<EdgeId> all(static_cast<std::size_t>(g.edge_count()));
+  std::iota(all.begin(), all.end(), 0);
+  return kruskal_mst_subgraph(g, all);
 }
 
 Weight edge_set_cost(const Graph& g, std::span<const EdgeId> edges) {

@@ -1,9 +1,6 @@
 #include "graph/routing_tree.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <deque>
-#include <unordered_set>
 
 namespace fpr {
 
@@ -14,12 +11,65 @@ RoutingTree::RoutingTree(const Graph& g, std::vector<EdgeId> edges) : g_(&g), ed
 }
 
 void RoutingTree::rebuild_adjacency() {
-  adjacency_.clear();
+  std::vector<NodeId> ends;
+  ends.reserve(2 * edges_.size());
   for (const EdgeId e : edges_) {
-    const auto& ed = g_->edge(e);
-    adjacency_[ed.u].emplace_back(e, ed.v);
-    adjacency_[ed.v].emplace_back(e, ed.u);
+    const auto ed = g_->edge(e);
+    ends.push_back(ed.u);
+    ends.push_back(ed.v);
   }
+  nodes_ = ends;
+  std::sort(nodes_.begin(), nodes_.end());
+  nodes_.erase(std::unique(nodes_.begin(), nodes_.end()), nodes_.end());
+
+  // Endpoints become node indices. Count each node's slots into the entry
+  // after its own, fill them edge by edge (so every node's slots follow
+  // ascending edge id) with the entry before as the cursor, and the cursors
+  // end where the next node's slots begin.
+  offsets_.assign(nodes_.size() + 2, 0);
+  for (NodeId& v : ends) {
+    v = index_of(v);
+    ++offsets_[static_cast<std::size_t>(v) + 2];
+  }
+  for (std::size_t i = 2; i < offsets_.size(); ++i) offsets_[i] += offsets_[i - 1];
+  slots_.resize(ends.size());
+  for (std::size_t k = 0; k < edges_.size(); ++k) {
+    const std::int32_t a = ends[2 * k];
+    const std::int32_t b = ends[2 * k + 1];
+    const auto edge = static_cast<std::int32_t>(k);
+    slots_[static_cast<std::size_t>(offsets_[static_cast<std::size_t>(a) + 1]++)] = Slot{edge, b};
+    slots_[static_cast<std::size_t>(offsets_[static_cast<std::size_t>(b) + 1]++)] = Slot{edge, a};
+  }
+  offsets_.pop_back();
+}
+
+std::int32_t RoutingTree::index_of(NodeId v) const {
+  const auto it = std::lower_bound(nodes_.begin(), nodes_.end(), v);
+  if (it == nodes_.end() || *it != v) return -1;
+  return static_cast<std::int32_t>(it - nodes_.begin());
+}
+
+template <class T, class Step>
+std::vector<T> RoutingTree::walk(std::int32_t root, T at_root, T unreached, Step step) const {
+  std::vector<T> value(nodes_.size(), unreached);
+  std::vector<char> seen(nodes_.size(), 0);
+  std::vector<std::int32_t> queue;
+  queue.reserve(nodes_.size());
+  queue.push_back(root);
+  seen[static_cast<std::size_t>(root)] = 1;
+  value[static_cast<std::size_t>(root)] = at_root;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const auto u = static_cast<std::size_t>(queue[head]);
+    for (std::int32_t s = offsets_[u]; s < offsets_[u + 1]; ++s) {
+      const Slot slot = slots_[static_cast<std::size_t>(s)];
+      const auto v = static_cast<std::size_t>(slot.nbr);
+      if (seen[v] != 0) continue;
+      seen[v] = 1;
+      value[v] = step(value[u], edges_[static_cast<std::size_t>(slot.edge)]);
+      queue.push_back(slot.nbr);
+    }
+  }
+  return value;
 }
 
 Weight RoutingTree::cost() const {
@@ -28,30 +78,14 @@ Weight RoutingTree::cost() const {
   return sum;
 }
 
-std::vector<NodeId> RoutingTree::nodes() const {
-  std::vector<NodeId> result;
-  result.reserve(adjacency_.size());
-  for (const auto& [v, _] : adjacency_) result.push_back(v);
-  std::sort(result.begin(), result.end());
-  return result;
-}
+std::vector<NodeId> RoutingTree::nodes() const { return nodes_; }
 
 bool RoutingTree::is_tree() const {
   if (edges_.empty()) return true;
   // A connected graph with n nodes and n-1 edges is a tree.
-  if (adjacency_.size() != edges_.size() + 1) return false;
-  std::unordered_set<NodeId> seen;
-  std::deque<NodeId> frontier{adjacency_.begin()->first};
-  seen.insert(adjacency_.begin()->first);
-  while (!frontier.empty()) {
-    const NodeId u = frontier.front();
-    frontier.pop_front();
-    for (const auto& [e, v] : adjacency_.at(u)) {
-      (void)e;
-      if (seen.insert(v).second) frontier.push_back(v);
-    }
-  }
-  return seen.size() == adjacency_.size();
+  if (nodes_.size() != edges_.size() + 1) return false;
+  const auto seen = walk<char>(0, 1, 0, [](char, EdgeId) { return char{1}; });
+  return std::find(seen.begin(), seen.end(), 0) == seen.end();
 }
 
 bool RoutingTree::spans(std::span<const NodeId> terminals) const {
@@ -63,109 +97,90 @@ bool RoutingTree::spans(std::span<const NodeId> terminals) const {
   for (const NodeId t : terminals) {
     if (!contains_node(t)) return false;
   }
-  // Connectivity among terminals: BFS from the first one.
-  std::unordered_set<NodeId> seen{terminals[0]};
-  std::deque<NodeId> frontier{terminals[0]};
-  while (!frontier.empty()) {
-    const NodeId u = frontier.front();
-    frontier.pop_front();
-    for (const auto& [e, v] : adjacency_.at(u)) {
-      (void)e;
-      if (seen.insert(v).second) frontier.push_back(v);
-    }
-  }
+  // Connectivity among terminals: a walk from the first one.
+  const auto seen = walk<char>(index_of(terminals[0]), 1, 0, [](char, EdgeId) { return char{1}; });
   return std::all_of(terminals.begin(), terminals.end(),
-                     [&](NodeId t) { return seen.count(t) > 0; });
+                     [&](NodeId t) { return seen[static_cast<std::size_t>(index_of(t))] != 0; });
 }
 
 Weight RoutingTree::path_length(NodeId from, NodeId to) const {
   if (from == to) return 0;
-  if (!contains_node(from) || !contains_node(to)) return kInfiniteWeight;
-  // BFS with cost accumulation; tree paths are unique so first arrival wins.
-  std::unordered_map<NodeId, Weight> dist{{from, 0}};
-  std::deque<NodeId> frontier{from};
-  while (!frontier.empty()) {
-    const NodeId u = frontier.front();
-    frontier.pop_front();
-    if (u == to) return dist[u];
-    for (const auto& [e, v] : adjacency_.at(u)) {
-      if (dist.emplace(v, dist[u] + g_->edge_weight(e)).second) frontier.push_back(v);
-    }
-  }
-  return kInfiniteWeight;
+  const std::int32_t a = index_of(from);
+  const std::int32_t b = index_of(to);
+  if (a < 0 || b < 0) return kInfiniteWeight;
+  // Tree paths are unique, so first arrival wins.
+  const auto dist = walk<Weight>(a, 0, kInfiniteWeight,
+                                 [&](Weight d, EdgeId e) { return d + g_->edge_weight(e); });
+  return dist[static_cast<std::size_t>(b)];
 }
 
 Weight RoutingTree::max_path_length(NodeId source, std::span<const NodeId> sinks) const {
   if (sinks.empty()) return 0;
-  if (!contains_node(source)) return kInfiniteWeight;
-  // One traversal from the source covers every sink.
-  std::unordered_map<NodeId, Weight> dist{{source, 0}};
-  std::deque<NodeId> frontier{source};
-  while (!frontier.empty()) {
-    const NodeId u = frontier.front();
-    frontier.pop_front();
-    for (const auto& [e, v] : adjacency_.at(u)) {
-      if (dist.emplace(v, dist[u] + g_->edge_weight(e)).second) frontier.push_back(v);
-    }
-  }
+  const std::int32_t root = index_of(source);
+  if (root < 0) return kInfiniteWeight;
+  // One walk from the source covers every sink.
+  const auto dist = walk<Weight>(root, 0, kInfiniteWeight,
+                                 [&](Weight d, EdgeId e) { return d + g_->edge_weight(e); });
   Weight worst = 0;
   for (const NodeId s : sinks) {
-    const auto it = dist.find(s);
-    if (it == dist.end()) return kInfiniteWeight;
-    worst = std::max(worst, it->second);
+    const std::int32_t i = index_of(s);
+    if (i < 0) return kInfiniteWeight;
+    worst = std::max(worst, dist[static_cast<std::size_t>(i)]);
   }
   return worst;
 }
 
 int RoutingTree::max_path_edge_count(NodeId source, std::span<const NodeId> sinks) const {
   if (sinks.empty()) return 0;
-  if (!contains_node(source)) return -1;
-  std::unordered_map<NodeId, int> hops{{source, 0}};
-  std::deque<NodeId> frontier{source};
-  while (!frontier.empty()) {
-    const NodeId u = frontier.front();
-    frontier.pop_front();
-    for (const auto& [e, v] : adjacency_.at(u)) {
-      (void)e;
-      if (hops.emplace(v, hops[u] + 1).second) frontier.push_back(v);
-    }
-  }
+  const std::int32_t root = index_of(source);
+  if (root < 0) return -1;
+  const auto hops = walk<int>(root, 0, -1, [](int h, EdgeId) { return h + 1; });
   int worst = 0;
   for (const NodeId s : sinks) {
-    const auto it = hops.find(s);
-    if (it == hops.end()) return -1;
-    worst = std::max(worst, it->second);
+    const std::int32_t i = index_of(s);
+    if (i < 0 || hops[static_cast<std::size_t>(i)] < 0) return -1;
+    worst = std::max(worst, hops[static_cast<std::size_t>(i)]);
   }
   return worst;
 }
 
 void RoutingTree::prune_leaves(std::span<const NodeId> keep) {
-  const std::unordered_set<NodeId> keep_set(keep.begin(), keep.end());
-  std::unordered_set<EdgeId> removed;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const auto& [v, inc] : adjacency_) {
-      if (keep_set.count(v) > 0) continue;
-      EdgeId live_edge = kInvalidEdge;
-      int live_count = 0;
-      for (const auto& [e, other] : inc) {
-        (void)other;
-        if (removed.count(e) == 0) {
-          live_edge = e;
-          ++live_count;
-        }
-      }
-      if (live_count == 1) {
-        removed.insert(live_edge);
-        changed = true;
-      }
-    }
+  // Leaf pruning has a unique fixpoint, so one work-list pass over the
+  // degree counts removes the same edges as sweeping until nothing changes.
+  const std::size_t n = nodes_.size();
+  std::vector<char> kept(n, 0);
+  for (const NodeId v : keep) {
+    const std::int32_t i = index_of(v);
+    if (i >= 0) kept[static_cast<std::size_t>(i)] = 1;
   }
-  if (!removed.empty()) {
-    std::erase_if(edges_, [&](EdgeId e) { return removed.count(e) > 0; });
-    rebuild_adjacency();
+  std::vector<std::int32_t> degree(n);
+  std::vector<std::int32_t> leaves;
+  for (std::size_t i = 0; i < n; ++i) {
+    degree[i] = offsets_[i + 1] - offsets_[i];
+    if (kept[i] == 0 && degree[i] == 1) leaves.push_back(static_cast<std::int32_t>(i));
   }
+  std::vector<char> removed(edges_.size(), 0);
+  bool any = false;
+  while (!leaves.empty()) {
+    const auto u = static_cast<std::size_t>(leaves.back());
+    leaves.pop_back();
+    if (degree[u] != 1) continue;  // its last edge went with its neighbour
+    std::int32_t s = offsets_[u];
+    while (removed[static_cast<std::size_t>(slots_[static_cast<std::size_t>(s)].edge)] != 0) ++s;
+    const Slot slot = slots_[static_cast<std::size_t>(s)];
+    removed[static_cast<std::size_t>(slot.edge)] = 1;
+    any = true;
+    degree[u] = 0;
+    const auto v = static_cast<std::size_t>(slot.nbr);
+    if (--degree[v] == 1 && kept[v] == 0) leaves.push_back(slot.nbr);
+  }
+  if (!any) return;
+  std::size_t out = 0;
+  for (std::size_t k = 0; k < edges_.size(); ++k) {
+    if (removed[k] == 0) edges_[out++] = edges_[k];
+  }
+  edges_.resize(out);
+  rebuild_adjacency();
 }
 
 }  // namespace fpr

@@ -1,7 +1,7 @@
 #pragma once
 
+#include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -15,6 +15,12 @@ namespace fpr {
 /// evaluates: total wirelength (cost), per-sink pathlength, maximum
 /// source-sink pathlength, plus structural validation used by the tests
 /// (is it a tree? does it span N? are all leaves terminals?).
+///
+/// The layout is flat (DESIGN.md §5): the sorted edge ids, the sorted node
+/// ids, and a CSR adjacency with one (edge, neighbour) slot per incidence,
+/// each node's slots in ascending edge-id order. Every walk is FIFO over
+/// that order, so on an edge set that is not a tree the path queries give
+/// the first-arrival answer of a breadth-first search.
 class RoutingTree {
  public:
   RoutingTree(const Graph& g, std::vector<EdgeId> edges);
@@ -29,7 +35,7 @@ class RoutingTree {
   /// Every node touched by some edge, sorted ascending.
   std::vector<NodeId> nodes() const;
 
-  bool contains_node(NodeId v) const { return adjacency_.count(v) > 0; }
+  bool contains_node(NodeId v) const { return index_of(v) >= 0; }
 
   /// True iff the edge set is acyclic and connected over its touched nodes.
   bool is_tree() const;
@@ -54,16 +60,35 @@ class RoutingTree {
   int max_path_edge_count(NodeId source, std::span<const NodeId> sinks) const;
 
   /// Repeatedly removes degree-1 nodes that are not in `keep` (the KMB
-  /// pendant-edge cleanup, and general Steiner-leaf pruning).
+  /// pendant-edge cleanup, and general Steiner-leaf pruning), to the unique
+  /// fixpoint.
   void prune_leaves(std::span<const NodeId> keep);
 
  private:
+  /// One incidence: the edge's index into edges_ and the other end's index
+  /// into nodes_.
+  struct Slot {
+    std::int32_t edge;
+    std::int32_t nbr;
+  };
+
   void rebuild_adjacency();
 
+  /// Index of v in nodes_, or -1 if no edge touches it.
+  std::int32_t index_of(NodeId v) const;
+
+  /// FIFO walk from nodes_[root] over the slots in order. Returns one value
+  /// per node: `at_root` at the root, `step(value of the node it is first
+  /// reached from, edge id)` at every other node reached, `unreached` at the
+  /// rest.
+  template <class T, class Step>
+  std::vector<T> walk(std::int32_t root, T at_root, T unreached, Step step) const;
+
   const Graph* g_;
-  std::vector<EdgeId> edges_;
-  // node -> (incident tree edge, neighbor)
-  std::unordered_map<NodeId, std::vector<std::pair<EdgeId, NodeId>>> adjacency_;
+  std::vector<EdgeId> edges_;           // sorted, unique
+  std::vector<NodeId> nodes_;           // sorted unique endpoints of edges_
+  std::vector<std::int32_t> offsets_;   // nodes_.size() + 1 entries
+  std::vector<Slot> slots_;             // 2 * edges_.size(), grouped by node
 };
 
 }  // namespace fpr

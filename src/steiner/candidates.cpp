@@ -1,7 +1,6 @@
 #include "steiner/candidates.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 namespace fpr {
 
@@ -23,35 +22,40 @@ std::vector<NodeId> subsample(std::vector<NodeId> nodes, int max_candidates) {
 std::vector<NodeId> steiner_candidates(const Graph& g, std::span<const NodeId> terminals,
                                        PathOracle& oracle, CandidateStrategy strategy,
                                        int max_candidates) {
-  const std::unordered_set<NodeId> terminal_set(terminals.begin(), terminals.end());
+  std::vector<NodeId> sorted_terminals(terminals.begin(), terminals.end());
+  std::sort(sorted_terminals.begin(), sorted_terminals.end());
+  auto candidate = [&](NodeId v) {
+    return g.node_active(v) &&
+           !std::binary_search(sorted_terminals.begin(), sorted_terminals.end(), v);
+  };
   std::vector<NodeId> nodes;
 
   switch (strategy) {
     case CandidateStrategy::kAllNodes: {
       for (NodeId v = 0; v < g.node_count(); ++v) {
-        if (g.node_active(v) && terminal_set.count(v) == 0) nodes.push_back(v);
+        if (candidate(v)) nodes.push_back(v);
       }
       break;
     }
     case CandidateStrategy::kCorridor: {
-      std::unordered_set<NodeId> corridor;
+      std::vector<NodeId> corridor;
       for (std::size_t i = 0; i < terminals.size(); ++i) {
         const auto& spt = oracle.from(terminals[i]);
         for (std::size_t j = i + 1; j < terminals.size(); ++j) {
           if (!spt.reached(terminals[j])) continue;
           for (const NodeId v : spt.path_nodes_to(terminals[j])) {
-            corridor.insert(v);
+            corridor.push_back(v);
             for (const EdgeId e : g.incident_edges(v)) {
-              if (g.edge_usable(e)) corridor.insert(g.other_end(e, v));
+              if (g.edge_usable(e)) corridor.push_back(g.other_end(e, v));
             }
           }
         }
       }
-      // fpr-lint: allow(unordered-iter) order-independent: membership filter only, and nodes is sorted on the next line
+      std::sort(corridor.begin(), corridor.end());
+      corridor.erase(std::unique(corridor.begin(), corridor.end()), corridor.end());
       for (const NodeId v : corridor) {
-        if (g.node_active(v) && terminal_set.count(v) == 0) nodes.push_back(v);
+        if (candidate(v)) nodes.push_back(v);
       }
-      std::sort(nodes.begin(), nodes.end());
       break;
     }
   }
