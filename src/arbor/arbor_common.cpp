@@ -42,15 +42,9 @@ SubgraphSpt dijkstra_on_edges(const Graph& g, NodeId source, std::span<const Edg
 }
 
 std::vector<NodeId> canonical_terminals(NodeId source, std::span<const NodeId> net) {
-  std::vector<NodeId> sinks;
-  sinks.reserve(net.size());
-  for (const NodeId v : net) {
-    if (v != source) sinks.push_back(v);
-  }
-  std::sort(sinks.begin(), sinks.end());
-  sinks.erase(std::unique(sinks.begin(), sinks.end()), sinks.end());
-  std::vector<NodeId> terminals{source};
-  terminals.insert(terminals.end(), sinks.begin(), sinks.end());
+  std::vector<NodeId> terminals = distinct_terminals(net);
+  std::erase(terminals, source);
+  terminals.insert(terminals.begin(), source);
   return terminals;
 }
 

@@ -1,26 +1,15 @@
 #include "arbor/exact_gsa.hpp"
 
-#include <algorithm>
-#include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "arbor/arbor_common.hpp"
-#include "core/contract.hpp"
+#include "steiner/subset_dp.hpp"
 
 namespace fpr {
 
 namespace {
 
-struct Choice {
-  enum class Kind : std::uint8_t { kNone, kLeaf, kMerge, kEdge };
-  Kind kind = Kind::kNone;
-  std::uint32_t sub = 0;       // kMerge: one side of the split
-  NodeId child = kInvalidNode;  // kEdge: tree hangs below this neighbor
-  EdgeId edge = kInvalidEdge;   // kEdge
-};
-
-/// Directed tight edge u -> v (the tree grows away from the source).
+/// Directed tight edge (the far end of an arc, its edge id and weight).
 struct TightEdge {
   NodeId v;
   EdgeId id;
@@ -67,80 +56,13 @@ std::optional<RoutingTree> exact_gsa(const Graph& g, std::span<const NodeId> net
     }
   }
 
-  const std::uint32_t full = (1u << k) - 1;
-  std::vector<std::vector<Weight>> dp(full + 1, std::vector<Weight>(n, kInfiniteWeight));
-  std::vector<std::vector<Choice>> choice(full + 1, std::vector<Choice>(n));
-  for (int i = 0; i < k; ++i) {
-    const auto s = static_cast<std::size_t>(terminals[static_cast<std::size_t>(i) + 1]);
-    dp[1u << i][s] = 0;
-    choice[1u << i][s].kind = Choice::Kind::kLeaf;
-  }
-
-  using Entry = std::pair<Weight, NodeId>;
-  for (std::uint32_t mask = 1; mask <= full; ++mask) {
-    auto& row = dp[mask];
-    auto& ch = choice[mask];
-    for (std::uint32_t sub = (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask) {
-      const std::uint32_t rest = mask ^ sub;
-      if (sub > rest) continue;
-      const auto& a = dp[sub];
-      const auto& b = dp[rest];
-      for (std::size_t v = 0; v < n; ++v) {
-        const Weight c = a[v] + b[v];
-        if (c < row[v]) {
-          row[v] = c;
-          ch[v] = Choice{Choice::Kind::kMerge, sub, kInvalidNode, kInvalidEdge};
-        }
-      }
-    }
-    // Grow the rooted tree upward (toward the source) along tight edges.
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-    for (std::size_t v = 0; v < n; ++v) {
-      if (row[v] < kInfiniteWeight) heap.emplace(row[v], static_cast<NodeId>(v));
-    }
-    while (!heap.empty()) {
-      const auto [d, v] = heap.top();
-      heap.pop();
-      if (d > row[static_cast<std::size_t>(v)]) continue;
-      for (const auto& te : in[static_cast<std::size_t>(v)]) {
-        const Weight nd = d + te.w;
-        auto& du = row[static_cast<std::size_t>(te.v)];
-        if (nd < du) {
-          du = nd;
-          choice[mask][static_cast<std::size_t>(te.v)] =
-              Choice{Choice::Kind::kEdge, 0, v, te.id};
-          heap.emplace(nd, te.v);
-        }
-      }
-    }
-  }
-
-  if (dp[full][static_cast<std::size_t>(source)] >= kInfiniteWeight) return std::nullopt;
-
-  std::vector<EdgeId> edges;
-  std::vector<std::pair<std::uint32_t, NodeId>> stack{{full, source}};
-  while (!stack.empty()) {
-    const auto [mask, v] = stack.back();
-    stack.pop_back();
-    const Choice& c = choice[mask][static_cast<std::size_t>(v)];
-    switch (c.kind) {
-      case Choice::Kind::kLeaf:
-        break;
-      case Choice::Kind::kMerge:
-        stack.emplace_back(c.sub, v);
-        stack.emplace_back(mask ^ c.sub, v);
-        break;
-      case Choice::Kind::kEdge:
-        edges.push_back(c.edge);
-        stack.emplace_back(mask, c.child);
-        break;
-      case Choice::Kind::kNone:
-        FPR_CHECK(false, "exact GSA reconstruction reached an unset dp cell (mask " << mask
-                             << ", node " << v << ")");
-        break;
-    }
-  }
-  return RoutingTree(g, std::move(edges));
+  // Grow the rooted tree upward (toward the source) along tight edges.
+  const auto sinks = std::span(terminals).subspan(1);
+  auto edges = subset_dp(g.node_count(), sinks, source, [&in](NodeId v, auto&& relax) {
+    for (const auto& te : in[static_cast<std::size_t>(v)]) relax(te.v, te.id, te.w);
+  });
+  if (!edges) return std::nullopt;
+  return RoutingTree(g, std::move(*edges));
 }
 
 std::optional<RoutingTree> exact_gsa(const Graph& g, std::span<const NodeId> net,

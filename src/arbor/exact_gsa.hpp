@@ -5,6 +5,7 @@
 
 #include "graph/path_oracle.hpp"
 #include "graph/routing_tree.hpp"
+#include "steiner/subset_dp.hpp"
 
 namespace fpr {
 
@@ -14,7 +15,8 @@ namespace fpr {
 /// d(n0, v) = d(n0, u) + w(u, v) — because every tree edge lies on some
 /// source-to-sink path that must be shortest. The problem therefore reduces
 /// to a minimum directed Steiner tree rooted at the source on the tight-edge
-/// DAG, solved here by the subset dynamic program (O(3^k V + 2^k E log V)).
+/// DAG, solved by the subset dynamic program (steiner/subset_dp.hpp) over
+/// the reversed tight edges.
 ///
 /// Used as the wirelength-optimality reference for PFA/IDOM in the tests and
 /// the Figure 4 / 10 / 11 experiments. Returns nullopt when the net has more
@@ -22,9 +24,10 @@ namespace fpr {
 ///
 /// net[0] is the source; the remaining entries are sinks.
 std::optional<RoutingTree> exact_gsa(const Graph& g, std::span<const NodeId> net,
-                                     PathOracle& oracle, int max_terminals = 14);
+                                     PathOracle& oracle,
+                                     int max_terminals = kSubsetDpMaxTerminals);
 
 std::optional<RoutingTree> exact_gsa(const Graph& g, std::span<const NodeId> net,
-                                     int max_terminals = 14);
+                                     int max_terminals = kSubsetDpMaxTerminals);
 
 }  // namespace fpr

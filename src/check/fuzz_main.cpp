@@ -10,11 +10,11 @@
 // Exit codes: 0 clean, 1 at least one oracle violation, 2 usage error.
 
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 
 #include "check/fuzz.hpp"
+#include "steiner/subset_dp.hpp"
 
 namespace {
 
@@ -26,8 +26,11 @@ void usage(std::ostream& os) {
         "\n"
         "oracles:";
   for (const auto o : fpr::check::all_oracles()) os << " " << fpr::check::oracle_name(o);
-  os << "\n\ndefaults: --seed 1 --iters 1000 --failures fuzz-failures, all oracles,\n"
-        "shrinking on. A failing case is minimized and persisted as a .repro file\n"
+  os << "\n\ndefaults: --seed 1 --iters 1000 --failures fuzz-failures --max-terminals 9,\n"
+        "all oracles, shrinking on. --max-terminals takes 2 to "
+     << fpr::kSubsetDpMaxTerminals
+     << ", the exact\n"
+        "solvers' limit. A failing case is minimized and persisted as a .repro file\n"
         "that replays byte-identically via --replay.\n";
 }
 
@@ -75,7 +78,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--failures") {
       options.failure_dir = need_value(i);
     } else if (arg == "--max-terminals") {
-      options.max_terminals = std::atoi(need_value(i));
+      const char* value = need_value(i);
+      char* end = nullptr;
+      const long k = std::strtol(value, &end, 10);
+      if (end == value || *end != '\0' || k < 2 || k > fpr::kSubsetDpMaxTerminals) {
+        std::cerr << "--max-terminals must be an integer in [2, " << fpr::kSubsetDpMaxTerminals
+                  << "], got '" << value << "'\n";
+        return 2;
+      }
+      options.max_terminals = static_cast<int>(k);
     } else if (arg == "--no-shrink") {
       options.shrink = false;
     } else if (arg == "--quiet") {

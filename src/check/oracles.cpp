@@ -35,13 +35,6 @@ CheckResult finish(CheckResult r) {
   return r;
 }
 
-std::vector<NodeId> dedupe(std::span<const NodeId> net) {
-  std::vector<NodeId> t(net.begin(), net.end());
-  std::sort(t.begin(), t.end());
-  t.erase(std::unique(t.begin(), t.end()), t.end());
-  return t;
-}
-
 /// Adjacency rebuilt from the raw edge list — the independent ground truth
 /// the validity oracle compares the container against.
 using Adjacency = std::unordered_map<NodeId, std::vector<std::pair<EdgeId, NodeId>>>;
@@ -191,7 +184,7 @@ CheckResult check_approximation_bound(const Graph& g, const Net& net, Algorithm 
                                       int max_terminals) {
   CheckResult r;
   const std::vector<NodeId> terminals = net.terminals();
-  const std::vector<NodeId> distinct = dedupe(terminals);
+  const std::vector<NodeId> distinct = distinct_terminals(terminals);
   if (distinct.size() < 2 || static_cast<int>(distinct.size()) > max_terminals) {
     return finish(std::move(r));  // out of the oracle's scope
   }
@@ -252,7 +245,7 @@ CheckResult check_approximation_bound(const Graph& g, const Net& net, Algorithm 
 
 CheckResult check_iterated_monotonicity(const Graph& g, const Net& net) {
   CheckResult r;
-  const std::vector<NodeId> distinct = dedupe(net.terminals());
+  const std::vector<NodeId> distinct = distinct_terminals(net.terminals());
   if (distinct.size() < 2) return finish(std::move(r));
   if (!all_terminals_reachable(g, net)) return finish(std::move(r));
 

@@ -67,9 +67,6 @@ std::span<const Algorithm> table1_algorithms() {
 RoutingTree route(const Graph& g, const Net& net, Algorithm algorithm, PathOracle& oracle,
                   const RouteOptions& options) {
   const std::vector<NodeId> terminals = net.terminals();
-  const IgmstOptions ig{options.candidates, options.max_candidates, options.max_iterations,
-                        options.batched};
-  const IdomOptions id{options.candidates, options.max_candidates, options.max_iterations};
 
   switch (algorithm) {
     case Algorithm::kKmb:
@@ -77,9 +74,9 @@ RoutingTree route(const Graph& g, const Net& net, Algorithm algorithm, PathOracl
     case Algorithm::kZel:
       return zelikovsky(g, terminals, oracle);
     case Algorithm::kIkmb:
-      return ikmb(g, terminals, oracle, ig);
+      return ikmb(g, terminals, oracle, options);
     case Algorithm::kIzel:
-      return izel(g, terminals, oracle, ig);
+      return izel(g, terminals, oracle, options);
     case Algorithm::kDjka:
       return djka(g, terminals, oracle);
     case Algorithm::kDom:
@@ -87,14 +84,14 @@ RoutingTree route(const Graph& g, const Net& net, Algorithm algorithm, PathOracl
     case Algorithm::kPfa:
       return pfa(g, terminals, oracle);
     case Algorithm::kIdom:
-      return idom(g, terminals, oracle, id);
+      return idom(g, terminals, oracle, options);
     case Algorithm::kExactGmst: {
       auto result = exact_gmst(g, terminals, oracle);
-      return result ? std::move(*result) : ikmb(g, terminals, oracle, ig);
+      return result ? std::move(*result) : ikmb(g, terminals, oracle, options);
     }
     case Algorithm::kExactGsa: {
       auto result = exact_gsa(g, terminals, oracle);
-      return result ? std::move(*result) : idom(g, terminals, oracle, id);
+      return result ? std::move(*result) : idom(g, terminals, oracle, options);
     }
   }
   return RoutingTree(g, {});

@@ -7,7 +7,7 @@
 #include "core/net.hpp"
 #include "graph/path_oracle.hpp"
 #include "graph/routing_tree.hpp"
-#include "steiner/candidates.hpp"
+#include "steiner/igmst.hpp"
 
 namespace fpr {
 
@@ -47,15 +47,9 @@ bool algorithm_supports_scoped_paths(Algorithm a);
 /// The eight heuristics of Table 1, in the paper's row order.
 std::span<const Algorithm> table1_algorithms();
 
-struct RouteOptions {
-  /// Steiner-candidate enumeration for the iterated constructions
-  /// (IKMB/IZEL/IDOM); ignored by the others.
-  CandidateStrategy candidates = CandidateStrategy::kAllNodes;
-  int max_candidates = 0;  // 0 = unlimited
-  int max_iterations = 0;  // 0 = iterate until no improvement
-  /// Batched Steiner-point adoption for IKMB/IZEL (see IgmstOptions).
-  bool batched = false;
-};
+/// Options of the iterated constructions (IKMB/IZEL/IDOM); the other
+/// algorithms ignore them.
+using RouteOptions = IgmstOptions;
 
 /// Routes one net with the chosen algorithm. The returned tree spans the
 /// net's terminals unless the net is unroutable in the usable part of the

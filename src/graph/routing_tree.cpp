@@ -183,4 +183,11 @@ void RoutingTree::prune_leaves(std::span<const NodeId> keep) {
   rebuild_adjacency();
 }
 
+std::vector<NodeId> distinct_terminals(std::span<const NodeId> net) {
+  std::vector<NodeId> t(net.begin(), net.end());
+  std::sort(t.begin(), t.end());
+  t.erase(std::unique(t.begin(), t.end()), t.end());
+  return t;
+}
+
 }  // namespace fpr

@@ -91,4 +91,8 @@ class RoutingTree {
   std::vector<Slot> slots_;             // 2 * edges_.size(), grouped by node
 };
 
+/// The distinct terminals of a net, sorted ascending: the canonical
+/// terminal list every Steiner construction and its checks work on.
+std::vector<NodeId> distinct_terminals(std::span<const NodeId> net);
+
 }  // namespace fpr

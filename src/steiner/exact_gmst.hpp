@@ -5,13 +5,12 @@
 
 #include "graph/path_oracle.hpp"
 #include "graph/routing_tree.hpp"
+#include "steiner/subset_dp.hpp"
 
 namespace fpr {
 
-/// Exact graph minimal Steiner tree via the Dreyfus-Wagner / Erickson subset
-/// dynamic program: dp[mask][v] = cheapest tree containing v and every
-/// terminal in mask, with subset merges plus a Dijkstra relaxation per mask.
-/// O(3^k V + 2^k E log V) time, O(2^k V) space.
+/// Exact graph minimal Steiner tree via the subset dynamic program
+/// (steiner/subset_dp.hpp) over every usable edge, leaves pruned.
 ///
 /// Used as the optimality reference the paper normalizes against (Table 1's
 /// "OPT" pathlength column is handled separately; this solver validates the
@@ -21,9 +20,10 @@ namespace fpr {
 /// Returns nullopt when the net has more than `max_terminals` distinct pins
 /// or is not connected in the usable part of the graph.
 std::optional<RoutingTree> exact_gmst(const Graph& g, std::span<const NodeId> net,
-                                      PathOracle& oracle, int max_terminals = 14);
+                                      PathOracle& oracle,
+                                      int max_terminals = kSubsetDpMaxTerminals);
 
 std::optional<RoutingTree> exact_gmst(const Graph& g, std::span<const NodeId> net,
-                                      int max_terminals = 14);
+                                      int max_terminals = kSubsetDpMaxTerminals);
 
 }  // namespace fpr

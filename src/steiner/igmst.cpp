@@ -13,7 +13,7 @@ namespace {
 
 /// One sequential round: adopt the single best candidate (Fig. 5's loop
 /// body). Returns true if a candidate was adopted.
-bool adopt_best_candidate(const Graph& g, const std::vector<NodeId>& terminals,
+bool adopt_best_candidate(const Graph& g, std::span<const NodeId> terminals,
                           const GmstHeuristic& heuristic, PathOracle& oracle,
                           std::span<const NodeId> candidates, std::vector<NodeId>& span_set,
                           RoutingTree& best, Weight& best_cost) {
@@ -44,7 +44,7 @@ bool adopt_best_candidate(const Graph& g, const std::vector<NodeId>& terminals,
 /// solution, then sweep them in decreasing-savings order, adopting each iff
 /// a single re-evaluation confirms it still improves on the batch so far.
 /// Returns true if any candidate was adopted.
-bool adopt_candidate_batch(const Graph& g, const std::vector<NodeId>& terminals,
+bool adopt_candidate_batch(const Graph& g, std::span<const NodeId> terminals,
                            const GmstHeuristic& heuristic, PathOracle& oracle,
                            std::span<const NodeId> candidates, std::vector<NodeId>& span_set,
                            RoutingTree& best, Weight& best_cost) {
@@ -85,12 +85,9 @@ bool adopt_candidate_batch(const Graph& g, const std::vector<NodeId>& terminals,
 
 }  // namespace
 
-RoutingTree igmst(const Graph& g, std::span<const NodeId> net, const GmstHeuristic& heuristic,
-                  PathOracle& oracle, const IgmstOptions& options) {
-  std::vector<NodeId> terminals(net.begin(), net.end());
-  std::sort(terminals.begin(), terminals.end());
-  terminals.erase(std::unique(terminals.begin(), terminals.end()), terminals.end());
-
+RoutingTree igmst_ordered(const Graph& g, std::span<const NodeId> terminals,
+                          const GmstHeuristic& heuristic, PathOracle& oracle,
+                          const IgmstOptions& options) {
   RoutingTree best = heuristic(g, terminals, oracle);
   if (!best.spans(terminals)) return best;  // unroutable: report H's attempt
   Weight best_cost = best.cost();
@@ -99,7 +96,7 @@ RoutingTree igmst(const Graph& g, std::span<const NodeId> net, const GmstHeurist
   // contains a path of cost at least d(s, t), which H's tree already is.
   // Skipping the loop also skips pre-warming the second terminal's tree.
   const bool candidates_can_help = terminals.size() > 2;
-  std::vector<NodeId> span_set = terminals;  // N + S
+  std::vector<NodeId> span_set(terminals.begin(), terminals.end());  // N + S
   int iterations = 0;
   while (candidates_can_help &&
          (options.max_iterations == 0 || iterations < options.max_iterations)) {
@@ -121,8 +118,15 @@ RoutingTree igmst(const Graph& g, std::span<const NodeId> net, const GmstHeurist
     if (!adopted) break;  // no candidate has positive savings
   }
 
+  // Branches that end at adopted Steiner nodes are pure overhead once the
+  // terminals are spanned; trimming them never lengthens a terminal's path.
   best.prune_leaves(terminals);
   return best;
+}
+
+RoutingTree igmst(const Graph& g, std::span<const NodeId> net, const GmstHeuristic& heuristic,
+                  PathOracle& oracle, const IgmstOptions& options) {
+  return igmst_ordered(g, distinct_terminals(net), heuristic, oracle, options);
 }
 
 RoutingTree ikmb(const Graph& g, std::span<const NodeId> net, PathOracle& oracle,

@@ -14,7 +14,11 @@ namespace fpr {
 using GmstHeuristic =
     std::function<RoutingTree(const Graph&, std::span<const NodeId>, PathOracle&)>;
 
+/// Options of the iterated constructions (IKMB, IZEL and IDOM), which share
+/// one greedy loop; route() passes them through and the other algorithms
+/// ignore them.
 struct IgmstOptions {
+  /// Steiner-candidate enumeration for each round.
   CandidateStrategy candidates = CandidateStrategy::kAllNodes;
   int max_candidates = 0;  // 0 = unlimited
   int max_iterations = 0;  // 0 = run until no candidate improves
@@ -40,6 +44,15 @@ struct IgmstOptions {
 /// The performance bound is never worse than H's own: with no improving
 /// candidate the output equals H's. Cost(IGMST_H) <= cost(H) on every input
 /// (property-tested).
+///
+/// `terminals` must be distinct; they are handed to H in the given order,
+/// with the adopted Steiner points appended, so an H that reads its first
+/// terminal as the source (IDOM's DOM) keeps it first.
+RoutingTree igmst_ordered(const Graph& g, std::span<const NodeId> terminals,
+                          const GmstHeuristic& heuristic, PathOracle& oracle,
+                          const IgmstOptions& options);
+
+/// igmst_ordered over the net's distinct terminals in ascending order.
 RoutingTree igmst(const Graph& g, std::span<const NodeId> net, const GmstHeuristic& heuristic,
                   PathOracle& oracle, const IgmstOptions& options = {});
 

@@ -15,13 +15,6 @@ std::atomic<bool> kmb_invert_mst_selection{false};
 
 namespace {
 
-std::vector<NodeId> dedupe(std::span<const NodeId> net) {
-  std::vector<NodeId> t(net.begin(), net.end());
-  std::sort(t.begin(), t.end());
-  t.erase(std::unique(t.begin(), t.end()), t.end());
-  return t;
-}
-
 /// Fault injection (see testhooks::kmb_invert_mst_selection): maximum
 /// spanning forest of the subgraph induced by `edges` — Kruskal on
 /// (-weight, id), mirroring kruskal_mst_subgraph's determinism.
@@ -60,7 +53,7 @@ DistanceGraph::Mst max_spanning_tree(const DistanceGraph& dg) {
 }  // namespace
 
 RoutingTree kmb(const Graph& g, std::span<const NodeId> net, PathOracle& oracle) {
-  const std::vector<NodeId> terminals = dedupe(net);
+  const std::vector<NodeId> terminals = distinct_terminals(net);
   if (terminals.size() < 2) return RoutingTree(g, {});
 
   const DistanceGraph dg(terminals, oracle);

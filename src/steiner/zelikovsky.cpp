@@ -44,9 +44,7 @@ RoutingTree zelikovsky(const Graph& g, std::span<const NodeId> net, PathOracle& 
     memo->medians.clear();
     memo->revision = g.revision();
   }
-  std::vector<NodeId> terminals(net.begin(), net.end());
-  std::sort(terminals.begin(), terminals.end());
-  terminals.erase(std::unique(terminals.begin(), terminals.end()), terminals.end());
+  const std::vector<NodeId> terminals = distinct_terminals(net);
   if (terminals.size() < 3) return kmb(g, terminals, oracle);
 
   DistanceGraph dg(terminals, oracle);

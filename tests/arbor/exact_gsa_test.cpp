@@ -65,6 +65,13 @@ TEST(ExactGsaTest, TerminalLimit) {
   EXPECT_FALSE(exact_gsa(grid.graph(), net, 3).has_value());
 }
 
+TEST(ExactGsaTest, MoreSinksThanTheSubsetDpTakesIsAContractViolation) {
+  GridGraph grid(4, 4);
+  std::vector<NodeId> net;  // the source plus one sink more than the limit
+  for (NodeId v = 0; v <= kSubsetDpMaxTerminals + 1; ++v) net.push_back(v);
+  EXPECT_THROW((void)exact_gsa(grid.graph(), net, 40), ContractViolation);
+}
+
 class ExactGsaPropertyTest : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(ExactGsaPropertyTest, SandwichedBetweenGmstAndHeuristics) {

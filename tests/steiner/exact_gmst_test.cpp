@@ -61,6 +61,13 @@ TEST(ExactGmstTest, TerminalLimitReturnsNullopt) {
   EXPECT_FALSE(exact_gmst(grid.graph(), net, 5).has_value());
 }
 
+TEST(ExactGmstTest, MoreTerminalsThanTheSubsetDpTakesIsAContractViolation) {
+  GridGraph grid(4, 4);
+  std::vector<NodeId> net;
+  for (NodeId v = 0; v <= kSubsetDpMaxTerminals; ++v) net.push_back(v);
+  EXPECT_THROW((void)exact_gmst(grid.graph(), net, 40), ContractViolation);
+}
+
 class ExactGmstPropertyTest : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(ExactGmstPropertyTest, MatchesBruteForce) {
