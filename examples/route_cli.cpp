@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "core/line_format.hpp"
 #include "experiments/tables23.hpp"
 #include "io/text_io.hpp"
 #include "netlist/synth.hpp"
@@ -54,7 +55,11 @@ int main(int argc, char** argv) {
     circuit = synthesize_circuit(xc4000_profiles()[2], 1995);
   }
 
-  const int width = args.size() >= 2 ? std::atoi(args[1].c_str()) : 8;
+  int width = 8;
+  if (args.size() >= 2 && (!line_format::parse_uint(args[1], width) || width < 1)) {
+    std::fprintf(stderr, "error: width must be a positive integer, got '%s'\n", args[1].c_str());
+    return 1;
+  }
   const bool xc3000 = args.size() >= 3 && args[2] == "xc3000";
   const ArchSpec arch = xc3000 ? ArchSpec::xc3000(circuit.rows, circuit.cols, width)
                                : ArchSpec::xc4000(circuit.rows, circuit.cols, width);

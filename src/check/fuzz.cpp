@@ -9,7 +9,6 @@
 
 #include "check/oracles.hpp"
 #include "check/shrink.hpp"
-#include "core/metrics.hpp"
 
 namespace fpr::check {
 
@@ -227,7 +226,6 @@ FuzzReport fuzz(const FuzzOptions& options) {
       const std::uint64_t case_seed =
           mix64(mix64(options.seed, static_cast<std::uint64_t>(oracle) + 1),
                 static_cast<std::uint64_t>(i));
-      counters().fuzz_cases.fetch_add(1, std::memory_order_relaxed);
 
       CheckResult result;
       std::string case_line;

@@ -14,6 +14,7 @@
 #include <string>
 
 #include "check/fuzz.hpp"
+#include "core/line_format.hpp"
 #include "steiner/subset_dp.hpp"
 
 namespace {
@@ -53,9 +54,17 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--seed") {
-      options.seed = std::strtoull(need_value(i), nullptr, 10);
+      const char* value = need_value(i);
+      if (!fpr::line_format::parse_uint(value, options.seed)) {
+        std::cerr << "--seed must be a non-negative 64-bit integer, got '" << value << "'\n";
+        return 2;
+      }
     } else if (arg == "--iters") {
-      options.iterations = std::atoi(need_value(i));
+      const char* value = need_value(i);
+      if (!fpr::line_format::parse_uint(value, options.iterations) || options.iterations < 1) {
+        std::cerr << "--iters must be a positive integer, got '" << value << "'\n";
+        return 2;
+      }
     } else if (arg == "--oracle") {
       const std::string name = need_value(i);
       if (name == "all") {
@@ -79,14 +88,13 @@ int main(int argc, char** argv) {
       options.failure_dir = need_value(i);
     } else if (arg == "--max-terminals") {
       const char* value = need_value(i);
-      char* end = nullptr;
-      const long k = std::strtol(value, &end, 10);
-      if (end == value || *end != '\0' || k < 2 || k > fpr::kSubsetDpMaxTerminals) {
+      int k = 0;
+      if (!fpr::line_format::parse_uint(value, k) || k < 2 || k > fpr::kSubsetDpMaxTerminals) {
         std::cerr << "--max-terminals must be an integer in [2, " << fpr::kSubsetDpMaxTerminals
                   << "], got '" << value << "'\n";
         return 2;
       }
-      options.max_terminals = static_cast<int>(k);
+      options.max_terminals = k;
     } else if (arg == "--no-shrink") {
       options.shrink = false;
     } else if (arg == "--quiet") {
@@ -112,10 +120,6 @@ int main(int argc, char** argv) {
     return result->ok() ? 0 : 1;
   }
 
-  if (options.iterations <= 0) {
-    std::cerr << "--iters must be positive\n";
-    return 2;
-  }
   const auto report = fpr::check::fuzz(options);
   std::cout << report.iterations << " oracle invocations, " << report.failures.size()
             << " failure(s)\n";

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
 #include <sstream>
+#include <string_view>
 
+#include "core/line_format.hpp"
 #include "graph/grid.hpp"
 #include "netlist/profiles.hpp"
 #include "netlist/synth.hpp"
@@ -18,39 +21,40 @@ constexpr std::array<Algorithm, 10> kAllAlgorithms{
     Algorithm::kExactGmst,             Algorithm::kExactGsa,
 };
 
-/// Splits "key=value" tokens of a case line into (key, value) pairs.
-std::vector<std::pair<std::string, std::string>> tokenize(const std::string& line) {
-  std::vector<std::pair<std::string, std::string>> out;
-  std::istringstream is(line);
-  std::string token;
-  while (is >> token) {
-    const auto eq = token.find('=');
-    if (eq == std::string::npos) {
-      out.emplace_back(token, "");
-    } else {
-      out.emplace_back(token.substr(0, eq), token.substr(eq + 1));
+// The names describe() writes for each enumerated field, indexed by value.
+constexpr std::array<std::string_view, 2> kSubstrateNames{"random", "grid"};
+constexpr std::array<std::string_view, 2> kFamilyNames{"xc3000", "xc4000"};
+constexpr std::array<std::string_view, 2> kFlagNames{"0", "1"};
+constexpr std::array<std::string_view, 2> kModeNames{"paper", "negotiated"};
+
+/// Reads an enumerated field: `value` must be one of `names`, and `out`
+/// takes its index.
+template <typename T, std::size_t N>
+bool parse_enum(std::string_view value, const std::array<std::string_view, N>& names, T& out) {
+  for (std::size_t i = 0; i < N; ++i) {
+    if (value == names[i]) {
+      out = static_cast<T>(i);
+      return true;
     }
   }
-  return out;
+  return false;
 }
 
-std::vector<NodeId> parse_id_list(const std::string& text) {
-  std::vector<NodeId> out;
-  std::istringstream is(text);
-  std::string item;
-  while (std::getline(is, item, ',')) {
-    if (!item.empty()) out.push_back(static_cast<NodeId>(std::stol(item)));
-  }
-  return out;
+bool parse_algorithm(std::string_view value, Algorithm& out) {
+  const auto a = algorithm_from_name(value);
+  if (a) out = *a;
+  return a.has_value();
 }
 
-std::string format_id_list(std::span<const NodeId> ids) {
-  std::string out;
-  for (const NodeId v : ids) {
-    if (!out.empty()) out += ',';
-    out += std::to_string(v);
-  }
-  return out;
+/// Reads `value` as exactly N `sep`-separated non-negative ints.
+template <std::size_t N>
+bool parse_ints(std::string_view value, char sep, const std::array<int*, N>& out) {
+  std::size_t n = 0;
+  return line_format::for_each_item(value, sep,
+                                    [&](std::string_view piece) {
+                                      return n < N && line_format::parse_uint(piece, *out[n++]);
+                                    }) &&
+         n == N;
 }
 
 }  // namespace
@@ -100,44 +104,40 @@ Net TreeCase::net() const {
 
 std::string TreeCase::describe() const {
   std::ostringstream os;
-  os << "tree substrate=" << (substrate == Substrate::kGrid ? "grid" : "random")
+  os << "tree substrate=" << kSubstrateNames[static_cast<std::size_t>(substrate)]
      << " graph_seed=" << graph_seed << " nodes=" << nodes << " extra=" << extra_edges
      << " grid=" << grid_width << "x" << grid_height << " max_weight=" << max_weight
-     << " algo=" << algorithm_name(algorithm) << " terminals=" << format_id_list(terminals);
+     << " algo=" << algorithm_name(algorithm)
+     << " terminals=" << line_format::format_ids(terminals);
   return os.str();
 }
 
 std::optional<TreeCase> TreeCase::parse(const std::string& line) {
-  const auto tokens = tokenize(line);
-  if (tokens.empty() || tokens[0].first != "tree") return std::nullopt;
+  using line_format::parse_uint;
   TreeCase c;
-  for (const auto& [key, value] : tokens) {
-    if (key == "substrate") {
-      c.substrate = value == "grid" ? Substrate::kGrid : Substrate::kRandomGraph;
-    } else if (key == "graph_seed") {
-      c.graph_seed = std::stoull(value);
-    } else if (key == "nodes") {
-      c.nodes = std::stoi(value);
-    } else if (key == "extra") {
-      c.extra_edges = std::stoi(value);
-    } else if (key == "grid") {
-      const auto x = value.find('x');
-      if (x == std::string::npos) return std::nullopt;
-      c.grid_width = std::stoi(value.substr(0, x));
-      c.grid_height = std::stoi(value.substr(x + 1));
-    } else if (key == "max_weight") {
-      c.max_weight = std::stoi(value);
-    } else if (key == "algo") {
-      const auto a = algorithm_from_name(value);
-      if (!a) return std::nullopt;
-      c.algorithm = *a;
-    } else if (key == "terminals") {
-      c.terminals = parse_id_list(value);
-    }
+  const bool read = line_format::read_record(line, "tree", [&](std::string_view key,
+                                                              std::string_view value) {
+    if (key == "substrate") return parse_enum(value, kSubstrateNames, c.substrate);
+    if (key == "graph_seed") return parse_uint(value, c.graph_seed);
+    if (key == "nodes") return parse_uint(value, c.nodes);
+    if (key == "extra") return parse_uint(value, c.extra_edges);
+    if (key == "grid") return parse_ints<2>(value, 'x', {&c.grid_width, &c.grid_height});
+    if (key == "max_weight") return parse_uint(value, c.max_weight);
+    if (key == "algo") return parse_algorithm(value, c.algorithm);
+    if (key == "terminals") return line_format::parse_id_list(value, c.terminals);
+    return true;
+  });
+  // Also reject what materialize() cannot build: a zero weight range, extra
+  // edges on a one-node graph, a grid whose node count overflows an int.
+  const long long grid_nodes = static_cast<long long>(c.grid_width) * c.grid_height;
+  if (!read || c.terminals.empty() || c.max_weight < 1 ||
+      (c.substrate == Substrate::kRandomGraph && c.nodes < 2 && c.extra_edges > 0) ||
+      (c.substrate == Substrate::kGrid && grid_nodes > std::numeric_limits<int>::max()) ||
+      c.node_count() <= 0) {
+    return std::nullopt;
   }
-  if (c.terminals.empty() || c.node_count() <= 0) return std::nullopt;
   for (const NodeId t : c.terminals) {
-    if (t < 0 || t >= static_cast<NodeId>(c.node_count())) return std::nullopt;
+    if (t >= static_cast<NodeId>(c.node_count())) return std::nullopt;
   }
   return c;
 }
@@ -179,10 +179,11 @@ RouterOptions CircuitCase::router_options() const {
 
 std::string CircuitCase::describe() const {
   std::ostringstream os;
-  os << "circuit family=" << (family == Family::kXc3000 ? "xc3000" : "xc4000")
+  os << "circuit family=" << kFamilyNames[static_cast<std::size_t>(family)]
      << " rows=" << rows << " cols=" << cols << " width=" << width << " nets=" << nets_2_3
      << "," << nets_4_10 << "," << nets_over_10 << " synth_seed=" << synth_seed
-     << " algo=" << algorithm_name(algorithm) << " decompose=" << (decompose_two_pin ? 1 : 0);
+     << " algo=" << algorithm_name(algorithm)
+     << " decompose=" << kFlagNames[decompose_two_pin ? 1 : 0];
   // Non-default fields are emitted only when set so historical repro lines
   // round-trip byte-identically. The fault/budget keys were parsed but
   // never emitted before this block existed — a fault-oracle repro line
@@ -206,60 +207,37 @@ std::string CircuitCase::describe() const {
 }
 
 std::optional<CircuitCase> CircuitCase::parse(const std::string& line) {
-  const auto tokens = tokenize(line);
-  if (tokens.empty() || tokens[0].first != "circuit") return std::nullopt;
+  using line_format::parse_uint;
   CircuitCase c;
-  for (const auto& [key, value] : tokens) {
-    if (key == "family") {
-      c.family = value == "xc3000" ? Family::kXc3000 : Family::kXc4000;
-    } else if (key == "rows") {
-      c.rows = std::stoi(value);
-    } else if (key == "cols") {
-      c.cols = std::stoi(value);
-    } else if (key == "width") {
-      c.width = std::stoi(value);
-    } else if (key == "nets") {
-      const auto counts = parse_id_list(value);
-      if (counts.size() != 3) return std::nullopt;
-      c.nets_2_3 = counts[0];
-      c.nets_4_10 = counts[1];
-      c.nets_over_10 = counts[2];
-    } else if (key == "synth_seed") {
-      c.synth_seed = std::stoull(value);
-    } else if (key == "algo") {
-      const auto a = algorithm_from_name(value);
-      if (!a) return std::nullopt;
-      c.algorithm = *a;
-    } else if (key == "decompose") {
-      c.decompose_two_pin = value == "1";
-    } else if (key == "fault_seed") {
-      c.faults.seed = std::stoull(value);
-    } else if (key == "fault_wires") {
-      c.faults.wire_permille = std::stoi(value);
-    } else if (key == "fault_switches") {
-      c.faults.switch_permille = std::stoi(value);
-    } else if (key == "fault_pins") {
-      c.faults.pin_permille = std::stoi(value);
-    } else if (key == "fault_clusters") {
-      c.faults.clusters = std::stoi(value);
-    } else if (key == "fault_radius") {
-      c.faults.cluster_radius = std::stoi(value);
-    } else if (key == "budget") {
-      c.node_budget = std::stoll(value);
-    } else if (key == "mode") {
-      if (value != "negotiated" && value != "paper") return std::nullopt;
-      c.negotiated = value == "negotiated";
-    } else if (key == "repair_events") {
-      c.repair_events = std::stoi(value);
-    } else if (key == "repair_seed") {
-      c.repair_seed = std::stoull(value);
-    } else if (key == "repair_budget") {
-      c.repair_budget = std::stoll(value);
+  const bool read = line_format::read_record(line, "circuit", [&](std::string_view key,
+                                                                 std::string_view value) {
+    if (key == "family") return parse_enum(value, kFamilyNames, c.family);
+    if (key == "rows") return parse_uint(value, c.rows);
+    if (key == "cols") return parse_uint(value, c.cols);
+    if (key == "width") return parse_uint(value, c.width);
+    if (key == "nets") {
+      return parse_ints<3>(value, ',', {&c.nets_2_3, &c.nets_4_10, &c.nets_over_10});
     }
-  }
-  if (c.rows < 1 || c.cols < 1 || c.width < 1) return std::nullopt;
-  if (!c.faults.valid() || c.node_budget < 0) return std::nullopt;
-  if (c.repair_events < 0 || c.repair_budget < 0) return std::nullopt;
+    if (key == "synth_seed") return parse_uint(value, c.synth_seed);
+    if (key == "algo") return parse_algorithm(value, c.algorithm);
+    if (key == "decompose") return parse_enum(value, kFlagNames, c.decompose_two_pin);
+    if (key == "fault_seed") return parse_uint(value, c.faults.seed);
+    if (key == "fault_wires") return parse_uint(value, c.faults.wire_permille);
+    if (key == "fault_switches") return parse_uint(value, c.faults.switch_permille);
+    if (key == "fault_pins") return parse_uint(value, c.faults.pin_permille);
+    if (key == "fault_clusters") return parse_uint(value, c.faults.clusters);
+    if (key == "fault_radius") return parse_uint(value, c.faults.cluster_radius);
+    if (key == "budget") return parse_uint(value, c.node_budget);
+    // describe() writes only "negotiated"; "paper" names the default mode.
+    if (key == "mode") return parse_enum(value, kModeNames, c.negotiated);
+    if (key == "repair_events") return parse_uint(value, c.repair_events);
+    if (key == "repair_seed") return parse_uint(value, c.repair_seed);
+    if (key == "repair_budget") return parse_uint(value, c.repair_budget);
+    return true;
+  });
+  if (!read || c.rows < 1 || c.cols < 1 || c.width < 1 || !c.faults.valid()) return std::nullopt;
+  // A seed without events names no repair case; describe() drops it too.
+  if (c.repair_events == 0) c.repair_seed = 0;
   return c;
 }
 

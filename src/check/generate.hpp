@@ -51,9 +51,12 @@ struct TreeCase {
 
   Net net() const;
 
-  /// One-line key=value serialization (the persisted repro format).
+  /// One-line record (core/line_format.hpp), the persisted repro format.
+  /// parse() also rejects a case materialize() cannot build.
   std::string describe() const;
   static std::optional<TreeCase> parse(const std::string& line);
+
+  friend bool operator==(const TreeCase&, const TreeCase&) = default;
 };
 
 /// An FPGA instance + circuit + router configuration for the feasibility
@@ -98,8 +101,11 @@ struct CircuitCase {
   Circuit circuit() const;
   RouterOptions router_options() const;
 
+  /// One-line record (core/line_format.hpp), the persisted repro format.
   std::string describe() const;
   static std::optional<CircuitCase> parse(const std::string& line);
+
+  friend bool operator==(const CircuitCase&, const CircuitCase&) = default;
 };
 
 /// Deterministic case generators: the same case_seed always yields the same

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "arbor/exact_gsa.hpp"
-#include "core/metrics.hpp"
 #include "router/journal.hpp"
 #include "steiner/exact_gmst.hpp"
 
@@ -26,14 +25,6 @@ std::string CheckResult::message() const {
 }
 
 namespace {
-
-/// Every oracle funnels its result through here so the global counters see
-/// each invocation exactly once.
-CheckResult finish(CheckResult r) {
-  counters().checks_run.fetch_add(1, std::memory_order_relaxed);
-  if (!r.ok()) counters().check_violations.fetch_add(1, std::memory_order_relaxed);
-  return r;
-}
 
 /// Adjacency rebuilt from the raw edge list — the independent ground truth
 /// the validity oracle compares the container against.
@@ -91,7 +82,7 @@ CheckResult check_tree_validity(const Graph& g, std::span<const NodeId> terminal
       edges_ok = false;
     }
   }
-  if (!edges_ok) return finish(std::move(r));
+  if (!edges_ok) return r;
 
   for (const EdgeId e : edges) {
     if (!g.edge_usable(e)) {
@@ -177,7 +168,7 @@ CheckResult check_tree_validity(const Graph& g, std::span<const NodeId> terminal
       r.fail(os.str());
     }
   }
-  return finish(std::move(r));
+  return r;
 }
 
 CheckResult check_approximation_bound(const Graph& g, const Net& net, Algorithm algorithm,
@@ -186,14 +177,14 @@ CheckResult check_approximation_bound(const Graph& g, const Net& net, Algorithm 
   const std::vector<NodeId> terminals = net.terminals();
   const std::vector<NodeId> distinct = distinct_terminals(terminals);
   if (distinct.size() < 2 || static_cast<int>(distinct.size()) > max_terminals) {
-    return finish(std::move(r));  // out of the oracle's scope
+    return r;  // out of the oracle's scope
   }
-  if (!all_terminals_reachable(g, net)) return finish(std::move(r));  // unroutable net
+  if (!all_terminals_reachable(g, net)) return r;  // unroutable net
 
   PathOracle oracle(g);
   const RoutingTree tree = route(g, net, algorithm, oracle);
   r.merge(check_tree_validity(g, terminals, tree));
-  if (!r.ok()) return finish(std::move(r));
+  if (!r.ok()) return r;
   const Weight cost = tree.cost();
 
   if (is_arborescence_algorithm(algorithm)) {
@@ -216,13 +207,13 @@ CheckResult check_approximation_bound(const Graph& g, const Net& net, Algorithm 
         r.fail(os.str());
       }
     }
-    return finish(std::move(r));
+    return r;
   }
 
   const auto opt = exact_gmst(g, distinct, oracle, max_terminals);
   if (!opt) {
     r.fail("exact GMST solver declined a connected in-scope net");
-    return finish(std::move(r));
+    return r;
   }
   r.merge(check_tree_validity(g, distinct, *opt));
   const Weight opt_cost = opt->cost();
@@ -240,14 +231,14 @@ CheckResult check_approximation_bound(const Graph& g, const Net& net, Algorithm 
        << opt_cost << " (exact solver broken?)";
     r.fail(os.str());
   }
-  return finish(std::move(r));
+  return r;
 }
 
 CheckResult check_iterated_monotonicity(const Graph& g, const Net& net) {
   CheckResult r;
   const std::vector<NodeId> distinct = distinct_terminals(net.terminals());
-  if (distinct.size() < 2) return finish(std::move(r));
-  if (!all_terminals_reachable(g, net)) return finish(std::move(r));
+  if (distinct.size() < 2) return r;
+  if (!all_terminals_reachable(g, net)) return r;
 
   const std::pair<Algorithm, Algorithm> pairs[] = {
       {Algorithm::kKmb, Algorithm::kIkmb},
@@ -273,7 +264,7 @@ CheckResult check_iterated_monotonicity(const Graph& g, const Net& net) {
       r.fail(os.str());
     }
   }
-  return finish(std::move(r));
+  return r;
 }
 
 CheckResult check_routing_feasibility(const ArchSpec& arch, const Circuit& circuit,
@@ -287,7 +278,7 @@ CheckResult check_routing_feasibility(const ArchSpec& arch, const Circuit& circu
     os << "result records " << result.nets.size() << " nets, circuit has "
        << circuit.nets.size();
     r.fail(os.str());
-    return finish(std::move(r));
+    return r;
   }
 
   Device device(arch);
@@ -568,7 +559,7 @@ CheckResult check_routing_feasibility(const ArchSpec& arch, const Circuit& circu
        << ", replay found " << total_physical_max_path;
     r.fail(os.str());
   }
-  return finish(std::move(r));
+  return r;
 }
 
 CheckResult check_repair(const ArchSpec& arch, const Circuit& seed,
@@ -772,7 +763,7 @@ CheckResult check_repair(const ArchSpec& arch, const Circuit& seed,
       }
     }
   }
-  return finish(std::move(r));
+  return r;
 }
 
 }  // namespace fpr::check

@@ -20,9 +20,6 @@ namespace fpr::check {
 /// bookkeeping it is checking — the validity oracle builds its own adjacency
 /// from the raw edge list, the feasibility oracle replays a RoutingResult
 /// against a freshly built device, the bound oracle runs the exact solver.
-///
-/// Every oracle bumps counters().checks_run, and counters().check_violations
-/// when it fails, so harnesses can assert they actually executed.
 
 /// Routing-tree structural validity: every edge usable in g, connected,
 /// acyclic (|V| == |E| + 1), spans `terminals` (terminals[0] is the source),

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/metrics.hpp"
 
 namespace fpr::check {
 
@@ -205,7 +204,6 @@ Case greedy_shrink(Case current, const Candidates& candidates_of, const Fails& s
       ++reruns;
       if (still_fails(candidate)) {
         current = candidate;
-        counters().shrink_steps.fetch_add(1, std::memory_order_relaxed);
         improved = true;
         break;
       }

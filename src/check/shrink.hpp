@@ -10,8 +10,7 @@ namespace fpr::check {
 /// (drop terminals, shrink the graph/grid, drop extra edges, drop nets,
 /// shrink the array) and keeps a mutation iff `still_fails` confirms the
 /// smaller case still violates the oracle, until no mutation sticks or the
-/// re-run budget is exhausted. The returned case is the minimized repro;
-/// every accepted mutation bumps counters().shrink_steps.
+/// re-run budget is exhausted. The returned case is the minimized repro.
 TreeCase shrink_tree_case(TreeCase failing, const std::function<bool(const TreeCase&)>& still_fails,
                           int max_reruns = 400);
 

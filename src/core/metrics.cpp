@@ -7,11 +7,6 @@
 namespace fpr {
 
 void Counters::reset() {
-  trees_measured.store(0, std::memory_order_relaxed);
-  checks_run.store(0, std::memory_order_relaxed);
-  check_violations.store(0, std::memory_order_relaxed);
-  fuzz_cases.store(0, std::memory_order_relaxed);
-  shrink_steps.store(0, std::memory_order_relaxed);
   parallel_waves.store(0, std::memory_order_relaxed);
   nets_speculated.store(0, std::memory_order_relaxed);
   nets_spec_accepted.store(0, std::memory_order_relaxed);
@@ -28,7 +23,6 @@ Counters& counters() {
 
 TreeMetrics measure(const Graph& g, const Net& net, const RoutingTree& tree, PathOracle& oracle) {
   (void)g;
-  counters().trees_measured.fetch_add(1, std::memory_order_relaxed);
   TreeMetrics m;
   m.wirelength = tree.cost();
   const std::vector<NodeId> terminals = net.terminals();

@@ -11,8 +11,8 @@
 
 namespace fpr {
 
-/// Process-wide observability counters, bumped by measure() and by the
-/// src/check oracle/fuzz subsystem. Atomic so the parallel sweeps can bump
+/// Process-wide observability counters, bumped by the router and read by
+/// the benchmark suite. Atomic so the parallel sweeps can bump
 /// them from worker threads. Lock-free by design: every member is its own
 /// std::atomic, so there is no capability for core/annotations.hpp to guard
 /// — the clang thread-safety CI job checks this file compiles with the
@@ -24,12 +24,6 @@ namespace fpr {
 /// or gtest shuffling, whatever ran earlier in the same process must not
 /// leak into the assertion.
 struct Counters {
-  std::atomic<std::uint64_t> trees_measured{0};   // measure() calls
-  std::atomic<std::uint64_t> checks_run{0};       // check-oracle invocations
-  std::atomic<std::uint64_t> check_violations{0}; // failed oracle invocations
-  std::atomic<std::uint64_t> fuzz_cases{0};       // generated fuzz cases
-  std::atomic<std::uint64_t> shrink_steps{0};     // accepted shrink mutations
-
   // No longer incremented: the net-parallel wave scheduler they counted
   // was removed (DESIGN.md §11). Kept only because the benchmark suite
   // still reports them; they read 0.

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <sstream>
 
 #include "core/contract.hpp"
+#include "core/line_format.hpp"
 #include "core/rng.hpp"
 #include "fpga/device.hpp"
 
@@ -25,64 +25,12 @@ bool hit(std::uint64_t stream, std::uint64_t id, int permille) {
   return static_cast<int>(mix64(stream, id) % 1000) < permille;
 }
 
-bool parse_int(const std::string& text, int& out) {
-  std::uint64_t value = 0;
-  if (!line_format::parse_u64(text, value) || value > 1'000'000) return false;
-  out = static_cast<int>(value);
-  return true;
-}
-
 void sort_unique(std::vector<std::int32_t>& ids) {
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
 }
 
 }  // namespace
-
-namespace line_format {
-
-bool parse_u64(const std::string& text, std::uint64_t& out) {
-  if (text.empty()) return false;
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    if (value > (~std::uint64_t{0} - static_cast<std::uint64_t>(c - '0')) / 10) return false;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  out = value;
-  return true;
-}
-
-std::string format_ids(const std::vector<std::int32_t>& ids) {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (i > 0) os << ',';
-    os << ids[i];
-  }
-  return os.str();
-}
-
-bool parse_id_list(const std::string& text, std::vector<std::int32_t>& out) {
-  out.clear();
-  if (text.empty()) return false;
-  std::size_t pos = 0;
-  while (true) {
-    const std::size_t comma = text.find(',', pos);
-    const std::string token =
-        comma == std::string::npos ? text.substr(pos) : text.substr(pos, comma - pos);
-    std::uint64_t value = 0;
-    if (!parse_u64(token, value)) return false;
-    if (value > static_cast<std::uint64_t>(std::numeric_limits<std::int32_t>::max())) {
-      return false;
-    }
-    out.push_back(static_cast<std::int32_t>(value));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return true;
-}
-
-}  // namespace line_format
 
 void FaultEvent::normalize() {
   sort_unique(dead_wires);
@@ -103,36 +51,27 @@ void FaultEvent::merge(const FaultEvent& other) {
   normalize();
 }
 
-std::string FaultEvent::describe() const {
-  std::ostringstream os;
-  os << "event";
-  if (!dead_wires.empty()) os << " wires=" << line_format::format_ids(dead_wires);
-  if (!dead_edges.empty()) os << " edges=" << line_format::format_ids(dead_edges);
-  return os.str();
+std::string FaultEvent::fields() const {
+  std::string out;
+  if (!dead_wires.empty()) out += " wires=" + line_format::format_ids(dead_wires);
+  if (!dead_edges.empty()) out += " edges=" + line_format::format_ids(dead_edges);
+  return out;
+}
+
+std::string FaultEvent::describe() const { return "event" + fields(); }
+
+bool FaultEvent::read_field(std::string_view key, std::string_view value) {
+  if (key == "wires") return line_format::parse_id_list(value, dead_wires);
+  if (key == "edges") return line_format::parse_id_list(value, dead_edges);
+  return true;
 }
 
 std::optional<FaultEvent> FaultEvent::parse(const std::string& line) {
-  std::istringstream is(line);
-  std::string tag;
-  if (!(is >> tag) || tag != "event") return std::nullopt;
   FaultEvent event;
-  std::string token;
-  while (is >> token) {
-    const auto eq = token.find('=');
-    if (eq == std::string::npos) return std::nullopt;
-    const std::string key = token.substr(0, eq);
-    const std::string value = token.substr(eq + 1);
-    bool ok = false;
-    if (key == "wires") {
-      ok = line_format::parse_id_list(value, event.dead_wires);
-    } else if (key == "edges") {
-      ok = line_format::parse_id_list(value, event.dead_edges);
-    } else {
-      // Unknown keys are accepted (and ignored), same growth policy as
-      // FaultSpec::parse.
-      ok = true;
-    }
-    if (!ok) return std::nullopt;
+  if (!line_format::read_record(line, "event", [&](std::string_view key, std::string_view value) {
+        return event.read_field(key, value);
+      })) {
+    return std::nullopt;
   }
   event.normalize();
   return event;
@@ -152,37 +91,18 @@ std::string FaultSpec::describe() const {
 }
 
 std::optional<FaultSpec> FaultSpec::parse(const std::string& line) {
-  std::istringstream is(line);
-  std::string tag;
-  if (!(is >> tag) || tag != "faults") return std::nullopt;
   FaultSpec spec;
-  std::string token;
-  while (is >> token) {
-    const auto eq = token.find('=');
-    if (eq == std::string::npos) return std::nullopt;
-    const std::string key = token.substr(0, eq);
-    const std::string value = token.substr(eq + 1);
-    bool ok = false;
-    if (key == "seed") {
-      ok = line_format::parse_u64(value, spec.seed);
-    } else if (key == "wires") {
-      ok = parse_int(value, spec.wire_permille);
-    } else if (key == "switches") {
-      ok = parse_int(value, spec.switch_permille);
-    } else if (key == "pins") {
-      ok = parse_int(value, spec.pin_permille);
-    } else if (key == "clusters") {
-      ok = parse_int(value, spec.clusters);
-    } else if (key == "radius") {
-      ok = parse_int(value, spec.cluster_radius);
-    } else {
-      // Unknown keys are accepted (and ignored) so the format can grow
-      // without breaking old replay tooling.
-      ok = true;
-    }
-    if (!ok) return std::nullopt;
-  }
-  if (!spec.valid()) return std::nullopt;
+  const bool read = line_format::read_record(line, "faults", [&](std::string_view key,
+                                                                std::string_view value) {
+    if (key == "seed") return line_format::parse_uint(value, spec.seed);
+    if (key == "wires") return line_format::parse_uint(value, spec.wire_permille);
+    if (key == "switches") return line_format::parse_uint(value, spec.switch_permille);
+    if (key == "pins") return line_format::parse_uint(value, spec.pin_permille);
+    if (key == "clusters") return line_format::parse_uint(value, spec.clusters);
+    if (key == "radius") return line_format::parse_uint(value, spec.cluster_radius);
+    return true;
+  });
+  if (!read || !spec.valid()) return std::nullopt;
   return spec;
 }
 

@@ -4,6 +4,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/types.hpp"
@@ -43,7 +44,7 @@ struct FaultSpec {
   /// non-negative cluster geometry).
   bool valid() const;
 
-  /// One-line `key=value` serialization, the replay format:
+  /// One-line record (core/line_format.hpp), the replay format:
   ///   faults seed=7 wires=25 switches=10 pins=5 clusters=1 radius=2
   std::string describe() const;
   static std::optional<FaultSpec> parse(const std::string& line);
@@ -81,33 +82,22 @@ struct FaultEvent {
   /// Set-union of `other` into this event; both stay normalized.
   void merge(const FaultEvent& other);
 
-  /// One-line serialization, the journal/replay format. Empty categories
-  /// are omitted:
+  /// One-line record (core/line_format.hpp), the journal/replay format.
+  /// Empty categories are omitted:
   ///   event wires=12,40 edges=7
   std::string describe() const;
   static std::optional<FaultEvent> parse(const std::string& line);
 
+  /// The ` wires=... edges=...` fields of describe(), which RepairEvent
+  /// lines carry too.
+  std::string fields() const;
+
+  /// Reads one `wires=`/`edges=` field into this event; any other key is
+  /// accepted and ignored. Call normalize() after the last field.
+  bool read_field(std::string_view key, std::string_view value);
+
   friend bool operator==(const FaultEvent&, const FaultEvent&) = default;
 };
-
-/// Field parsers of the one-line `key=value` formats (FaultSpec,
-/// FaultEvent and router/repair's RepairEvent), shared so every journal
-/// line parses numbers and ids the same way. Malformed text returns false,
-/// never crashes: journals are untrusted files.
-namespace line_format {
-
-/// A plain decimal (digits only, non-empty) that fits 64 bits.
-bool parse_u64(const std::string& text, std::uint64_t& out);
-
-/// Canonical comma-joined id list ("12,40,77").
-std::string format_ids(const std::vector<std::int32_t>& ids);
-
-/// A non-empty comma-separated id list; every token must be a plain
-/// decimal that fits an int32. Rejects empty tokens ("1,,2") so a mangled
-/// journal line fails loudly instead of silently dropping elements.
-bool parse_id_list(const std::string& text, std::vector<std::int32_t>& out);
-
-}  // namespace line_format
 
 /// The concrete defect set a FaultSpec induces on one Device: the dead wire
 /// nodes and dead edges, materialized once and then re-applied by every

@@ -68,7 +68,8 @@ std::optional<Circuit> read_circuit(std::istream& in) {
   const auto on_array = [&](const PinRef& p) {
     return p.x >= 0 && p.x < circuit.cols && p.y >= 0 && p.y < circuit.rows;
   };
-  circuit.nets.reserve(net_count);
+  // No reserve(net_count): the count is untrusted, and a bogus one must
+  // fail on the missing lines, not on the allocation.
   for (std::size_t i = 0; i < net_count; ++i) {
     int pins = 0;
     if (!(in >> tag >> pins) || (tag != "net" && tag != "cnet") || pins < 2) {
@@ -96,8 +97,7 @@ std::optional<RoutingTree> read_routing_tree(std::istream& in, const Graph& g) {
   std::string tag;
   std::size_t count = 0;
   if (!(in >> tag >> count) || tag != "tree") return std::nullopt;
-  std::vector<EdgeId> edges;
-  edges.reserve(count);
+  std::vector<EdgeId> edges;  // not reserved: `count` is untrusted (see read_circuit)
   for (std::size_t i = 0; i < count; ++i) {
     EdgeId e = kInvalidEdge;
     if (!(in >> e) || e < 0 || e >= g.edge_count()) return std::nullopt;

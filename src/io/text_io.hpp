@@ -27,7 +27,10 @@ namespace fpr {
 ///   <edge-id> ...
 ///
 /// Readers validate structure and ranges and return nullopt on malformed
-/// input (never crash on untrusted files).
+/// input (never crash on untrusted files); a header count is never trusted
+/// for an allocation. The one-line `tag key=value ...` records (fault
+/// specs, repair journals, fuzz repros) have their own reader,
+/// core/line_format.hpp.
 
 void write_graph(std::ostream& out, const Graph& g);
 std::optional<Graph> read_graph(std::istream& in);

@@ -1,10 +1,11 @@
 #include "router/repair.hpp"
 
 #include <cstdint>
-#include <limits>
 #include <sstream>
+#include <string_view>
 
 #include "core/contract.hpp"
+#include "core/line_format.hpp"
 #include "core/metrics.hpp"
 #include "fpga/faults.hpp"
 #include "graph/budget.hpp"
@@ -18,26 +19,7 @@ std::atomic<bool> repair_skip_cone_neighbor{false};
 
 namespace {
 
-// --- One-line serialization helpers (journal format) -----------------------
-//
-// Same defensive posture as FaultSpec::parse / text_io readers: a malformed
-// line returns nullopt, never crashes — journals are untrusted files.
-
-bool parse_i32(const std::string& text, std::int32_t& out) {
-  std::uint64_t value = 0;
-  if (!line_format::parse_u64(text, value)) return false;
-  if (value > static_cast<std::uint64_t>(std::numeric_limits<std::int32_t>::max())) return false;
-  out = static_cast<std::int32_t>(value);
-  return true;
-}
-
-bool parse_ll(const std::string& text, long long& out) {
-  std::uint64_t value = 0;
-  if (!line_format::parse_u64(text, value)) return false;
-  if (value > static_cast<std::uint64_t>(std::numeric_limits<long long>::max())) return false;
-  out = static_cast<long long>(value);
-  return true;
-}
+// --- One-line records (core/line_format.hpp), the journal format ----------
 
 /// `[c%]x.y(:x.y)*` — critical marker, source pin, then the sinks.
 std::string format_net(const CircuitNet& net) {
@@ -48,62 +30,37 @@ std::string format_net(const CircuitNet& net) {
   return os.str();
 }
 
-bool parse_pin(const std::string& token, PinRef& out) {
-  const std::size_t dot = token.find('.');
-  if (dot == std::string::npos) return false;
-  return parse_i32(token.substr(0, dot), out.x) && parse_i32(token.substr(dot + 1), out.y);
+bool parse_pin(std::string_view text, PinRef& out) {
+  const std::size_t dot = text.find('.');
+  return dot != std::string_view::npos && line_format::parse_uint(text.substr(0, dot), out.x) &&
+         line_format::parse_uint(text.substr(dot + 1), out.y);
 }
 
-bool parse_net(std::string text, CircuitNet& out) {
+bool parse_net(std::string_view text, CircuitNet& out) {
   out = CircuitNet{};
-  if (text.rfind("c%", 0) == 0) {
+  if (text.starts_with("c%")) {
     out.critical = true;
-    text = text.substr(2);
+    text.remove_prefix(2);
   }
-  std::size_t pos = 0;
   bool first = true;
-  while (true) {
-    const std::size_t colon = text.find(':', pos);
-    const std::string token =
-        colon == std::string::npos ? text.substr(pos) : text.substr(pos, colon - pos);
+  return line_format::for_each_item(text, ':', [&](std::string_view piece) {
     PinRef pin;
-    if (!parse_pin(token, pin)) return false;
+    if (!parse_pin(piece, pin)) return false;
     if (first) {
       out.source = pin;
       first = false;
     } else {
       out.sinks.push_back(pin);
     }
-    if (colon == std::string::npos) break;
-    pos = colon + 1;
-  }
-  return !first;
-}
-
-/// Invokes `fn(piece)` for every `;`-separated piece; false when any piece
-/// is empty or fn rejects it.
-template <typename Fn>
-bool for_each_piece(const std::string& text, Fn&& fn) {
-  if (text.empty()) return false;
-  std::size_t pos = 0;
-  while (true) {
-    const std::size_t sep = text.find(';', pos);
-    const std::string piece =
-        sep == std::string::npos ? text.substr(pos) : text.substr(pos, sep - pos);
-    if (piece.empty() || !fn(piece)) return false;
-    if (sep == std::string::npos) break;
-    pos = sep + 1;
-  }
-  return true;
+    return true;
+  });
 }
 
 }  // namespace
 
 std::string RepairEvent::describe() const {
   std::ostringstream os;
-  os << "repair";
-  if (!faults.dead_wires.empty()) os << " wires=" << line_format::format_ids(faults.dead_wires);
-  if (!faults.dead_edges.empty()) os << " edges=" << line_format::format_ids(faults.dead_edges);
+  os << "repair" << faults.fields();
   if (!changed.empty()) {
     os << " changed=";
     for (std::size_t i = 0; i < changed.size(); ++i) {
@@ -124,50 +81,35 @@ std::string RepairEvent::describe() const {
 }
 
 std::optional<RepairEvent> RepairEvent::parse(const std::string& line) {
-  std::istringstream is(line);
-  std::string tag;
-  if (!(is >> tag) || tag != "repair") return std::nullopt;
   RepairEvent event;
-  std::string token;
-  while (is >> token) {
-    const auto eq = token.find('=');
-    if (eq == std::string::npos) return std::nullopt;
-    const std::string key = token.substr(0, eq);
-    const std::string value = token.substr(eq + 1);
-    bool ok = false;
-    if (key == "wires") {
-      ok = line_format::parse_id_list(value, event.faults.dead_wires);
-    } else if (key == "edges") {
-      ok = line_format::parse_id_list(value, event.faults.dead_edges);
-    } else if (key == "changed") {
-      ok = for_each_piece(value, [&](const std::string& piece) {
+  const bool read = line_format::read_record(line, "repair", [&](std::string_view key,
+                                                                std::string_view value) {
+    if (key == "changed") {
+      return line_format::for_each_item(value, ';', [&](std::string_view piece) {
         const std::size_t at = piece.find('@');
-        if (at == std::string::npos) return false;
         int idx = 0;
         CircuitNet net;
-        if (!parse_i32(piece.substr(0, at), idx)) return false;
-        if (!parse_net(piece.substr(at + 1), net)) return false;
+        if (at == std::string_view::npos || !line_format::parse_uint(piece.substr(0, at), idx) ||
+            !parse_net(piece.substr(at + 1), net)) {
+          return false;
+        }
         event.changed.emplace_back(idx, std::move(net));
         return true;
       });
-    } else if (key == "added") {
-      ok = for_each_piece(value, [&](const std::string& piece) {
+    }
+    if (key == "added") {
+      return line_format::for_each_item(value, ';', [&](std::string_view piece) {
         CircuitNet net;
         if (!parse_net(piece, net)) return false;
         event.added.push_back(std::move(net));
         return true;
       });
-    } else if (key == "removed") {
-      ok = line_format::parse_id_list(value, event.removed);
-    } else if (key == "budget") {
-      ok = parse_ll(value, event.budget);
-    } else {
-      // Unknown keys are accepted (and ignored) so the journal format can
-      // grow without breaking old replay tooling.
-      ok = true;
     }
-    if (!ok) return std::nullopt;
-  }
+    if (key == "removed") return line_format::parse_id_list(value, event.removed);
+    if (key == "budget") return line_format::parse_uint(value, event.budget);
+    return event.faults.read_field(key, value);
+  });
+  if (!read) return std::nullopt;
   event.faults.normalize();
   return event;
 }
@@ -180,36 +122,18 @@ std::string RepairOutcome::describe() const {
 }
 
 std::optional<RepairOutcome> RepairOutcome::parse(const std::string& line) {
-  std::istringstream is(line);
-  std::string tag;
-  if (!(is >> tag) || tag != "outcome") return std::nullopt;
   RepairOutcome outcome;
-  std::string token;
-  while (is >> token) {
-    const auto eq = token.find('=');
-    if (eq == std::string::npos) return std::nullopt;
-    const std::string key = token.substr(0, eq);
-    const std::string value = token.substr(eq + 1);
-    bool ok = false;
-    long long ll = 0;
-    if (key == "cone") {
-      ok = parse_i32(value, outcome.cone_nets);
-    } else if (key == "repaired") {
-      ok = parse_i32(value, outcome.repaired);
-    } else if (key == "degraded") {
-      ok = parse_i32(value, outcome.degraded);
-    } else if (key == "aborted") {
-      ok = parse_i32(value, outcome.aborted);
-    } else if (key == "budget") {
-      ok = parse_ll(value, outcome.budget_used);
-    } else if (key == "detour") {
-      ok = parse_ll(value, ll);
-      outcome.detour_overhead = static_cast<long>(ll);
-    } else {
-      ok = true;  // same growth policy as the event line
-    }
-    if (!ok) return std::nullopt;
-  }
+  const bool read = line_format::read_record(line, "outcome", [&](std::string_view key,
+                                                                 std::string_view value) {
+    if (key == "cone") return line_format::parse_uint(value, outcome.cone_nets);
+    if (key == "repaired") return line_format::parse_uint(value, outcome.repaired);
+    if (key == "degraded") return line_format::parse_uint(value, outcome.degraded);
+    if (key == "aborted") return line_format::parse_uint(value, outcome.aborted);
+    if (key == "budget") return line_format::parse_uint(value, outcome.budget_used);
+    if (key == "detour") return line_format::parse_uint(value, outcome.detour_overhead);
+    return true;
+  });
+  if (!read) return std::nullopt;
   return outcome;
 }
 

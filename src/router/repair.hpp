@@ -54,7 +54,7 @@ struct RepairEvent {
     return faults.empty() && changed.empty() && added.empty() && removed.empty();
   }
 
-  /// One-line `key=value` serialization, the journal format. Empty
+  /// One-line record (core/line_format.hpp), the journal format. Empty
   /// categories are omitted; a net spells `[c%]x.y:x.y:...` (critical
   /// marker, source pin, then sinks) and lists join with `;`:
   ///   repair wires=12,40 edges=7 changed=2@0.1:3.4 added=c%0.0:2.2 removed=5 budget=50000

@@ -13,15 +13,11 @@
 #include <sstream>
 
 #include "check/oracles.hpp"
-#include "core/metrics.hpp"
 
 namespace fpr::check {
 namespace {
 
-class FuzzBoundedTest : public ::testing::Test {
- protected:
-  void SetUp() override { counters().reset(); }
-};
+using FuzzBoundedTest = ::testing::Test;
 
 TEST_F(FuzzBoundedTest, AllOraclesCleanAtFixedSeed) {
   FuzzOptions options;
@@ -36,9 +32,6 @@ TEST_F(FuzzBoundedTest, AllOraclesCleanAtFixedSeed) {
     ADD_FAILURE() << oracle_name(f.oracle) << " seed " << f.case_seed << ": " << f.message
                   << "\n  " << f.repro;
   }
-  EXPECT_EQ(counters().fuzz_cases.load(), static_cast<unsigned long>(expected));
-  EXPECT_GE(counters().checks_run.load(), static_cast<unsigned long>(expected));
-  EXPECT_EQ(counters().check_violations.load(), 0u);
 }
 
 TEST_F(FuzzBoundedTest, OracleSelectionRestrictsTheRun) {

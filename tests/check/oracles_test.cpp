@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/metrics.hpp"
 #include "graph/grid.hpp"
 #include "netlist/synth.hpp"
 #include "test_util.hpp"
@@ -19,13 +18,7 @@ using check::check_routing_feasibility;
 using check::check_tree_validity;
 using check::CheckResult;
 
-// Every check suite resets the global metrics counters so assertions about
-// them hold regardless of which tests ran earlier in the same process or
-// how ctest -j interleaves suites.
-class OraclesTest : public ::testing::Test {
- protected:
-  void SetUp() override { counters().reset(); }
-};
+using OraclesTest = ::testing::Test;
 
 TEST_F(OraclesTest, ValidityAcceptsEveryAlgorithmsOutput) {
   const Graph g = testing::random_connected_graph(24, 30, 901);
@@ -35,13 +28,14 @@ TEST_F(OraclesTest, ValidityAcceptsEveryAlgorithmsOutput) {
   Net net;
   net.source = pins[0];
   net.sinks.assign(pins.begin() + 1, pins.end());
+  int checked = 0;
   for (const Algorithm algo : table1_algorithms()) {
     const RoutingTree tree = route(g, net, algo, oracle);
     const CheckResult r = check_tree_validity(g, pins, tree);
     EXPECT_TRUE(r.ok()) << algorithm_name(algo) << ": " << r.message();
+    ++checked;
   }
-  EXPECT_GE(counters().checks_run.load(), 8u);
-  EXPECT_EQ(counters().check_violations.load(), 0u);
+  EXPECT_GE(checked, 8);
 }
 
 TEST_F(OraclesTest, ValidityRejectsDisconnectedEdgeSet) {
@@ -51,7 +45,7 @@ TEST_F(OraclesTest, ValidityRejectsDisconnectedEdgeSet) {
   const std::vector<NodeId> terminals{grid.node_at(0, 0), grid.node_at(3, 3)};
   const CheckResult r = check_tree_validity(grid.graph(), terminals, t);
   EXPECT_FALSE(r.ok());
-  EXPECT_EQ(counters().check_violations.load(), 1u);
+  EXPECT_FALSE(r.message().empty());
 }
 
 TEST_F(OraclesTest, ValidityRejectsCycle) {
@@ -164,20 +158,6 @@ TEST_F(OraclesTest, FeasibilityRejectsEmptiedNet) {
     }
   }
   EXPECT_FALSE(check_routing_feasibility(arch, circuit, result, options).ok());
-}
-
-TEST_F(OraclesTest, CountersAreResettable) {
-  GridGraph grid(3, 3);
-  const RoutingTree t(grid.graph(), {grid.horizontal_edge(0, 0)});
-  const std::vector<NodeId> terminals{grid.node_at(0, 0), grid.node_at(1, 0)};
-  ASSERT_TRUE(check_tree_validity(grid.graph(), terminals, t).ok());
-  EXPECT_GT(counters().checks_run.load(), 0u);
-  counters().reset();
-  EXPECT_EQ(counters().checks_run.load(), 0u);
-  EXPECT_EQ(counters().check_violations.load(), 0u);
-  EXPECT_EQ(counters().fuzz_cases.load(), 0u);
-  EXPECT_EQ(counters().shrink_steps.load(), 0u);
-  EXPECT_EQ(counters().trees_measured.load(), 0u);
 }
 
 }  // namespace

@@ -8,21 +8,16 @@
 namespace fpr {
 namespace {
 
-TEST(MetricsTest, GlobalCountersTrackMeasurementsAndReset) {
-  // counters() is process-global; reset first so the assertion holds under
-  // any ctest -j interleaving (see TESTING.md).
-  counters().reset();
-  GridGraph grid(4, 4);
-  Net net;
-  net.source = grid.node_at(0, 0);
-  net.sinks = {grid.node_at(2, 2)};
-  PathOracle oracle(grid.graph());
-  const auto tree = route(grid.graph(), net, Algorithm::kKmb, oracle);
-  (void)measure(grid.graph(), net, tree, oracle);
-  (void)measure(grid.graph(), net, tree, oracle);
-  EXPECT_EQ(counters().trees_measured.load(), 2u);
-  counters().reset();
-  EXPECT_EQ(counters().trees_measured.load(), 0u);
+TEST(MetricsTest, ResetZeroesEveryCounter) {
+  Counters& c = counters();
+  std::atomic<std::uint64_t>* const all[] = {
+      &c.parallel_waves,     &c.nets_speculated,        &c.nets_spec_accepted,
+      &c.negotiate_passes,   &c.congestion_reliefs,     &c.move_to_front_reorders,
+      &c.repair_nets_ripped,
+  };
+  for (auto* counter : all) counter->fetch_add(3);
+  c.reset();
+  for (const auto* counter : all) EXPECT_EQ(counter->load(), 0u);
 }
 
 TEST(MetricsTest, MeasuresWirelengthAndPaths) {

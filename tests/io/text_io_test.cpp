@@ -70,6 +70,17 @@ TEST(TextIoTest, CircuitRejectsSinglePinNets) {
   EXPECT_FALSE(read_circuit(buffer).has_value());
 }
 
+// A header count is untrusted: a huge one (or a negative one, which reads
+// as a huge unsigned value) must fail on the missing nets, not allocate.
+TEST(TextIoTest, CircuitRejectsHugeNetCount) {
+  for (const char* text : {"circuit x 4 4 999999999999999999\n",
+                           "circuit x 4 4 18446744073709551615\nnet 2 0 0 1 1\n",
+                           "circuit x 4 4 -1\nnet 2 0 0 1 1\n"}) {
+    std::stringstream buffer(text);
+    EXPECT_FALSE(read_circuit(buffer).has_value()) << text;
+  }
+}
+
 TEST(TextIoTest, NameWithSpacesIsEscaped) {
   Circuit c;
   c.name = "my circuit";
@@ -98,6 +109,14 @@ TEST(TextIoTest, RoutingTreeRejectsBadEdgeIds) {
   GridGraph grid(3, 3);
   std::stringstream buffer("tree 1\n99999\n");
   EXPECT_FALSE(read_routing_tree(buffer, grid.graph()).has_value());
+}
+
+TEST(TextIoTest, RoutingTreeRejectsHugeEdgeCount) {
+  GridGraph grid(3, 3);
+  for (const char* text : {"tree 999999999999999999\n0\n", "tree 18446744073709551615\n0 1\n"}) {
+    std::stringstream buffer(text);
+    EXPECT_FALSE(read_routing_tree(buffer, grid.graph()).has_value()) << text;
+  }
 }
 
 TEST(TextIoTest, FileRoundTrip) {
