@@ -235,7 +235,7 @@ std::optional<CircuitCase> CircuitCase::parse(const std::string& line) {
     if (key == "repair_budget") return parse_uint(value, c.repair_budget);
     return true;
   });
-  if (!read || c.rows < 1 || c.cols < 1 || c.width < 1 || !c.faults.valid()) return std::nullopt;
+  if (!read || !c.arch().fits_ids() || !c.faults.valid()) return std::nullopt;
   // A seed without events names no repair case; describe() drops it too.
   if (c.repair_events == 0) c.repair_seed = 0;
   return c;

@@ -67,7 +67,7 @@ class ThreadPool {
   bool stop_ FPR_GUARDED_BY(mu_) = false;
 };
 
-/// Convenience fan-out used by the width search and harnesses: resolves a
+/// Convenience fan-out used by the experiment harnesses: resolves a
 /// thread-count request and runs body(0..count-1) on the matching pool.
 ///   threads == 0 -> the shared pool (FPR_THREADS / hardware default);
 ///   threads == 1 -> inline serial, index order;
@@ -76,9 +76,9 @@ void run_parallel(int threads, std::size_t count,
                   const std::function<void(std::size_t)>& body);
 
 /// Resolves a thread-count request to a pool once, for callers that issue
-/// MANY parallel_for batches against the same choice (the width search's
-/// speculation rounds) — run_parallel
-/// would rebuild a dedicated pool per batch.
+/// parallel_for batches against the same choice, or that size their own
+/// work by the pool (the width search runs one lane per worker) —
+/// run_parallel would rebuild a dedicated pool per batch.
 ///   threads <= 0 -> the shared pool (FPR_THREADS / hardware default);
 ///   otherwise    -> the shared pool when it already has exactly `threads`
 ///                   workers, else a dedicated pool owned by the lease.

@@ -1,6 +1,7 @@
 #include "fpga/arch.hpp"
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 namespace fpr {
@@ -49,6 +50,23 @@ int ArchSpec::fs() const {
       return 6;
   }
   return 3;
+}
+
+std::int64_t ArchSpec::node_count() const {
+  const std::int64_t r = rows, c = cols, w = channel_width;
+  return r * c + (r + 1) * c * w + (c + 1) * r * w;  // blocks, then wires
+}
+
+std::int64_t ArchSpec::edge_bound() const {
+  const std::int64_t r = rows, c = cols, w = channel_width;
+  // Fc connection-block edges per block side; at each of the (r+1)(c+1)
+  // switch blocks, at most 6 side pairs of Fs/3 * W track pairs each.
+  return r * c * fc() * 4 + (r + 1) * (c + 1) * 6 * (fs() / 3) * w;
+}
+
+bool ArchSpec::fits_ids() const {
+  constexpr std::int64_t kMaxId = std::numeric_limits<std::int32_t>::max();
+  return valid() && node_count() <= kMaxId && edge_bound() <= kMaxId;
 }
 
 std::string ArchSpec::describe() const {

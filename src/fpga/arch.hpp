@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 namespace fpr {
@@ -51,6 +52,16 @@ struct ArchSpec {
   int fs() const;
 
   bool valid() const { return rows >= 1 && cols >= 1 && channel_width >= 1; }
+
+  /// Nodes of this architecture's routing graph, and an upper bound on its
+  /// edges, in 64 bits. Meaningful only when valid().
+  std::int64_t node_count() const;
+  std::int64_t edge_bound() const;
+
+  /// valid(), and the routing graph fits 32-bit node and edge ids. Devices
+  /// check it before building; parsers of untrusted specs use it to refuse
+  /// a spec instead of overflowing.
+  bool fits_ids() const;
 
   std::string describe() const;
 };

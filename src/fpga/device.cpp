@@ -27,13 +27,17 @@ Device::Device(const ArchSpec& spec, DeviceBuild build) : spec_(spec) {
   FPR_CHECK(spec.valid(), "Device spec " << spec.rows << "x" << spec.cols << " width "
                                          << spec.channel_width
                                          << " — rows/cols/channel_width must all be >= 1");
+  FPR_CHECK(spec.fits_ids(), "Device spec " << spec.describe() << " needs " << spec.node_count()
+                                            << " nodes and up to " << spec.edge_bound()
+                                            << " edges — more than 32-bit ids hold");
   const int rows = spec_.rows;
   const int cols = spec_.cols;
   const int w = spec_.channel_width;
 
-  block_count_ = static_cast<NodeId>(rows * cols);
-  const NodeId hwires = static_cast<NodeId>((rows + 1) * cols * w);
-  const NodeId vwires = static_cast<NodeId>((cols + 1) * rows * w);
+  // fits_ids() bounds every product below, so the narrowing is exact.
+  block_count_ = static_cast<NodeId>(std::int64_t{rows} * cols);
+  const auto hwires = static_cast<NodeId>((std::int64_t{rows} + 1) * cols * w);
+  const auto vwires = static_cast<NodeId>((std::int64_t{cols} + 1) * rows * w);
   hwire_base_ = block_count_;
   vwire_base_ = block_count_ + hwires;
   const auto ucols = static_cast<std::uint32_t>(cols);
@@ -73,9 +77,7 @@ void Device::build_legacy() {
   const int rows = spec_.rows;
   const int cols = spec_.cols;
   const int w = spec_.channel_width;
-  const NodeId hwires = static_cast<NodeId>((rows + 1) * cols * w);
-  const NodeId vwires = static_cast<NodeId>((cols + 1) * rows * w);
-  graph_.add_nodes(block_count_ + hwires + vwires);
+  graph_.add_nodes(static_cast<NodeId>(spec_.node_count()));
 
   // Connection blocks: each logic block reaches Fc tracks of the channel
   // segment on each of its four sides.

@@ -1,5 +1,8 @@
 #include "fpga/device3d.hpp"
 
+#include <cstdint>
+#include <limits>
+
 #include "core/contract.hpp"
 
 #include "fpga/switchbox.hpp"
@@ -11,13 +14,19 @@ Device3d::Device3d(const Arch3dSpec& spec) : spec_(spec) {
                               << " layers — layers >= 1 and a valid per-layer spec required");
   const ArchSpec& a = spec_.layer;
   const int rows = a.rows, cols = a.cols, w = a.channel_width;
+  // Vias add at most one edge per horizontal wire, so (nodes + edge_bound)
+  // per layer bounds both the node and the edge count.
+  constexpr std::int64_t kMaxId = std::numeric_limits<NodeId>::max();
+  FPR_CHECK(a.fits_ids() && (a.node_count() + a.edge_bound()) * spec_.layers <= kMaxId,
+            "Device3D spec " << a.describe() << " x " << spec_.layers
+                             << " layers — more nodes or edges than 32-bit ids hold");
 
-  blocks_per_layer_ = static_cast<NodeId>(rows * cols);
-  const NodeId hwires = static_cast<NodeId>((rows + 1) * cols * w);
-  const NodeId vwires = static_cast<NodeId>((cols + 1) * rows * w);
+  // The check above bounds every product below, so the narrowing is exact.
+  blocks_per_layer_ = static_cast<NodeId>(std::int64_t{rows} * cols);
+  const auto hwires = static_cast<NodeId>((std::int64_t{rows} + 1) * cols * w);
   hwire_base_ = blocks_per_layer_;
   vwire_base_ = blocks_per_layer_ + hwires;
-  per_layer_nodes_ = blocks_per_layer_ + hwires + vwires;
+  per_layer_nodes_ = static_cast<NodeId>(a.node_count());
   graph_.add_nodes(per_layer_nodes_ * spec_.layers);
 
   // Fc evenly spaced track indices.

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <deque>
 #include <map>
-#include <memory>
+#include <optional>
 #include <set>
 
+#include "core/annotations.hpp"
+#include "core/contract.hpp"
 #include "core/parallel.hpp"
 
 namespace fpr {
@@ -22,9 +24,10 @@ std::string_view width_search_status_name(WidthSearchStatus status) {
 
 namespace {
 
-WidthProbe probe_of(int width, const RoutingResult& r) {
-  return WidthProbe{width, r.success, r.budget_exhausted};
-}
+/// Outcome of every width routed so far. Each is a pure function of its
+/// width (a fresh Device and a fresh budget per probe), so the order in
+/// which lanes fill the memo never shows in the result.
+using ProbeMemo = std::map<int, WidthProbe>;
 
 /// Fills WidthSearchResult::undecided_probes from the recorded trace. A
 /// successful probe is decided even when it also hit the budget (a partial
@@ -40,20 +43,19 @@ void count_undecided(WidthSearchResult& result) {
 /// Replays the serial binary-search decision sequence over memoized
 /// per-width outcomes, recording attempts in the serial order. Returns
 /// false (leaving `result` half-filled) when it reaches a width the memo
-/// does not know yet; the caller then routes more widths and retries.
-bool replay_serial_search(const std::map<int, RoutingResult>& memo, int lo0, int hi,
-                          WidthSearchResult& result) {
+/// does not know yet.
+bool replay_serial_search(const ProbeMemo& memo, int lo0, int hi, WidthSearchResult& result) {
   result.attempts.clear();
   result.min_width = -1;
   result.status = WidthSearchStatus::kEmptyRange;
   auto it = memo.find(hi);
   if (it == memo.end()) return false;
-  result.attempts.push_back(probe_of(hi, it->second));
+  result.attempts.push_back(it->second);
   if (!it->second.success) {
     // Unroutable even at the widest device — or undecided, when the widest
     // probe burned its whole budget without an answer.
-    result.status = it->second.budget_exhausted ? WidthSearchStatus::kBudgetExhausted
-                                                : WidthSearchStatus::kUnroutable;
+    result.status = it->second.budget_aborted ? WidthSearchStatus::kBudgetExhausted
+                                              : WidthSearchStatus::kUnroutable;
     return true;
   }
   int cur = hi;
@@ -62,7 +64,7 @@ bool replay_serial_search(const std::map<int, RoutingResult>& memo, int lo0, int
     const int mid = lo + (cur - lo) / 2;
     it = memo.find(mid);
     if (it == memo.end()) return false;
-    result.attempts.push_back(probe_of(mid, it->second));
+    result.attempts.push_back(it->second);
     if (it->second.success) {
       cur = mid;
     } else {
@@ -74,33 +76,29 @@ bool replay_serial_search(const std::map<int, RoutingResult>& memo, int lo0, int
   return true;
 }
 
-/// Widths the serial search could probe next, given what `memo` already
-/// knows: BFS over the binary search's two-outcome decision tree, following
-/// known branches silently and emitting unknown widths, up to `limit`
-/// candidates. BFS order front-loads the probes nearest the serial path, so
-/// a wave of `limit` threads covers the next ~log2(limit) serial decisions
-/// in one concurrent round.
-std::vector<int> speculate_widths(const std::map<int, RoutingResult>& memo, int lo0, int hi,
-                                  std::size_t limit) {
+/// The next width worth routing: BFS over the binary search's two-outcome
+/// decision tree, following known branches silently. A width in flight is a
+/// branch point that goes both ways and is never returned. With nothing in
+/// flight the first unknown width is the serial search's next probe; with
+/// widths in flight, BFS order picks the probe nearest the serial path.
+/// nullopt when the search is decided or every open branch waits on a width
+/// in flight.
+std::optional<int> speculate_width(const ProbeMemo& memo, const std::set<int>& in_flight,
+                                   int lo0, int hi) {
   struct Interval {
     int lo, cur;  // cur assumed-routable; widths below lo assumed-failing
   };
-  std::vector<int> out;
-  std::set<int> emitted;
-  std::deque<Interval> frontier;
-
   const auto top = memo.find(hi);
   if (top == memo.end()) {
-    out.push_back(hi);
-    emitted.insert(hi);
-    frontier.push_back({lo0, hi});  // the hi-fails branch ends the search
+    if (!in_flight.contains(hi)) return hi;
+    // In flight: only its routable branch goes on; the failing one ends the
+    // search.
   } else if (!top->second.success) {
-    return out;  // search already decided: unroutable
-  } else {
-    frontier.push_back({lo0, hi});
+    return std::nullopt;  // search already decided: unroutable
   }
 
-  while (!frontier.empty() && out.size() < limit) {
+  std::deque<Interval> frontier{{lo0, hi}};
+  while (!frontier.empty()) {
     const Interval s = frontier.front();
     frontier.pop_front();
     if (s.lo >= s.cur) continue;  // this branch's search has terminated
@@ -111,11 +109,11 @@ std::vector<int> speculate_widths(const std::map<int, RoutingResult>& memo, int 
                                                : Interval{mid + 1, s.cur});
       continue;
     }
-    if (emitted.insert(mid).second) out.push_back(mid);
+    if (!in_flight.contains(mid)) return mid;
     frontier.push_back({s.lo, mid});
     frontier.push_back({mid + 1, s.cur});
   }
-  return out;
+  return std::nullopt;
 }
 
 }  // namespace
@@ -140,64 +138,44 @@ WidthSearchResult find_min_channel_width(const ArchSpec& base, const Circuit& ci
     return route_circuit(device, circuit, opts);
   };
 
-  const int threads =
-      search_options.threads > 0 ? search_options.threads : ThreadPool::shared().size();
-
-  if (threads <= 1) {
-    // Serial reference path — the contract the parallel path reproduces.
-    auto try_width = [&](int w) -> RoutingResult {
-      RoutingResult r = route_width(w);
-      result.attempts.push_back(probe_of(w, r));
-      return r;
-    };
-    RoutingResult at_hi = try_width(hi);
-    if (!at_hi.success) {  // unroutable (or budget-undecided) at the widest device
-      result.status = at_hi.budget_exhausted ? WidthSearchStatus::kBudgetExhausted
-                                             : WidthSearchStatus::kUnroutable;
-      count_undecided(result);
-      return result;
-    }
-    result.status = WidthSearchStatus::kFound;
-    result.min_width = hi;
-    result.at_min_width = std::move(at_hi);
-    int lo = lo0;
-    // Invariant: `result.min_width` routes; everything below `lo` untested
-    // or known to fail.
-    while (lo < result.min_width) {
-      const int mid = lo + (result.min_width - lo) / 2;
-      RoutingResult r = try_width(mid);
-      if (r.success) {
-        result.min_width = mid;
-        result.at_min_width = std::move(r);
-      } else {
-        lo = mid + 1;
+  // One lane per pool worker. A free lane takes the next speculative width
+  // at once and never waits on another lane, so there is no barrier between
+  // probes, and a pool of one is a single inline lane that routes exactly
+  // the serial sequence. The replay over the memo keeps the result
+  // identical at every pool size.
+  struct Shared {
+    Mutex mu;
+    ProbeMemo probes FPR_GUARDED_BY(mu);
+    std::map<int, RoutingResult> routed FPR_GUARDED_BY(mu);  // successes only
+    std::set<int> in_flight FPR_GUARDED_BY(mu);
+  } shared;
+  const auto lane = [&](std::size_t) {
+    for (;;) {
+      int width = 0;
+      {
+        MutexLock lock(shared.mu);
+        // Decided, or every open branch is in flight. Recording an in-flight
+        // width only prunes the tree, so no width opens up for this lane
+        // later; the lanes still routing finish the search.
+        const std::optional<int> next = speculate_width(shared.probes, shared.in_flight, lo0, hi);
+        if (!next) return;
+        width = *next;
+        shared.in_flight.insert(width);
       }
+      RoutingResult r = route_width(width);
+      MutexLock lock(shared.mu);
+      shared.in_flight.erase(width);
+      shared.probes.emplace(width, WidthProbe{width, r.success, r.budget_exhausted});
+      if (r.success) shared.routed.emplace(width, std::move(r));
     }
-    count_undecided(result);
-    return result;
-  }
+  };
+  PoolLease lease(search_options.threads);
+  lease.pool().parallel_for(static_cast<std::size_t>(lease.pool().size()), lane);
 
-  // Speculative parallel search: route waves of candidate widths
-  // concurrently (one Device per probe, no shared router state), memoize
-  // the per-width outcomes — deterministic functions of the width — and
-  // replay the serial decision sequence over the memo. Monotone
-  // routability makes most speculative probes useful; the replay keeps the
-  // recorded trace and the chosen width bit-identical to the serial path
-  // regardless.
-  PoolLease lease(threads);
-
-  std::map<int, RoutingResult> memo;
-  while (!replay_serial_search(memo, lo0, hi, result)) {
-    const std::vector<int> widths =
-        speculate_widths(memo, lo0, hi, static_cast<std::size_t>(threads));
-    std::vector<RoutingResult> outcomes(widths.size());
-    lease.pool().parallel_for(widths.size(),
-                              [&](std::size_t i) { outcomes[i] = route_width(widths[i]); });
-    for (std::size_t i = 0; i < widths.size(); ++i) {
-      memo.emplace(widths[i], std::move(outcomes[i]));
-    }
-  }
-  if (result.min_width > 0) result.at_min_width = std::move(memo.at(result.min_width));
+  MutexLock lock(shared.mu);  // every lane has returned
+  FPR_CHECK(replay_serial_search(shared.probes, lo0, hi, result),
+            "width search: lanes stopped before the search was decided");
+  if (result.min_width > 0) result.at_min_width = std::move(shared.routed.at(result.min_width));
   count_undecided(result);
   return result;
 }

@@ -12,10 +12,11 @@ struct WidthSearchOptions {
   int min_width = 2;
   int max_width = 30;
 
-  /// Worker threads for speculative probing: 0 = the shared pool
-  /// (FPR_THREADS / hardware default), 1 = serial, >= 2 = a dedicated pool
-  /// of that size. Whatever the value, the result is identical (see the
-  /// attempts contract below); threads only change wall-clock time.
+  /// Lanes that probe widths at once, one per pool worker: 0 = the shared
+  /// pool (FPR_THREADS / hardware default), 1 = one inline lane, which is
+  /// the serial search, >= 2 = a dedicated pool of that size. Whatever the
+  /// value, the result is identical (see the attempts contract below);
+  /// threads only change wall-clock time.
   int threads = 0;
 
   /// Deterministic node-expansion budget granted to EACH width probe
@@ -89,13 +90,14 @@ struct WidthSearchResult {
 /// serial binary search performs, in its order: `max_width` first, then the
 /// midpoint sequence `mid = lo + (cur_min - lo) / 2` with `cur_min`
 /// shrinking on success and `lo` rising on failure, until `lo == cur_min`.
-/// The parallel implementation speculates additional widths concurrently
-/// (each probe routes on its own Device, so per-width outcomes are
-/// deterministic), but replays the serial decision sequence over the
-/// memoized outcomes: `min_width`, `at_min_width`, and `attempts` are
-/// bit-identical in content to the serial search for every thread count.
-/// Speculative probes that the serial search would not have made are NOT
-/// recorded.
+/// Every thread count runs one scheduler: each lane takes the next width
+/// the serial search could need, routes it on its own Device (so per-width
+/// outcomes are deterministic), and records the outcome; a free lane never
+/// waits for another. The serial decision sequence is replayed over the
+/// memoized outcomes, so `status`, `min_width`, `at_min_width`, `attempts`
+/// and `undecided_probes` are bit-identical to the serial search for every
+/// thread count. Speculative probes that the serial search would not have
+/// made are NOT recorded.
 ///
 /// Degenerate ranges are guarded: `min_width` is clamped up to 1, and an
 /// empty range (`min_width > max_width` after clamping, or

@@ -2,7 +2,8 @@
 # Checks fuzz_fpr's option and repro validation: --max-terminals values
 # outside the subset DP's range, and malformed --seed or --iters values, exit
 # 2 with a message before any case runs; in-range values are accepted; a
-# repro whose case line does not parse exits 2 with "unparsable case line".
+# repro whose case line does not parse, or names a device too large for
+# 32-bit node and edge ids, exits 2 with "unparsable case line".
 # Registered as a ctest.
 set -u
 
@@ -54,7 +55,8 @@ status=$?
 
 for line in \
   "tree substrate=random graph_seed=1 nodes=abc extra=0 grid=3x3 max_weight=2 algo=KMB terminals=0,1" \
-  "circuit family=xc4000 rows=99999999999 cols=4 width=8 nets=6,2,0 synth_seed=3 algo=IKMB decompose=0"; do
+  "circuit family=xc4000 rows=99999999999 cols=4 width=8 nets=6,2,0 synth_seed=3 algo=IKMB decompose=0" \
+  "circuit family=xc4000 rows=20000 cols=20000 width=8 nets=6,2,0 synth_seed=3 algo=IKMB decompose=0"; do
   case "$line" in
     tree*) oracle=validity ;;
     *) oracle=feasibility ;;

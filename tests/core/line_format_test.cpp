@@ -136,6 +136,8 @@ TEST(LineFormatTest, CaseLinesRejectWhatTheyCannotBuild) {
   EXPECT_FALSE(check::CircuitCase::parse(circuit + " fault_wires=1001"));
   EXPECT_FALSE(check::CircuitCase::parse(circuit + " nodes=abc width=x"));
   EXPECT_FALSE(check::CircuitCase::parse(circuit + " rows=99999999999"));
+  // Each field fits an int, but the device's node count does not.
+  EXPECT_FALSE(check::CircuitCase::parse(circuit + " rows=20000 cols=20000 width=8"));
   // Unknown keys (an old `threads=` draw) are accepted.
   EXPECT_TRUE(check::CircuitCase::parse(circuit + " threads=3").has_value());
   // A repair seed without events names no repair case.

@@ -44,6 +44,17 @@ TEST(ArchTest, InvalidSpecs) {
   EXPECT_FALSE(ArchSpec::xc4000(5, 5, 0).valid());
 }
 
+TEST(ArchTest, SizesAreCountedIn64Bits) {
+  // 3x4 array, W=2: blocks 12, hwires (3+1)*4*2 = 32, vwires (4+1)*3*2 = 30.
+  EXPECT_EQ(ArchSpec::xc4000(3, 4, 2).node_count(), 74);
+  // 20000x20000 at W=8: 6.8e9 nodes, past 32 bits though each field fits.
+  const ArchSpec huge = ArchSpec::xc4000(20000, 20000, 8);
+  EXPECT_EQ(huge.node_count(), 20000LL * 20000 + 2LL * 20001 * 20000 * 8);
+  EXPECT_FALSE(huge.fits_ids());
+  EXPECT_TRUE(ArchSpec::xc3000(200, 200, 12).fits_ids());
+  EXPECT_FALSE(ArchSpec::xc4000(0, 5, 3).fits_ids());
+}
+
 TEST(ArchTest, Describe) {
   const std::string s = ArchSpec::xc4000(10, 9, 8).describe();
   EXPECT_NE(s.find("10x9"), std::string::npos);

@@ -29,6 +29,14 @@ TEST(Device3dTest, NodeCountsScaleWithLayers) {
   EXPECT_GT(three.via_count(), 0);
 }
 
+TEST(Device3dTest, LayersPastIdRangeAreRefusedBeforeBuilding) {
+  Arch3dSpec spec;
+  spec.layer = ArchSpec::xc4000(3000, 3000, 8);  // one layer fits 32-bit ids
+  ASSERT_TRUE(spec.layer.fits_ids());
+  spec.layers = 3;  // three do not
+  EXPECT_THROW(Device3d{spec}, ContractViolation);
+}
+
 TEST(Device3dTest, LayerAndKindClassification) {
   const Device3d device(small_spec(2));
   const NodeId b0 = device.block_node(0, 1, 2);

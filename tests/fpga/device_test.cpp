@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/contract.hpp"
 #include "graph/dijkstra.hpp"
 
 namespace fpr {
@@ -13,6 +14,21 @@ TEST(DeviceTest, NodeCounts) {
   EXPECT_EQ(device.block_count(), 12);
   EXPECT_EQ(device.wire_count(), 62);
   EXPECT_EQ(device.graph().node_count(), 74);
+}
+
+TEST(DeviceTest, EdgeBoundCoversBothBuilders) {
+  for (const ArchSpec& spec :
+       {ArchSpec::xc4000(3, 4, 2), ArchSpec::xc3000(5, 3, 7), ArchSpec::xc3000(1, 1, 1)}) {
+    for (const DeviceBuild build : {DeviceBuild::kAuto, DeviceBuild::kLegacy}) {
+      const Device device(spec, build);
+      EXPECT_EQ(device.graph().node_count(), spec.node_count());
+      EXPECT_LE(device.graph().edge_count(), spec.edge_bound());
+    }
+  }
+}
+
+TEST(DeviceTest, SpecPastIdRangeIsRefusedBeforeBuilding) {
+  EXPECT_THROW(Device(ArchSpec::xc4000(20000, 20000, 8)), ContractViolation);
 }
 
 TEST(DeviceTest, BlockAndWireClassification) {
