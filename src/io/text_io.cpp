@@ -4,6 +4,7 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <vector>
 
 namespace fpr {
 
@@ -34,15 +35,29 @@ std::optional<Graph> read_graph(std::istream& in) {
   if (!(in >> tag >> nodes >> edges) || tag != "graph" || nodes < 0 || edges < 0) {
     return std::nullopt;
   }
-  Graph g(nodes);
+  // The header counts are untrusted: every edge line is read and checked
+  // before anything is sized by them, and a node count too large to
+  // allocate fails the read instead of the process.
+  struct Line {
+    NodeId u, v;
+    Weight w;
+  };
+  std::vector<Line> lines;
   for (EdgeId i = 0; i < edges; ++i) {
-    NodeId u = 0, v = 0;
-    Weight w = 0;
-    if (!(in >> tag >> u >> v >> w) || tag != "e") return std::nullopt;
-    if (u < 0 || u >= nodes || v < 0 || v >= nodes || u == v || w < 0) return std::nullopt;
-    g.add_edge(u, v, w);
+    Line l{0, 0, 0};
+    if (!(in >> tag >> l.u >> l.v >> l.w) || tag != "e") return std::nullopt;
+    if (l.u < 0 || l.u >= nodes || l.v < 0 || l.v >= nodes || l.u == l.v || l.w < 0) {
+      return std::nullopt;
+    }
+    lines.push_back(l);
   }
-  return g;
+  try {
+    Graph g(nodes);
+    for (const Line& l : lines) g.add_edge(l.u, l.v, l.w);
+    return g;
+  } catch (const std::bad_alloc&) {
+    return std::nullopt;
+  }
 }
 
 void write_circuit(std::ostream& out, const Circuit& circuit) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "core/contract.hpp"
+
 namespace fpr {
 
 namespace {
@@ -19,18 +21,27 @@ std::vector<NodeId> subsample(std::vector<NodeId> nodes, int max_candidates) {
 
 }  // namespace
 
-std::vector<NodeId> steiner_candidates(const Graph& g, std::span<const NodeId> terminals,
-                                       PathOracle& oracle, CandidateStrategy strategy,
-                                       int max_candidates) {
-  std::vector<NodeId> sorted_terminals(terminals.begin(), terminals.end());
-  std::sort(sorted_terminals.begin(), sorted_terminals.end());
+SteinerCandidates::SteinerCandidates(const Graph& g, CandidateStrategy strategy,
+                                     int max_candidates)
+    : g_(&g), strategy_(strategy), max_candidates_(max_candidates) {}
+
+std::vector<NodeId> SteinerCandidates::next(std::span<const NodeId> span_set,
+                                            PathOracle& oracle) {
+  const Graph& g = *g_;
+  const std::size_t old = scanned_.size();
+  FPR_CHECK(old <= span_set.size() &&
+                std::equal(scanned_.begin(), scanned_.end(), span_set.begin()),
+            "the span set must grow by appending nodes");
+  scanned_.assign(span_set.begin(), span_set.end());
+
+  std::vector<NodeId> sorted_span = scanned_;
+  std::sort(sorted_span.begin(), sorted_span.end());
   auto candidate = [&](NodeId v) {
-    return g.node_active(v) &&
-           !std::binary_search(sorted_terminals.begin(), sorted_terminals.end(), v);
+    return g.node_active(v) && !std::binary_search(sorted_span.begin(), sorted_span.end(), v);
   };
   std::vector<NodeId> nodes;
 
-  switch (strategy) {
+  switch (strategy_) {
     case CandidateStrategy::kAllNodes: {
       for (NodeId v = 0; v < g.node_count(); ++v) {
         if (candidate(v)) nodes.push_back(v);
@@ -38,28 +49,43 @@ std::vector<NodeId> steiner_candidates(const Graph& g, std::span<const NodeId> t
       break;
     }
     case CandidateStrategy::kCorridor: {
-      std::vector<NodeId> corridor;
-      for (std::size_t i = 0; i < terminals.size(); ++i) {
-        const auto& spt = oracle.from(terminals[i]);
-        for (std::size_t j = i + 1; j < terminals.size(); ++j) {
-          if (!spt.reached(terminals[j])) continue;
-          for (const NodeId v : spt.path_nodes_to(terminals[j])) {
-            corridor.push_back(v);
+      // The full scan's reads in its i-major order. A pair read before
+      // gives the nodes it gave then, so only the new pairs (j >= old) are
+      // walked; the old ones are still asked reached(). On a graph with
+      // zero-weight edges that read can grow a paused tree again: a later
+      // zero-weight push can put a smaller key ahead of a popped node.
+      fresh_.clear();
+      for (std::size_t i = 0; i < scanned_.size(); ++i) {
+        const auto& spt = oracle.from(scanned_[i]);
+        for (std::size_t j = i + 1; j < scanned_.size(); ++j) {
+          if (!spt.reached(scanned_[j]) || j < old) continue;
+          for (const NodeId v : spt.path_nodes_to(scanned_[j])) {
+            fresh_.push_back(v);
             for (const EdgeId e : g.incident_edges(v)) {
-              if (g.edge_usable(e)) corridor.push_back(g.other_end(e, v));
+              if (g.edge_usable(e)) fresh_.push_back(g.other_end(e, v));
             }
           }
         }
       }
-      std::sort(corridor.begin(), corridor.end());
-      corridor.erase(std::unique(corridor.begin(), corridor.end()), corridor.end());
-      for (const NodeId v : corridor) {
+      std::sort(fresh_.begin(), fresh_.end());
+      fresh_.erase(std::unique(fresh_.begin(), fresh_.end()), fresh_.end());
+      const auto mid = static_cast<std::ptrdiff_t>(corridor_.size());
+      corridor_.insert(corridor_.end(), fresh_.begin(), fresh_.end());
+      std::inplace_merge(corridor_.begin(), corridor_.begin() + mid, corridor_.end());
+      corridor_.erase(std::unique(corridor_.begin(), corridor_.end()), corridor_.end());
+      for (const NodeId v : corridor_) {
         if (candidate(v)) nodes.push_back(v);
       }
       break;
     }
   }
-  return subsample(std::move(nodes), max_candidates);
+  return subsample(std::move(nodes), max_candidates_);
+}
+
+std::vector<NodeId> steiner_candidates(const Graph& g, std::span<const NodeId> terminals,
+                                       PathOracle& oracle, CandidateStrategy strategy,
+                                       int max_candidates) {
+  return SteinerCandidates(g, strategy, max_candidates).next(terminals, oracle);
 }
 
 }  // namespace fpr

@@ -11,31 +11,45 @@ namespace fpr {
 
 namespace {
 
+/// The round's scorer: H's own when it has one, else one that builds each
+/// trial's tree.
+TrialScorer start_round(const Graph& g, std::span<const NodeId> terminals,
+                        const GmstHeuristic& heuristic, PathOracle& oracle,
+                        std::span<const NodeId> span_set) {
+  if (heuristic.round) return heuristic.round(g, span_set, terminals, oracle);
+  std::vector<NodeId> trial(span_set.begin(), span_set.end());
+  trial.push_back(kInvalidNode);  // slot for the candidate under test
+  return [&g, &heuristic, &oracle, terminals, trial = std::move(trial)](
+             NodeId t, std::vector<EdgeId>& edges) mutable -> std::optional<Weight> {
+    trial.back() = t;
+    const RoutingTree tree = heuristic.build(g, trial, oracle);
+    if (!tree.spans(terminals)) return std::nullopt;
+    edges = tree.edges();
+    return tree.cost();
+  };
+}
+
 /// One sequential round: adopt the single best candidate (Fig. 5's loop
-/// body). Returns true if a candidate was adopted.
-bool adopt_best_candidate(const Graph& g, std::span<const NodeId> terminals,
-                          const GmstHeuristic& heuristic, PathOracle& oracle,
+/// body). Only the winner's tree is built. Returns true if a candidate was
+/// adopted.
+bool adopt_best_candidate(const Graph& g, TrialScorer& score,
                           std::span<const NodeId> candidates, std::vector<NodeId>& span_set,
                           RoutingTree& best, Weight& best_cost) {
   NodeId best_t = kInvalidNode;
   Weight best_t_cost = best_cost;
-  RoutingTree best_t_tree(g, {});
-  std::vector<NodeId> trial = span_set;
-  trial.push_back(kInvalidNode);  // slot for the candidate under test
+  std::vector<EdgeId> edges;
+  std::vector<EdgeId> best_t_edges;
   for (const NodeId t : candidates) {
-    trial.back() = t;
-    RoutingTree tree = heuristic(g, trial, oracle);
-    if (!tree.spans(terminals)) continue;
-    const Weight c = tree.cost();
-    if (weight_lt(c, best_t_cost)) {
-      best_t_cost = c;
+    const std::optional<Weight> c = score(t, edges);
+    if (c && weight_lt(*c, best_t_cost)) {
+      best_t_cost = *c;
       best_t = t;
-      best_t_tree = std::move(tree);
+      std::swap(edges, best_t_edges);
     }
   }
   if (best_t == kInvalidNode) return false;
   span_set.push_back(best_t);
-  best = std::move(best_t_tree);
+  best = RoutingTree(g, std::move(best_t_edges));
   best_cost = best_t_cost;
   return true;
 }
@@ -46,21 +60,17 @@ bool adopt_best_candidate(const Graph& g, std::span<const NodeId> terminals,
 /// Returns true if any candidate was adopted.
 bool adopt_candidate_batch(const Graph& g, std::span<const NodeId> terminals,
                            const GmstHeuristic& heuristic, PathOracle& oracle,
-                           std::span<const NodeId> candidates, std::vector<NodeId>& span_set,
-                           RoutingTree& best, Weight& best_cost) {
+                           TrialScorer& score, std::span<const NodeId> candidates,
+                           std::vector<NodeId>& span_set, RoutingTree& best, Weight& best_cost) {
   struct Scored {
     NodeId node;
     Weight cost;
   };
   std::vector<Scored> scored;
-  std::vector<NodeId> trial = span_set;
-  trial.push_back(kInvalidNode);
+  std::vector<EdgeId> edges;
   for (const NodeId t : candidates) {
-    trial.back() = t;
-    const RoutingTree tree = heuristic(g, trial, oracle);
-    if (!tree.spans(terminals)) continue;
-    const Weight c = tree.cost();
-    if (weight_lt(c, best_cost)) scored.push_back(Scored{t, c});
+    const std::optional<Weight> c = score(t, edges);
+    if (c && weight_lt(*c, best_cost)) scored.push_back(Scored{t, *c});
   }
   if (scored.empty()) return false;
   std::stable_sort(scored.begin(), scored.end(),
@@ -71,7 +81,7 @@ bool adopt_candidate_batch(const Graph& g, std::span<const NodeId> terminals,
     (void)unused_score;
     std::vector<NodeId> with_t = span_set;
     with_t.push_back(t);
-    RoutingTree tree = heuristic(g, with_t, oracle);
+    RoutingTree tree = heuristic.build(g, with_t, oracle);
     if (!tree.spans(terminals)) continue;
     const Weight c = tree.cost();
     if (!weight_lt(c, best_cost)) continue;  // interferes with the batch
@@ -88,7 +98,7 @@ bool adopt_candidate_batch(const Graph& g, std::span<const NodeId> terminals,
 RoutingTree igmst_ordered(const Graph& g, std::span<const NodeId> terminals,
                           const GmstHeuristic& heuristic, PathOracle& oracle,
                           const IgmstOptions& options) {
-  RoutingTree best = heuristic(g, terminals, oracle);
+  RoutingTree best = heuristic.build(g, terminals, oracle);
   if (!best.spans(terminals)) return best;  // unroutable: report H's attempt
   Weight best_cost = best.cost();
 
@@ -97,6 +107,7 @@ RoutingTree igmst_ordered(const Graph& g, std::span<const NodeId> terminals,
   // Skipping the loop also skips pre-warming the second terminal's tree.
   const bool candidates_can_help = terminals.size() > 2;
   std::vector<NodeId> span_set(terminals.begin(), terminals.end());  // N + S
+  SteinerCandidates candidates_of(g, options.candidates, options.max_candidates);
   int iterations = 0;
   while (candidates_can_help &&
          (options.max_iterations == 0 || iterations < options.max_iterations)) {
@@ -106,15 +117,14 @@ RoutingTree igmst_ordered(const Graph& g, std::span<const NodeId> terminals,
     // and the one terminal the distance-graph construction never rooted at
     // trigger a Dijkstra from the candidate — one per evaluation).
     for (const NodeId v : span_set) oracle.from(v);
-    const std::vector<NodeId> candidates =
-        steiner_candidates(g, span_set, oracle, options.candidates, options.max_candidates);
+    const std::vector<NodeId> candidates = candidates_of.next(span_set, oracle);
+    TrialScorer score = start_round(g, terminals, heuristic, oracle, span_set);
 
     const bool adopted =
         options.batched
-            ? adopt_candidate_batch(g, terminals, heuristic, oracle, candidates, span_set,
-                                    best, best_cost)
-            : adopt_best_candidate(g, terminals, heuristic, oracle, candidates, span_set,
-                                   best, best_cost);
+            ? adopt_candidate_batch(g, terminals, heuristic, oracle, score, candidates,
+                                    span_set, best, best_cost)
+            : adopt_best_candidate(g, score, candidates, span_set, best, best_cost);
     if (!adopted) break;  // no candidate has positive savings
   }
 
@@ -131,10 +141,16 @@ RoutingTree igmst(const Graph& g, std::span<const NodeId> net, const GmstHeurist
 
 RoutingTree ikmb(const Graph& g, std::span<const NodeId> net, PathOracle& oracle,
                  const IgmstOptions& options) {
-  return igmst(
-      g, net,
+  const GmstHeuristic by_kmb(
       [](const Graph& gg, std::span<const NodeId> nn, PathOracle& oo) { return kmb(gg, nn, oo); },
-      oracle, options);
+      [](const Graph& gg, std::span<const NodeId> span_set, std::span<const NodeId> nn,
+         PathOracle& oo) -> TrialScorer {
+        return [round = KmbRound(gg, span_set, oo), nn](NodeId t,
+                                                        std::vector<EdgeId>& edges) mutable {
+          return round.score(t, nn, edges);
+        };
+      });
+  return igmst(g, net, by_kmb, oracle, options);
 }
 
 RoutingTree izel(const Graph& g, std::span<const NodeId> net, PathOracle& oracle,

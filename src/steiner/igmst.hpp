@@ -1,7 +1,10 @@
 #pragma once
 
+#include <concepts>
 #include <functional>
+#include <optional>
 #include <span>
+#include <vector>
 
 #include "graph/path_oracle.hpp"
 #include "graph/routing_tree.hpp"
@@ -9,10 +12,32 @@
 
 namespace fpr {
 
-/// A graph Steiner tree heuristic usable inside the IGMST template: maps
-/// (graph, terminal set, shared path oracle) to a spanning tree of the set.
-using GmstHeuristic =
-    std::function<RoutingTree(const Graph&, std::span<const NodeId>, PathOracle&)>;
+/// Scores the trials of one IGMST round against its span set S: maps a
+/// candidate t to the cost of H(G, S + {t}) when that tree spans the net,
+/// leaving the tree's edges in the vector, and to nullopt otherwise.
+using TrialScorer = std::function<std::optional<Weight>(NodeId, std::vector<EdgeId>&)>;
+
+/// A graph Steiner tree heuristic usable inside the IGMST template.
+struct GmstHeuristic {
+  using Build = std::function<RoutingTree(const Graph&, std::span<const NodeId>, PathOracle&)>;
+  /// Starts a round: (graph, span set, net, oracle) -> the round's scorer.
+  using Round = std::function<TrialScorer(const Graph&, std::span<const NodeId>,
+                                          std::span<const NodeId>, PathOracle&)>;
+
+  /// Any callable H(graph, terminal set, shared path oracle) -> a spanning
+  /// tree of the set, with no round scorer.
+  template <class F>
+    requires std::invocable<F&, const Graph&, std::span<const NodeId>, PathOracle&>
+  GmstHeuristic(F heuristic) : build(std::move(heuristic)) {}
+  GmstHeuristic(Build heuristic, Round scorer)
+      : build(std::move(heuristic)), round(std::move(scorer)) {}
+
+  Build build;
+  /// Optional: scores a round's trials without building each tree. It must
+  /// agree with build() bit for bit and read the oracle as build() would.
+  /// Without it a trial is scored by building its tree.
+  Round round;
+};
 
 /// Options of the iterated constructions (IKMB, IZEL and IDOM), which share
 /// one greedy loop; route() passes them through and the other algorithms

@@ -5,7 +5,9 @@
 // A refactor of the IGMST/IDOM loop or of the subset DP that changes any
 // tree, any pre-warm order or any budget cut changes a digest. The values
 // were recorded from the code before the IGMST/IDOM loops and the two
-// subset DPs were merged; they change only with a deliberate output change.
+// subset DPs were merged, and the router-corridor budget sweeps from the
+// code before KMB's round memo and the growing corridor landed; they change
+// only with a deliberate output change.
 
 #include <gtest/gtest.h>
 
@@ -83,6 +85,46 @@ std::uint64_t digest_budgeted(Build build) {
   return h;
 }
 
+/// The same net at every budget from 0 (unlimited) to 1500 pops in steps of
+/// 25, so a cut lands inside nearly every round's scan, on a span-set read
+/// as well as on a candidate's. Each budget runs three times: on plain
+/// trees; scoped to the net, as the router scopes it, where reads grow
+/// paused trees toward adopted points and candidates; and scoped to the
+/// first terminal alone, where nearly every read grows a tree, so the order
+/// of the reads shows in the pops.
+template <class Build>
+std::uint64_t digest_budget_sweep(Build build) {
+  check::TreeCase c;
+  c.substrate = check::TreeCase::Substrate::kGrid;
+  c.graph_seed = 4;
+  c.grid_width = 12;
+  c.grid_height = 12;
+  c.max_weight = 6;
+  c.terminals = {13, 22, 39, 61, 70, 88, 100, 115, 131};
+  const Graph g = c.materialize();
+  std::uint64_t h = 0;
+  for (long long limit = 0; limit <= 1500; limit += 25) {
+    for (const std::size_t scope : {std::size_t{0}, c.terminals.size(), std::size_t{1}}) {
+      PathOracle oracle(g);
+      if (scope > 0) oracle.set_scope({c.terminals.begin(), c.terminals.begin() + scope});
+      WorkBudget budget{limit, 0};
+      oracle.set_budget(&budget);
+      h = fold_tree(h, build(g, c.terminals, oracle));
+      h = fold(h, static_cast<std::uint64_t>(budget.used));
+    }
+  }
+  return h;
+}
+
+/// The router's candidate options (RouterOptions::route_options).
+IgmstOptions router_corridor() { return {CandidateStrategy::kCorridor, 48, 0}; }
+
+IgmstOptions batched_corridor() {
+  IgmstOptions options = router_corridor();
+  options.batched = true;
+  return options;
+}
+
 IgmstOptions batched() {
   IgmstOptions options;
   options.batched = true;
@@ -158,6 +200,27 @@ TEST(TreeGoldenTest, IkmbUnderFiniteBudgets) {
 TEST(TreeGoldenTest, IdomUnderFiniteBudgets) {
   EXPECT_EQ(digest_budgeted([](const Graph& g, Terms n, PathOracle& o) { return idom(g, n, o); }),
             4642959823861159457u);
+}
+
+TEST(TreeGoldenTest, IkmbRouterCorridorBudgetSweep) {
+  EXPECT_EQ(digest_budget_sweep([](const Graph& g, Terms n, PathOracle& o) {
+              return ikmb(g, n, o, router_corridor());
+            }),
+            10366048327731524118u);
+}
+
+TEST(TreeGoldenTest, IdomRouterCorridorBudgetSweep) {
+  EXPECT_EQ(digest_budget_sweep([](const Graph& g, Terms n, PathOracle& o) {
+              return idom(g, n, o, router_corridor());
+            }),
+            5866260864896088054u);
+}
+
+TEST(TreeGoldenTest, IkmbBatchedCorridorBudgetSweep) {
+  EXPECT_EQ(digest_budget_sweep([](const Graph& g, Terms n, PathOracle& o) {
+              return ikmb(g, n, o, batched_corridor());
+            }),
+            2977572206256623693u);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <cstdlib>
 #include <sstream>
 
 #include "graph/grid.hpp"
@@ -42,6 +45,26 @@ TEST(TextIoTest, GraphRejectsMalformedInput) {
     std::stringstream buffer(text);
     EXPECT_FALSE(read_graph(buffer).has_value()) << text;
   }
+}
+
+/// Caps the address space at 1 GiB, reads a header claiming two billion
+/// nodes, and exits 0 iff the read was rejected.
+[[noreturn]] void read_huge_header_under_a_cap() {
+  constexpr rlim_t kCap = rlim_t{1} << 30;
+  rlimit cap{};
+  cap.rlim_cur = kCap;
+  cap.rlim_max = kCap;
+  if (setrlimit(RLIMIT_AS, &cap) != 0) std::exit(2);
+  std::stringstream buffer("graph 2000000000 0");
+  std::exit(read_graph(buffer).has_value() ? 1 : 0);
+}
+
+TEST(TextIoTest, GraphHeaderTooLargeToAllocateIsRejected) {
+  // The node count is a header field: a bogus one must fail the read, not
+  // the process. The child caps its address space so that the allocation
+  // fails at once. Address-space caps and ASan's shadow memory exclude each
+  // other, so the sanitizer job filters this case out.
+  EXPECT_EXIT(read_huge_header_under_a_cap(), ::testing::ExitedWithCode(0), "");
 }
 
 TEST(TextIoTest, CircuitRoundTrip) {
