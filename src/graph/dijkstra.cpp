@@ -89,8 +89,11 @@ void ShortestPathTree::start(const Graph& g, NodeId source, std::span<const Node
   }
   // With every target inactive (or coincident with the source) there is no
   // settle event to pause at and nothing to aim at: the run is explicitly
-  // unbounded, exactly like a plain dijkstra() call.
-  if (bound != nullptr && !pending_.empty()) {
+  // unbounded, exactly like a plain dijkstra() call. Over a zero-weight edge
+  // Dijkstra's settle order among equal distances is not their id order,
+  // which the goal-directed tie-break recovery assumes, so such a graph
+  // runs plain.
+  if (bound != nullptr && !pending_.empty() && !g.has_zero_weight_edge()) {
     goal_directed_ = true;
     goal_.aim(*bound, pending_);
   }
@@ -110,7 +113,10 @@ std::int64_t ShortestPathTree::settle(NodeId probe, bool pause) const {
 /// == incident-list order == tiled slot order), so dist/parent/parent_edge
 /// are bit-identical to the historical engine. A paused run resumes this
 /// same loop on the same heap, so where it pauses cannot change what it
-/// settles.
+/// settles. Every pop records its index in the node's free heap-position
+/// slot, and a plain pop settles at once, so a plain tree is settled at
+/// exactly the nodes it popped: over a zero-weight edge a later push can
+/// key below a popped node, so the heap minimum cannot tell.
 ///
 /// With a GoalKey the same loop is the goal-directed mode: the heap key is
 /// f = d + h(v), and pops come in (f, id) order, so a node's first tight
@@ -137,8 +143,8 @@ std::int64_t ShortestPathTree::settle(const Graph& g, const Bound& h, NodeId pro
   auto pending_count = static_cast<std::int64_t>(pending_.size());
   budget_aborted_ = false;
   std::int64_t pops = 0;
-  // Goal-directed only, in locals so stores to the label arrays cannot
-  // force reloads: the pop counter, the pops of the drained tie runs, the
+  // In locals so stores to the label arrays cannot force reloads: the pop
+  // counter and, goal-directed only, the pops of the drained tie runs, the
   // key of the latest pop, and the key whose tie run ends the call.
   std::int32_t popped = popped_;
   std::int32_t drained = drained_pops_;
@@ -175,13 +181,10 @@ std::int64_t ShortestPathTree::settle(const Graph& g, const Bound& h, NodeId pro
       }
       arena.heap_pop_min();
       ++pops;
+      arena.mark_popped(u, popped++);
       // The popped label: the key itself for plain Dijkstra; the stored
       // label for the goal-directed mode, whose key is f = d + h.
-      Weight d = key;
-      if constexpr (kGoal) {
-        arena.mark_popped(u, popped++);
-        d = arena.dist(u);
-      }
+      const Weight d = kGoal ? arena.dist(u) : key;
       bool stop = u == probe;
       if (pending_count > 0 && scratch.pending(u)) {
         scratch.clear_pending(u);
@@ -242,11 +245,10 @@ std::int64_t ShortestPathTree::settle(const Graph& g, const Bound& h, NodeId pro
                              [&](NodeId v, EdgeId e, const TiledSlot&) { relax_slot(u, d, v, e); });
     });
   }
-  if constexpr (kGoal) {
-    popped_ = popped;
-    drained_pops_ = drained;
-    tie_key_ = tie_key;
-  }
+  popped_ = popped;
+  // A plain pop settles at once; a goal-directed one once its tie run drains.
+  drained_pops_ = kGoal ? drained : popped;
+  tie_key_ = tie_key;
   // Only the first run pauses at the targets; growth runs to its probe.
   pending_.clear();
   return pops;
@@ -288,8 +290,8 @@ void dijkstra_to(const Graph& g, NodeId source, NodeId target, DistanceBound bou
                  ShortestPathTree& out, WorkBudget* budget) {
   const NodeId goal[] = {target};
   out.start(g, source, goal, budget, &bound);
-  // The target as the probe as well: with target == source the run is the
-  // plain one, and it stops once the source pops.
+  // The target as the probe as well: when the run is the plain one
+  // (target == source, or a zero-weight edge) it stops once the target pops.
   out.run_pops_ = out.settle(target, true);
   out.seal();
 }

@@ -120,8 +120,8 @@ class ShortestPathTree {
                                      ShortestPathTree&, WorkBudget*, const DistanceBound*);
 
   /// Resets the tree and seeds a run from `source` toward `targets`. With a
-  /// `bound` and at least one live target other than the source the run is
-  /// goal-directed, aimed at those targets.
+  /// `bound`, at least one live target other than the source and no
+  /// zero-weight edge the run is goal-directed, aimed at those targets.
   void start(const Graph& g, NodeId source, std::span<const NodeId> targets, WorkBudget* budget,
              const DistanceBound* bound);
 
@@ -144,9 +144,10 @@ class ShortestPathTree {
   }
   void resume(NodeId probe) const;
 
+  /// A node is settled once it popped and, goal-directed, its tie run
+  /// drained; a plain pop counts as drained at once.
   bool settled(NodeId v) const {
-    return goal_directed_ ? arena_.heap_empty() || arena_.settled_by_pop(v, drained_pops_)
-                          : arena_.settled_by_key(v);
+    return arena_.heap_empty() || arena_.settled_by_pop(v, drained_pops_);
   }
 
   /// Ends growth: the tree answers from what it has settled from now on.
@@ -164,8 +165,8 @@ class ShortestPathTree {
   mutable DijkstraArena arena_;
   mutable std::vector<NodeId> pending_;  // live targets of the first run
   mutable bool budget_aborted_ = false;
-  // Goal-directed mode: pops so far, the pops of the drained tie runs (the
-  // settled ones), and the key of the latest pop.
+  // Pops so far, the pops of the drained tie runs (the settled ones; every
+  // pop in the plain mode), and, goal-directed, the key of the latest pop.
   mutable std::int32_t popped_ = 0;
   mutable std::int32_t drained_pops_ = 0;
   mutable Weight tie_key_ = -1;
@@ -213,7 +214,8 @@ void dijkstra(const Graph& g, NodeId source, ShortestPathTree& out, WorkBudget* 
 /// a given budget. The tree is sealed: it never grows. PathOracle runs the
 /// paused form (dijkstra_within_paused with a bound); this wrapper keeps
 /// the one-target case pinned by its own differential suite. With
-/// target == source the run stops once the source pops.
+/// target == source, or on a graph with a zero-weight edge, the run is the
+/// plain one and stops once the target pops.
 void dijkstra_to(const Graph& g, NodeId source, NodeId target, DistanceBound bound,
                  ShortestPathTree& out, WorkBudget* budget = nullptr);
 
@@ -239,7 +241,8 @@ void dijkstra_to(const Graph& g, NodeId source, NodeId target, DistanceBound bou
 /// target pops and the run of pops at that key has drained; a read resumes
 /// the same keyed loop until the node read pops, then drains that node's
 /// tie run. Reads still answer exactly as dijkstra() does. With no live
-/// target other than the source the run is the plain one. The bound must be
+/// target other than the source, or on a graph with a zero-weight edge
+/// (Graph::has_zero_weight_edge), the run is the plain one. The bound must be
 /// consistent toward every target, and the object it refers to must
 /// outlive every read that can grow the tree (the tree keeps a copy of the
 /// DistanceBound itself).

@@ -25,8 +25,8 @@ namespace fpr {
 ///
 /// Heap entries carry their key inline, so sift comparisons stay within the
 /// heap array instead of chasing dist_ at scattered indices; pos_ maps a
-/// touched, unsettled node back to its entry for decrease-key, so each node
-/// appears at most once. An entry packs (key bits << 32 | node id) into one
+/// queued node back to its entry for decrease-key, so each node appears at
+/// most once. An entry packs (key bits << 32 | node id) into one
 /// 128-bit integer: keys are non-negative finite doubles, whose IEEE-754 bit
 /// patterns order identically to their values, so a single integer
 /// comparison reproduces the (key, node) lexicographic order — smaller node
@@ -35,12 +35,11 @@ namespace fpr {
 /// bit-identical, and the tie-heavy comparisons of uniform-weight graphs
 /// cost one predictable compare instead of a FP-equality branch cascade.
 ///
-/// Because plain Dijkstra settles in strictly increasing (dist, id) order,
-/// the settled set is derived, not stored: a touched node is settled iff
-/// its packed label is below the heap minimum (see settled_by_key). The
-/// goal-directed mode keys by f = d + h instead, which breaks that
-/// derivation, so it records each popped node's pop index in its pos_
-/// slot.
+/// The settled set is recorded, not derived from the heap: each pop writes
+/// the node's pop index into its pos_ slot, free once the node leaves the
+/// heap (see mark_popped). A key test would not do: over a zero-weight edge
+/// a pop can push a smaller (key, id) than its own, and the goal-directed
+/// mode keys by f = d + h, not by the label.
 ///
 /// An arena belongs to one tree, and a tree to one thread at a time
 /// (reading a paused tree may grow it), so no member carries an
@@ -110,18 +109,11 @@ class DijkstraArena {
 
   // ---- settled set ----
 
-  /// Plain Dijkstra: v is settled iff it was touched and (dist(v), v) is
-  /// below the heap minimum, or the heap has drained.
-  bool settled_by_key(NodeId v) const {
-    if (heap_.empty()) return true;
-    return touched(v) && make_entry(dist(v), v) < heap_.front();
-  }
-
-  /// Goal-directed mode: a popped node's pos_ slot is free, so it holds the
-  /// node's pop index (bit-inverted, so it reads negative). A node is
-  /// settled once the run of pops at its key has drained: the tree counts
-  /// the pops of its drained runs, and every node popped before that count
-  /// is settled.
+  /// A popped node's pos_ slot is free, so it holds the node's pop index
+  /// (bit-inverted, so it reads negative). The tree counts the pops it has
+  /// drained, and every node popped before that count is settled: a plain
+  /// pop is drained at once, a goal-directed one once the run of pops at
+  /// its key has drained.
   void mark_popped(NodeId v, std::int32_t index) { pos_[static_cast<std::size_t>(v)] = ~index; }
   bool popped(NodeId v) const { return touched(v) && pos_[static_cast<std::size_t>(v)] < 0; }
   bool settled_by_pop(NodeId v, std::int32_t drained_pops) const {
@@ -208,7 +200,7 @@ class DijkstraArena {
   std::size_t capacity_ = 0;
   std::vector<Weight> dist_;          // invariant: kInfiniteWeight unless touched
   std::unique_ptr<Origin[]> origin_;  // {parent, parent_edge}; valid where touched
-  std::unique_ptr<std::int32_t[]> pos_;  // heap index of a touched, unsettled node
+  std::unique_ptr<std::int32_t[]> pos_;  // heap index while queued; ~pop index once popped
   std::vector<HeapEntry> heap_;          // 4-ary implicit heap, keys inline
 };
 

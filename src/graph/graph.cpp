@@ -21,6 +21,7 @@ void Graph::copy_logical_state(const Graph& other) {
   structural_revision_ = other.structural_revision_;
   usable_edges_ = other.usable_edges_;
   usable_weight_sum_ = other.usable_weight_sum_;
+  zero_weight_edges_ = other.zero_weight_edges_;
   track_touched_ = other.track_touched_;
   node_dirty_ = other.node_dirty_;
   edge_dirty_ = other.edge_dirty_;
@@ -36,26 +37,7 @@ Graph& Graph::operator=(const Graph& other) {
   return *this;
 }
 
-Graph::Graph(Graph&& other) noexcept
-    : incident_(std::move(other.incident_)),
-      ends_(std::move(other.ends_)),
-      topo_(std::move(other.topo_)),
-      flat_(std::move(other.flat_)),
-      lower_end_(std::move(other.lower_end_)),
-      weight_(std::move(other.weight_)),
-      edge_active_(std::move(other.edge_active_)),
-      node_active_(std::move(other.node_active_)),
-      revision_(other.revision_),
-      structural_revision_(other.structural_revision_),
-      usable_edges_(other.usable_edges_),
-      usable_weight_sum_(other.usable_weight_sum_),
-      track_touched_(other.track_touched_),
-      node_dirty_(std::move(other.node_dirty_)),
-      edge_dirty_(std::move(other.edge_dirty_)),
-      touched_nodes_(std::move(other.touched_nodes_)),
-      touched_edges_(std::move(other.touched_edges_)) {
-  flat_structural_.store(kFlatStale, std::memory_order_relaxed);
-}
+Graph::Graph(Graph&& other) noexcept { *this = std::move(other); }
 
 Graph& Graph::operator=(Graph&& other) noexcept {
   if (this != &other) {
@@ -71,6 +53,7 @@ Graph& Graph::operator=(Graph&& other) noexcept {
     structural_revision_ = other.structural_revision_;
     usable_edges_ = other.usable_edges_;
     usable_weight_sum_ = other.usable_weight_sum_;
+    zero_weight_edges_ = other.zero_weight_edges_;
     track_touched_ = other.track_touched_;
     node_dirty_ = std::move(other.node_dirty_);
     edge_dirty_ = std::move(other.edge_dirty_);
@@ -130,6 +113,7 @@ Graph Graph::from_tiled(std::shared_ptr<const TiledTopology> topo) {
                                           << lower << " and " << v << ")");
         lower = v;
         g.weight_[static_cast<std::size_t>(e)] = slot.base_weight;
+        if (slot.base_weight == 0) ++g.zero_weight_edges_;
       } else {
         FPR_CHECK(lower == nbr, "tiled template: edge " << e << " endpoints disagree (" << v
                                                         << " expected lower end " << nbr
@@ -222,6 +206,7 @@ EdgeId Graph::add_edge(NodeId u, NodeId v, Weight w) {
   incident_[static_cast<std::size_t>(u)].push_back(id);
   incident_[static_cast<std::size_t>(v)].push_back(id);
   weight_.push_back(w);
+  if (w == 0) ++zero_weight_edges_;
   edge_active_.push_back(1);
   if (node_active(u) && node_active(v)) {
     ++usable_edges_;
@@ -263,6 +248,7 @@ void Graph::set_edge_weight(EdgeId e, Weight w) {
   mark_edge_touched(e);
   Weight& cur = weight_[static_cast<std::size_t>(e)];
   if (edge_usable(e)) usable_weight_sum_ += w - cur;
+  zero_weight_edges_ += static_cast<EdgeId>(w == 0) - static_cast<EdgeId>(cur == 0);
   cur = w;
   ++revision_;
 }
@@ -274,6 +260,7 @@ void Graph::add_edge_weight(EdgeId e, Weight delta) {
   Weight& cur = weight_[static_cast<std::size_t>(e)];
   FPR_CHECK(cur + delta >= 0, "add_edge_weight edge " << e << " (weight " << cur << ") by "
                                   << delta << " would make the routing cost negative");
+  zero_weight_edges_ += static_cast<EdgeId>(cur + delta == 0) - static_cast<EdgeId>(cur == 0);
   cur += delta;
   if (edge_usable(e)) usable_weight_sum_ += delta;
   ++revision_;

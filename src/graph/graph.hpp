@@ -220,6 +220,10 @@ class Graph {
     return usable_edges_ == 0 ? Weight{0} : usable_weight_sum_ / static_cast<Weight>(usable_edges_);
   }
 
+  /// True when some edge, active or not, weighs zero: a goal-directed
+  /// search then runs plain (see dijkstra_within_paused).
+  bool has_zero_weight_edge() const { return zero_weight_edges_ > 0; }
+
   // -------------------------------------------------------------------------
   // Touch tracking (Device::reset() fast path).
   //
@@ -330,6 +334,7 @@ class Graph {
   // graph and its materialized equivalent match bit for bit.
   EdgeId usable_edges_ = 0;
   Weight usable_weight_sum_ = 0;
+  EdgeId zero_weight_edges_ = 0;  // every edge at weight 0, active or not
 
   // Touch tracking (see section comment above).
   bool track_touched_ = false;

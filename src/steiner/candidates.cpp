@@ -33,11 +33,13 @@ std::vector<NodeId> SteinerCandidates::next(std::span<const NodeId> span_set,
                 std::equal(scanned_.begin(), scanned_.end(), span_set.begin()),
             "the span set must grow by appending nodes");
   scanned_.assign(span_set.begin(), span_set.end());
+  const auto kept = static_cast<std::ptrdiff_t>(old);
+  sorted_span_.insert(sorted_span_.end(), span_set.begin() + kept, span_set.end());
+  std::sort(sorted_span_.begin() + kept, sorted_span_.end());
+  std::inplace_merge(sorted_span_.begin(), sorted_span_.begin() + kept, sorted_span_.end());
 
-  std::vector<NodeId> sorted_span = scanned_;
-  std::sort(sorted_span.begin(), sorted_span.end());
   auto candidate = [&](NodeId v) {
-    return g.node_active(v) && !std::binary_search(sorted_span.begin(), sorted_span.end(), v);
+    return g.node_active(v) && !std::binary_search(sorted_span_.begin(), sorted_span_.end(), v);
   };
   std::vector<NodeId> nodes;
 
@@ -49,16 +51,14 @@ std::vector<NodeId> SteinerCandidates::next(std::span<const NodeId> span_set,
       break;
     }
     case CandidateStrategy::kCorridor: {
-      // The full scan's reads in its i-major order. A pair read before
-      // gives the nodes it gave then, so only the new pairs (j >= old) are
-      // walked; the old ones are still asked reached(). On a graph with
-      // zero-weight edges that read can grow a paused tree again: a later
-      // zero-weight push can put a smaller key ahead of a popped node.
+      // The full scan's reads of the new pairs (j >= old), in its i-major
+      // order. A pair read before gives the nodes it gave then, and reading
+      // a settled node grows nothing, so the old pairs are not read again.
       fresh_.clear();
       for (std::size_t i = 0; i < scanned_.size(); ++i) {
         const auto& spt = oracle.from(scanned_[i]);
-        for (std::size_t j = i + 1; j < scanned_.size(); ++j) {
-          if (!spt.reached(scanned_[j]) || j < old) continue;
+        for (std::size_t j = std::max(i + 1, old); j < scanned_.size(); ++j) {
+          if (!spt.reached(scanned_[j])) continue;
           for (const NodeId v : spt.path_nodes_to(scanned_[j])) {
             fresh_.push_back(v);
             for (const EdgeId e : g.incident_edges(v)) {

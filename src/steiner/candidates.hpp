@@ -27,10 +27,10 @@ enum class CandidateStrategy {
 /// The corridor is a union over span-set pairs, so it grows with the span
 /// set: each call walks only the pairs (i, j) whose later node j is new
 /// since the previous call and merges their nodes into the sorted corridor.
-/// It asks the trees what a full scan asks, in the full scan's i-major
-/// order, so the same searches grow at the same points: a pair read before
-/// gives the nodes it gave then, but asking whether it is reached can still
-/// grow a paused tree when the graph has zero-weight edges.
+/// It asks the trees what a full scan asks of those pairs, in the full
+/// scan's i-major order, so the same searches grow at the same points: a
+/// pair read before gives the nodes it gave then, and re-reading it would
+/// grow nothing, since a popped node stays settled.
 class SteinerCandidates {
  public:
   SteinerCandidates(const Graph& g, CandidateStrategy strategy, int max_candidates);
@@ -45,8 +45,9 @@ class SteinerCandidates {
   const Graph* g_;
   CandidateStrategy strategy_;
   int max_candidates_;
-  std::vector<NodeId> scanned_;   // the span set of the previous call
-  std::vector<NodeId> corridor_;  // sorted, distinct
+  std::vector<NodeId> scanned_;      // the span set of the previous call
+  std::vector<NodeId> sorted_span_;  // scanned_, sorted
+  std::vector<NodeId> corridor_;     // sorted, distinct
   std::vector<NodeId> fresh_;
 };
 

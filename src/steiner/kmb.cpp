@@ -87,7 +87,7 @@ KmbRound::KmbRound(const Graph& g, std::span<const NodeId> span_set, PathOracle&
   const std::size_t k = span_.size();
   trees_.reserve(k);
   for (const NodeId v : span_) trees_.push_back(oracle.cached(v));
-  path_.assign(k * k, PathSlot{});
+  pairs_.assign(k * k, PairSlot{});
 }
 
 Weight KmbRound::distance(std::int32_t a, std::int32_t b) {
@@ -98,10 +98,15 @@ Weight KmbRound::distance(std::int32_t a, std::int32_t b) {
   const ShortestPathTree* tu = sa < 0 ? nullptr : trees_[static_cast<std::size_t>(sa)];
   const ShortestPathTree* tv = sb < 0 ? nullptr : trees_[static_cast<std::size_t>(sb)];
   if (tu == nullptr || tv == nullptr) return oracle_->distance(u, v);
-  // PathOracle::distance's reads, without its cache lookups.
-  if (tu->knows(v)) return tu->distance(v);
-  if (tv->knows(u)) return tv->distance(u);
-  return oracle_->from_knowing(u, v).distance(v);
+  // PathOracle::distance's reads, without its cache lookups, made once.
+  Weight& known =
+      pairs_[static_cast<std::size_t>(sa) * span_.size() + static_cast<std::size_t>(sb)].distance;
+  if (known < 0) {
+    known = tu->knows(v)   ? tu->distance(v)
+            : tv->knows(u) ? tv->distance(u)
+                           : oracle_->from_knowing(u, v).distance(v);
+  }
+  return known;
 }
 
 void KmbRound::append_path(std::int32_t a, std::int32_t b) {
@@ -116,24 +121,19 @@ void KmbRound::append_path(std::int32_t a, std::int32_t b) {
     expanded_.insert(expanded_.end(), path.begin(), path.end());
     return;
   }
-  // PathOracle::path_between's reads, without its cache lookups. A path
-  // from u's tree is memoized: once that tree knows v, v's path is fixed.
-  if (tu->knows(v)) {
-    PathSlot& slot =
-        path_[static_cast<std::size_t>(sa) * span_.size() + static_cast<std::size_t>(sb)];
-    if (slot.begin < 0) {
-      const auto path = tu->path_edges_to(v);
-      slot.begin = static_cast<std::int32_t>(path_pool_.size());
-      path_pool_.insert(path_pool_.end(), path.begin(), path.end());
-      slot.end = static_cast<std::int32_t>(path_pool_.size());
-    }
-    expanded_.insert(expanded_.end(), path_pool_.begin() + slot.begin,
-                     path_pool_.begin() + slot.end);
-    return;
+  // PathOracle::path_between's reads, without its cache lookups, made once.
+  PairSlot& slot =
+      pairs_[static_cast<std::size_t>(sa) * span_.size() + static_cast<std::size_t>(sb)];
+  if (slot.begin < 0) {
+    const auto path = tu->knows(v)   ? tu->path_edges_to(v)
+                      : tv->knows(u) ? tv->path_edges_to(u)
+                                     : oracle_->from_knowing(u, v).path_edges_to(v);
+    slot.begin = static_cast<std::int32_t>(path_pool_.size());
+    path_pool_.insert(path_pool_.end(), path.begin(), path.end());
+    slot.end = static_cast<std::int32_t>(path_pool_.size());
   }
-  const auto path = tv->knows(u) ? tv->path_edges_to(u)
-                                 : oracle_->from_knowing(u, v).path_edges_to(v);
-  expanded_.insert(expanded_.end(), path.begin(), path.end());
+  expanded_.insert(expanded_.end(), path_pool_.begin() + slot.begin,
+                   path_pool_.begin() + slot.end);
 }
 
 std::optional<Weight> KmbRound::score(NodeId t, std::span<const NodeId> net,

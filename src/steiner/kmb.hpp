@@ -33,15 +33,14 @@ extern std::atomic<bool> kmb_invert_mst_selection;
 /// non-trial leaves pruned. It scores by cost alone and builds no
 /// RoutingTree; the caller builds one for the trial it keeps.
 ///
-/// Every read reaches the trees in the order and with the effects of
+/// Every first read reaches the trees in the order and with the effects of
 /// kmb()'s oracle reads, so every search grows, and every WorkBudget cut
-/// lands, where the plain sequence puts it; even a repeated read is made,
-/// because on a graph with zero-weight edges it can still grow a paused
-/// tree. What the round saves is the rest of a read. It holds the span
-/// set's cached trees, so a read of a span-set pair asks them what
-/// PathOracle would ask, in the same order, without the cache lookups; a
-/// path the Prim parent's own tree answers is memoized under the ordered
-/// (parent, child) pair, since a settled node's path never changes. Reads
+/// lands, where the plain sequence puts it. A known answer is read once: a
+/// popped node stays settled, so reading it again would grow nothing. The
+/// round holds the span set's cached trees, so a read of a span-set pair
+/// asks them what PathOracle would ask, in the same order, without the
+/// cache lookups, and memoizes the answer for the round: the pair's
+/// distance, and its path under the ordered (parent, child) pair. Reads
 /// that involve the candidate, or a span node whose tree was not cached
 /// when the round began, go to the oracle. Only the oracle's hit count sees
 /// the difference. IGMST caches the span set's trees before each round.
@@ -83,14 +82,16 @@ class KmbRound {
   std::vector<NodeId> span_;  // sorted, distinct
 
   // The span set's cached trees (nullptr: not cached when the round began),
-  // and the path memo over span-set indices, k x k row-major: the path of
-  // (parent, child) as [begin, end) into path_pool_.
+  // and what the round has read of each pair of span-set indices, k x k
+  // row-major: the distance of (a, b), a < b, and the path of (parent,
+  // child) as [begin, end) into path_pool_.
   std::vector<const ShortestPathTree*> trees_;
-  struct PathSlot {
+  struct PairSlot {
+    Weight distance = -1;     // -1: not read yet
     std::int32_t begin = -1;  // -1: not read yet
     std::int32_t end = -1;
   };
-  std::vector<PathSlot> path_;
+  std::vector<PairSlot> pairs_;
   std::vector<EdgeId> path_pool_;
 
   // Per-trial state: the candidate's trial index (k when there is none) and

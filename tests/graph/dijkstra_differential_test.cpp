@@ -55,9 +55,10 @@ void expect_paused_matches(const Graph& g, NodeId source, const std::vector<Node
 
 /// One random mutation, mirrored on nothing — both engines read the same
 /// graph, so mutations just need to hit every code path that feeds the
-/// flat traversal-weight array.
+/// flat traversal-weight array. A weight of zero lets a pop push a smaller
+/// (dist, id) than its own.
 void mutate(Graph& g, std::mt19937_64& rng) {
-  std::uniform_int_distribution<int> op(0, 5);
+  std::uniform_int_distribution<int> op(0, 6);
   std::uniform_int_distribution<NodeId> node(0, g.node_count() - 1);
   std::uniform_int_distribution<EdgeId> edge(0, g.edge_count() - 1);
   std::uniform_int_distribution<int> w(1, 10);
@@ -68,6 +69,7 @@ void mutate(Graph& g, std::mt19937_64& rng) {
     case 3: g.restore_node(node(rng)); break;
     case 4: g.set_edge_weight(edge(rng), w(rng)); break;
     case 5: g.add_edge_weight(edge(rng), 1); break;
+    case 6: g.set_edge_weight(edge(rng), 0); break;
   }
 }
 

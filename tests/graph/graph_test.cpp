@@ -152,11 +152,12 @@ TEST(GraphTest, MeanActiveEdgeWeightEmptyGraphIsZero) {
 
 TEST(GraphTest, RunningCountersMatchBruteScanUnderRandomMutations) {
   // The O(1) counters must agree with a fresh O(E) scan after every kind of
-  // mutation, including redundant removes/restores.
+  // mutation, including redundant removes/restores and weights set to and
+  // from zero.
   std::mt19937_64 rng(20260806);
   Graph g(20);
   std::uniform_int_distribution<NodeId> node(0, 19);
-  std::uniform_int_distribution<int> weight(1, 10);
+  std::uniform_int_distribution<int> weight(0, 10);
   for (int i = 0; i < 40; ++i) {
     NodeId u = node(rng), v = node(rng);
     if (u == v) continue;
@@ -164,8 +165,9 @@ TEST(GraphTest, RunningCountersMatchBruteScanUnderRandomMutations) {
   }
   ASSERT_GT(g.edge_count(), 0);
   std::uniform_int_distribution<EdgeId> edge(0, g.edge_count() - 1);
-  std::uniform_int_distribution<int> op(0, 6);
+  std::uniform_int_distribution<int> op(0, 7);
   for (int step = 0; step < 300; ++step) {
+    const EdgeId e = edge(rng);
     switch (op(rng)) {
       case 0: g.remove_edge(edge(rng)); break;
       case 1: g.restore_edge(edge(rng)); break;
@@ -174,8 +176,12 @@ TEST(GraphTest, RunningCountersMatchBruteScanUnderRandomMutations) {
       case 4: g.set_edge_weight(edge(rng), weight(rng)); break;
       case 5: g.add_edge_weight(edge(rng), 2); break;
       case 6: g.add_edge(node(rng) == 0 ? 1 : 0, node(rng) == 19 ? 18 : 19, weight(rng)); break;
+      case 7: g.add_edge_weight(e, -g.edge_weight(e)); break;
     }
     ASSERT_EQ(g.active_edge_count(), scan_active_edge_count(g)) << "step " << step;
+    bool zero = false;
+    for (EdgeId f = 0; f < g.edge_count(); ++f) zero = zero || g.edge_weight(f) == 0;
+    ASSERT_EQ(g.has_zero_weight_edge(), zero) << "step " << step;
     ASSERT_TRUE(weight_eq(g.mean_active_edge_weight(), scan_mean_active_edge_weight(g)))
         << "step " << step << ": " << g.mean_active_edge_weight() << " vs "
         << scan_mean_active_edge_weight(g);

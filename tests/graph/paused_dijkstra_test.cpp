@@ -6,13 +6,15 @@
 // trees (a DistanceBound over two or more goals) are held to the same
 // contract.
 //
-// Graphs: random check/generate graphs with interleaved mutations, and
-// legacy, tiled-flat and tiled-above-the-cut devices with faults and
-// congestion. Each is driven with random probe sequences, checked after
-// every probe, then grown fully (must equal dijkstra()) and re-run under
+// Graphs: random check/generate graphs with interleaved mutations, some
+// with zero-weight edges, and legacy, tiled-flat and tiled-above-the-cut
+// devices with faults and congestion. Each is driven with random probe
+// sequences, checked after every probe (re-reading an answered probe must
+// grow nothing), then grown fully (must equal dijkstra()) and re-run under
 // budgets (must be deterministic). Goal-directed trees run under the zero,
-// hop-count and exact-distance bounds on generated graphs and under the
-// device bound on devices.
+// hop-count and exact-distance bounds on generated graphs (the zero and
+// exact bounds with zero-weight edges too) and under the device bound on
+// devices.
 
 #include <gtest/gtest.h>
 
@@ -104,11 +106,16 @@ void check_paused(const Graph& g, NodeId source, const std::vector<NodeId>& targ
   for (const NodeId p : probes) {
     expect_read_matches(paused, p, full, ref);
     seen.push_back(p);
-    // Growing for p must not move an answer given earlier.
+    // Growing for p must not move an answer given earlier, and reading an
+    // answered probe again grows nothing.
+    const std::int64_t resumes = paused.resumes();
+    const std::int64_t pops = paused.resume_pops();
     for (const NodeId q : seen) {
       EXPECT_TRUE(same_bits(paused.distance(q), ref.dist[static_cast<std::size_t>(q)]));
       EXPECT_TRUE(paused.knows(q));
     }
+    EXPECT_EQ(paused.resumes(), resumes) << "re-reading the probes before " << p;
+    EXPECT_EQ(paused.resume_pops(), pops) << "re-reading the probes before " << p;
   }
   // Growth never settles more than the unbounded run does.
   EXPECT_LE(paused.run_pops() + paused.resume_pops(), full.run_pops());
@@ -202,7 +209,7 @@ struct TableBound {
 
 /// Unweighted hop distance to `target` over usable nodes and edges; 0 off
 /// the target's component (consistent there: no usable edge leaves it).
-/// With every weight >= 1 it is consistent.
+/// With every weight >= 1 it is consistent; a zero-weight edge breaks that.
 std::vector<Weight> hop_table(const Graph& g, NodeId target) {
   std::vector<Weight> h(static_cast<std::size_t>(g.node_count()), 0);
   if (!g.node_active(target)) return h;
@@ -226,7 +233,7 @@ std::vector<Weight> hop_table(const Graph& g, NodeId target) {
 
 /// The exact weighted distance to `target` (0 where unreachable): every
 /// node on a shortest path ties at one key, the hardest case for the tie
-/// runs.
+/// runs. It is consistent on any non-negative weights.
 std::vector<Weight> exact_table(const Graph& g, NodeId target) {
   std::vector<Weight> h = reference::dijkstra(g, target).dist;
   for (Weight& w : h) {
@@ -244,6 +251,9 @@ TEST_P(PausedDijkstraDifferentialTest, GeneratedGraphsAnswerLikeTheOneShotBall) 
   Graph g = tc.materialize();
   std::mt19937_64 rng(testing::seeded_rng("paused_dijkstra", seed));
   std::uniform_int_distribution<NodeId> node(0, g.node_count() - 1);
+  // Odd seeds weigh some edges zero: a pop can then push a smaller (key,
+  // id) than its own, and the popped node must still read settled.
+  if (seed % 2 == 1) testing::zero_some_weights(g, rng);
   for (int round = 0; round < 4; ++round) {
     std::vector<NodeId> targets = tc.terminals;
     if (round == 3) targets.push_back(node(rng));  // possibly inactive or the source
@@ -256,7 +266,8 @@ TEST_P(PausedDijkstraDifferentialTest, GeneratedGraphsAnswerLikeTheOneShotBall) 
 TEST_P(PausedDijkstraDifferentialTest, GoalDirectedTreesAnswerLikeDijkstra) {
   // One, two and more goals under the zero, hop-count and exact bounds,
   // with the graph mutated between rounds (each round's tables are rebuilt
-  // on it).
+  // on it). The zero and exact bounds also run on a copy with some edges
+  // weighed zero; the hop bound is consistent only on weights >= 1.
   const unsigned seed = GetParam();
   const Algorithm any[] = {Algorithm::kIkmb};
   const check::TreeCase tc = check::generate_tree_case(seed, 6, any);
@@ -289,6 +300,14 @@ TEST_P(PausedDijkstraDifferentialTest, GoalDirectedTreesAnswerLikeDijkstra) {
     const DistanceBound by_exact(exact);
     check_paused(g, source, targets, probes, &by_hops);
     check_paused(g, source, targets, probes, &by_exact);
+
+    Graph zeroed = g;
+    testing::zero_some_weights(zeroed, rng);
+    check_paused(zeroed, source, targets, probes, &by_zero);
+    TableBound zeroed_exact{targets, {}};
+    for (const NodeId t : targets) zeroed_exact.tables.push_back(exact_table(zeroed, t));
+    const DistanceBound by_zeroed_exact(zeroed_exact);
+    check_paused(zeroed, source, targets, probes, &by_zeroed_exact);
     for (int m = 0; m < 3; ++m) mutate(g, rng);
   }
 }
@@ -390,6 +409,36 @@ TEST(PausedDijkstraTest, PausesAtTheLastTargetAndGrowsOnRead) {
   EXPECT_TRUE(paused.complete());  // drains the heap
   EXPECT_EQ(paused.resumes(), 3);
   EXPECT_EQ(paused.run_pops() + paused.resume_pops(), full.run_pops());
+}
+
+TEST(PausedDijkstraTest, APoppedNodeStaysSettledOverZeroWeightEdges) {
+  // Node 3's tree pops 3, then 1 at distance 1 (its one target), and
+  // pauses with 2 next, at distance 1 too. A read of 2 pops it and pushes
+  // 0 over a zero-weight edge at distance 1: a (key, id) below 1's. Node 1
+  // popped before 2, so reading it again grows nothing.
+  Graph g(7);
+  g.add_edge(3, 1, 1);
+  g.add_edge(3, 2, 1);
+  g.add_edge(2, 0, 0);
+  g.add_edge(0, 4, 5);
+  g.add_edge(4, 5, 1);
+  g.add_edge(5, 6, 1);
+  const std::vector<NodeId> targets{3, 1};
+  ShortestPathTree paused;
+  dijkstra_within_paused(g, 3, targets, paused);
+  EXPECT_EQ(paused.run_pops(), 2);
+  EXPECT_EQ(paused.distance(2), 1);
+  EXPECT_EQ(paused.resumes(), 1);
+  EXPECT_EQ(paused.resume_pops(), 1);
+  EXPECT_TRUE(paused.knows(1));
+  EXPECT_EQ(paused.distance(1), 1);
+  EXPECT_EQ(paused.resumes(), 1);
+  EXPECT_EQ(paused.resume_pops(), 1);
+  // The node pushed over the zero-weight edge settles on its own read.
+  EXPECT_EQ(paused.distance(0), 1);
+  EXPECT_EQ(paused.parent(0), 2);
+  EXPECT_EQ(paused.resumes(), 2);
+  EXPECT_EQ(paused.resume_pops(), 2);
 }
 
 /// The grid's Manhattan distance: exact on a unit grid, so consistent.

@@ -69,6 +69,13 @@ inline Graph random_connected_graph(NodeId nodes, EdgeId extra_edges, unsigned s
   return g;
 }
 
+/// Sets a quarter of edge_count() random draws of edge to weight zero
+/// (repeats allowed).
+inline void zero_some_weights(Graph& g, std::mt19937_64& rng) {
+  std::uniform_int_distribution<EdgeId> edge(0, g.edge_count() - 1);
+  for (EdgeId i = 0; i < g.edge_count() / 4; ++i) g.set_edge_weight(edge(rng), 0);
+}
+
 /// k distinct random node ids in [0, nodes).
 inline std::vector<NodeId> random_net(NodeId nodes, int pins, std::mt19937_64& rng) {
   std::vector<NodeId> net;
