@@ -20,8 +20,10 @@ int default_thread_count();
 /// Fixed-size thread pool with a plain FIFO task queue.
 ///
 /// This is the repo's only concurrency primitive: width searches probe
-/// candidate channel widths on it and the experiment harnesses fan circuit
-/// instances out over it. Two properties matter to those callers:
+/// candidate channel widths on it, the experiment harnesses fan circuit
+/// instances out over it, and IGMST fans a net's trees and candidate
+/// trials out over it (PathOracle::set_pool). Two properties matter to
+/// those callers:
 ///
 ///  - **Serial fallback.** A pool of size <= 1 spawns no threads; submit()
 ///    and parallel_for() run inline on the caller, in index order. Results

@@ -31,6 +31,12 @@ struct WorkBudget {
     ++used;
     return true;
   }
+
+  /// Adds expansions made elsewhere under no limit: pool tasks charge
+  /// private unlimited budgets and the caller adds their totals after the
+  /// join. Only an unlimited budget takes them, since a limit would have to
+  /// stop the work where it crossed.
+  void absorb(long long expansions) { used += expansions; }
 };
 
 }  // namespace fpr

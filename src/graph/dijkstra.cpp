@@ -7,27 +7,46 @@
 namespace fpr {
 
 std::vector<EdgeId> ShortestPathTree::path_edges_to(NodeId v) const {
-  if (!reached(v)) return {};  // unreachable: empty path, never an invalid walk
+  std::vector<EdgeId> edges;
+  append_path_edges_to(v, edges);
+  return edges;
+}
+
+void ShortestPathTree::append_path_edges_to(NodeId v, std::vector<EdgeId>& out) const {
+  if (!reached(v)) return;  // unreachable: empty path, never an invalid walk
   // reached() grew the tree to v; every node on v's parent chain settled
   // before v's label was written, so the walk reads the arena directly.
-  std::vector<EdgeId> edges;
-  while (v != source_) {
-    edges.push_back(arena_.parent_edge(v));
+  const auto first = static_cast<std::ptrdiff_t>(out.size());
+  const NodeId target = v;
+  for (NodeId steps = 0; v != source_; ++steps) {
+    FPR_CHECK(steps < node_count_, "the parent chain from node " << target << " toward source "
+                                                                 << source_ << " is longer than the "
+                                                                 << node_count_ << " nodes");
+    out.push_back(arena_.parent_edge(v));
     v = arena_.parent(v);
   }
-  std::reverse(edges.begin(), edges.end());
-  return edges;
+  std::reverse(out.begin() + first, out.end());
 }
 
 std::vector<NodeId> ShortestPathTree::path_nodes_to(NodeId v) const {
   if (!reached(v)) return {};
   std::vector<NodeId> nodes{v};
-  while (v != source_) {
+  const NodeId target = v;
+  for (NodeId steps = 0; v != source_; ++steps) {
+    FPR_CHECK(steps < node_count_, "the parent chain from node " << target << " toward source "
+                                                                 << source_ << " is longer than the "
+                                                                 << node_count_ << " nodes");
     v = arena_.parent(v);
     nodes.push_back(v);
   }
   std::reverse(nodes.begin(), nodes.end());
   return nodes;
+}
+
+void ShortestPathTree::reserve(NodeId node_count, std::size_t targets) {
+  arena_.reserve(node_count);
+  pending_.reserve(targets);
+  goal_.reserve(targets);
 }
 
 namespace {

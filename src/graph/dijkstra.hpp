@@ -90,12 +90,30 @@ class ShortestPathTree {
   /// Edges of the source -> v shortest path (empty when v == source).
   /// Returns an empty path when v is unreachable — previously that was
   /// undefined behavior in Release builds (the assert compiled out and the
-  /// walk indexed with kInvalidNode).
+  /// walk indexed with kInvalidNode). A parent chain longer than
+  /// node_count() (a corrupt arena) fails an FPR_CHECK instead of
+  /// allocating without bound.
   std::vector<EdgeId> path_edges_to(NodeId v) const;
+
+  /// path_edges_to(v), appended to `out`: no allocation once `out` has the
+  /// capacity.
+  void append_path_edges_to(NodeId v, std::vector<EdgeId>& out) const;
 
   /// Nodes of the source -> v shortest path, source first. Empty when v is
   /// unreachable (same contract as path_edges_to).
   std::vector<NodeId> path_nodes_to(NodeId v) const;
+
+  /// True when v is settled already: knows(v) without growing the tree.
+  /// The one read that never mutates a paused tree, so threads that share
+  /// a tree may make it at once while nobody grows it (DESIGN.md §7).
+  bool knows_now(NodeId v) const { return settled(v); }
+
+  /// Allocates the search state for a graph of `node_count` nodes and a
+  /// run toward up to `targets` targets, all but the heap's frontier
+  /// (DijkstraArena::reserve). Pool work reserves its trees on the calling
+  /// thread: memory a worker allocates stays in its own malloc arena and
+  /// swells the peak RSS.
+  void reserve(NodeId node_count, std::size_t targets);
 
   // ---- paused runs (PathOracle) ----
 

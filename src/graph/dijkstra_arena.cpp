@@ -6,15 +6,23 @@
 namespace fpr {
 
 void DijkstraArena::begin_run(NodeId node_count) {
-  const auto n = static_cast<std::size_t>(node_count);
-  if (n > capacity_) {
-    // Default-initialized: read only where touched, so never cleared.
-    origin_ = std::make_unique_for_overwrite<Origin[]>(n);
-    pos_ = std::make_unique_for_overwrite<std::int32_t[]>(n);
-    capacity_ = n;
-  }
-  dist_.assign(n, kInfiniteWeight);  // establish the untouched invariant
+  allocate_labels(node_count);
+  dist_.assign(static_cast<std::size_t>(node_count), kInfiniteWeight);  // the untouched invariant
   heap_.clear();
+}
+
+void DijkstraArena::reserve(NodeId node_count) {
+  allocate_labels(node_count);
+  dist_.reserve(static_cast<std::size_t>(node_count));
+}
+
+void DijkstraArena::allocate_labels(NodeId node_count) {
+  const auto n = static_cast<std::size_t>(node_count);
+  if (n <= capacity_) return;
+  // Default-initialized: read only where touched, so never cleared.
+  origin_ = std::make_unique_for_overwrite<Origin[]>(n);
+  pos_ = std::make_unique_for_overwrite<std::int32_t[]>(n);
+  capacity_ = n;
 }
 
 DijkstraScratch& DijkstraScratch::thread_local_instance() {

@@ -51,6 +51,12 @@ class DijkstraArena {
   /// every distance to kInfiniteWeight.
   void begin_run(NodeId node_count);
 
+  /// Allocates the per-node arrays of a run over `node_count` nodes, so
+  /// that begin_run does not allocate afterwards. The heap is left to grow
+  /// with the frontier: reserving it for every node measured +1 MiB of peak
+  /// RSS on busc, where the frontier stays far below the node count.
+  void reserve(NodeId node_count);
+
   // ---- per-node labels ----
 
   bool touched(NodeId v) const { return dist_[static_cast<std::size_t>(v)] < kInfiniteWeight; }
@@ -196,6 +202,9 @@ class DijkstraArena {
     pos_[static_cast<std::size_t>(entry_node(e))] = i;
     sift_up(i);
   }
+
+  /// (Re)allocates origin_ and pos_ when `node_count` exceeds capacity_.
+  void allocate_labels(NodeId node_count);
 
   std::size_t capacity_ = 0;
   std::vector<Weight> dist_;          // invariant: kInfiniteWeight unless touched

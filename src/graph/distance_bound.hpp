@@ -169,6 +169,13 @@ class GoalBound {
     }
   }
 
+  /// Allocates room for `goals` goals, so aim() need not.
+  void reserve(std::size_t goals) {
+    goals_.reserve(goals);
+    xs_.reserve(goals);
+    ys_.reserve(goals);
+  }
+
   Weight operator()(NodeId v) const {
     if (bound_.point_ == nullptr) {
       Weight h = std::numeric_limits<Weight>::infinity();

@@ -1,6 +1,7 @@
 #include "graph/path_oracle.hpp"
 
 #include <algorithm>
+#include <exception>
 
 #include "core/contract.hpp"
 
@@ -13,6 +14,7 @@ void PathOracle::refresh() {
       retired_resume_pops_ += tree->resume_pops();
     }
     cache_.clear();
+    held_.clear();
     revision_ = g_->revision();
   }
 }
@@ -20,6 +22,64 @@ void PathOracle::refresh() {
 void PathOracle::set_budget(WorkBudget* budget) {
   budget_ = budget;
   for (const auto& [source, tree] : cache_) tree->charge_growth_to(budget);
+  // A held tree ran unlimited; under a limit the same run may stop short.
+  if (budget != nullptr && !budget->unlimited()) held_.clear();
+}
+
+void PathOracle::warm(std::span<const NodeId> sources) {
+  refresh();
+  if (!fans_out()) return;
+  struct Job {
+    NodeId source;
+    bool aimed;
+    std::unique_ptr<ShortestPathTree> tree;
+  };
+  std::vector<Job> jobs;
+  for (const NodeId s : sources) {
+    if (cache_.contains(s) || held_.contains(s)) continue;
+    if (std::any_of(jobs.begin(), jobs.end(), [s](const Job& j) { return j.source == s; })) {
+      continue;
+    }
+    // Everything a run allocates, allocated here on the caller.
+    auto tree = std::make_unique<ShortestPathTree>();
+    tree->reserve(g_->node_count(), scope_.size());
+    jobs.push_back({s, goal_directed(s), std::move(tree)});
+  }
+  pool_->parallel_for(jobs.size(), [&](std::size_t i) {
+    Job& job = jobs[i];
+    dijkstra_within_paused(*g_, job.source, scope_, *job.tree, nullptr,
+                           job.aimed ? &*bound_ : nullptr);
+  });
+  for (Job& job : jobs) held_.emplace(job.source, std::move(job.tree));
+}
+
+void PathOracle::grow(std::span<const NodeId> sources,
+                      const std::function<void(std::size_t, const ShortestPathTree&)>& read) {
+  refresh();
+  FPR_CHECK(fans_out(), "PathOracle::grow needs a pool, a scope and no budget limit");
+  std::vector<ShortestPathTree*> trees;
+  trees.reserve(sources.size());
+  for (const NodeId s : sources) {
+    const auto it = cache_.find(s);
+    FPR_CHECK(it != cache_.end(), "PathOracle::grow: no cached tree from node " << s);
+    FPR_CHECK(std::find(trees.begin(), trees.end(), it->second.get()) == trees.end(),
+              "PathOracle::grow: node " << s << " listed twice");
+    it->second->reserve(g_->node_count(), 0);  // growth never allocates on a worker
+    trees.push_back(it->second.get());
+  }
+  std::vector<WorkBudget> spent(trees.size());
+  for (std::size_t i = 0; i < trees.size(); ++i) trees[i]->charge_growth_to(&spent[i]);
+  std::exception_ptr error;
+  try {
+    pool_->parallel_for(trees.size(), [&](std::size_t i) { read(i, *trees[i]); });
+  } catch (...) {
+    error = std::current_exception();
+  }
+  for (std::size_t i = 0; i < trees.size(); ++i) {
+    trees[i]->charge_growth_to(budget_);
+    if (budget_ != nullptr) budget_->absorb(spent[i].used);
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 std::int64_t PathOracle::resumes() const {
@@ -59,19 +119,32 @@ bool PathOracle::goal_directed(NodeId source) const {
   return bound_->aimed_share(source, goals) < kMaxAimedShare;
 }
 
+std::unique_ptr<ShortestPathTree> PathOracle::fresh_tree(NodeId source) {
+  if (const auto held = held_.find(source); held != held_.end()) {
+    // warm() ran it unlimited; it counts, and costs, from now on.
+    std::unique_ptr<ShortestPathTree> tree = std::move(held->second);
+    held_.erase(held);
+    if (budget_ != nullptr) budget_->absorb(tree->run_pops());
+    tree->charge_growth_to(budget_);
+    return tree;
+  }
+  auto tree = std::make_unique<ShortestPathTree>();
+  if (scope_.empty()) {
+    dijkstra(*g_, source, *tree, budget_);
+  } else {
+    // Paused once the last target settles, aimed at the scope where that
+    // pays; reads grow it.
+    dijkstra_within_paused(*g_, source, scope_, *tree, budget_,
+                           goal_directed(source) ? &*bound_ : nullptr);
+  }
+  return tree;
+}
+
 const ShortestPathTree& PathOracle::from(NodeId source) {
   refresh();
   auto it = cache_.find(source);
   if (it == cache_.end()) {
-    auto tree = std::make_unique<ShortestPathTree>();
-    if (scope_.empty()) {
-      dijkstra(*g_, source, *tree, budget_);
-    } else {
-      // Paused once the last target settles, aimed at the scope where that
-      // pays; reads grow it.
-      dijkstra_within_paused(*g_, source, scope_, *tree, budget_,
-                             goal_directed(source) ? &*bound_ : nullptr);
-    }
+    std::unique_ptr<ShortestPathTree> tree = fresh_tree(source);
     run_pops_ += tree->run_pops();
     it = cache_.emplace(source, std::move(tree)).first;
     ++runs_;
@@ -140,6 +213,7 @@ std::vector<EdgeId> PathOracle::path_between(NodeId a, NodeId b) {
 
 void PathOracle::clear() {
   cache_.clear();
+  held_.clear();
   runs_ = 0;
   hits_ = 0;
   misses_ = 0;

@@ -1,10 +1,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 
+#include "core/parallel.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/graph.hpp"
 
@@ -31,11 +34,15 @@ namespace fpr {
 /// to run Dijkstra (including re-runs of sealed trees). src/core/metrics
 /// snapshots both for reporting.
 ///
-/// Thread model: one oracle per thread — the parallel sweeps give every
-/// worker its own oracle over its own Device copy, so the cache map is
-/// deliberately unsynchronized (no Mutex / FPR_GUARDED_BY from
-/// core/annotations.hpp). Reading a cached tree may grow it, so neither the
-/// oracle nor a tree it hands out may be shared across threads.
+/// Thread model: an oracle belongs to one thread — the parallel sweeps give
+/// every worker its own oracle over its own Device copy, so the cache map
+/// is deliberately unsynchronized (no Mutex / FPR_GUARDED_BY from
+/// core/annotations.hpp). Reading a cached tree may grow it, so a tree it
+/// hands out is read by one thread at a time. The one exception is the
+/// oracle's own fan-out (set_pool): warm() and grow() hand each tree to one
+/// pool task and take it back at the join, and a round's scoring tasks
+/// share trees only through knows_now() and reads of nodes it vouches for,
+/// which never grow a tree (DESIGN.md §7).
 class PathOracle {
  public:
   explicit PathOracle(const Graph& g) : g_(&g), revision_(g.revision()) {}
@@ -65,11 +72,52 @@ class PathOracle {
   void set_scope(std::vector<NodeId> targets, std::optional<DistanceBound> bound = {}) {
     scope_ = std::move(targets);
     bound_ = bound;
+    held_.clear();
   }
   void clear_scope() {
     scope_.clear();
     bound_.reset();
+    held_.clear();
   }
+
+  /// Attaches the pool that warm() and grow() fan out on (nullptr, the
+  /// default, or a pool of one: they do nothing and every read is made
+  /// lazily on the caller). The pool must outlive the oracle's use of it.
+  void set_pool(ThreadPool* pool) { pool_ = pool; }
+  ThreadPool* pool() const { return pool_; }
+
+  /// The one policy check for pool work: a pool of more than one worker, a
+  /// scope (fresh trees are paused runs that grow on reads) and no budget
+  /// limit. A limit must stop the work at the pop where it runs out, and
+  /// only the serial order of reads says which pop that is, so a budgeted
+  /// oracle reads lazily, in the caller's order.
+  bool fans_out() const {
+    return pool_ != nullptr && pool_->size() > 1 && !scope_.empty() &&
+           (budget_ == nullptr || budget_->unlimited());
+  }
+
+  /// Runs the fresh trees of `sources` on the pool, one task per tree not
+  /// cached yet, and holds them outside the cache. from() adopts a held
+  /// tree instead of running Dijkstra, and counts the run, the miss and its
+  /// pops, and charges them to the budget, at that moment. So the cache
+  /// holds the same trees, inserted in the same order, as without warm():
+  /// which trees are cached decides which endpoint path_between serves a
+  /// path from. A held tree never adopted is dropped uncounted (by clear(),
+  /// a scope or budget change, or a graph change). No-op unless fans_out().
+  void warm(std::span<const NodeId> sources);
+
+  /// Hands each cached tree of the distinct `sources` to one pool task,
+  /// which calls read(i, tree of sources[i]); a read may grow its tree.
+  /// Growth is charged to a private budget per task, and the totals are
+  /// added to the oracle's budget after the join. Requires fans_out() and
+  /// every source cached. Growth depends only on the set of nodes read, so
+  /// the trees end as the same reads made serially would leave them.
+  void grow(std::span<const NodeId> sources,
+            const std::function<void(std::size_t, const ShortestPathTree&)>& read);
+
+  /// Counts `n` queries answered from cached trees by pool tasks that read
+  /// them directly (see cache_hits()).
+  void count_hits(std::size_t n) { hits_ += n; }
 
   /// Attaches a shared node-expansion budget (graph/budget.hpp): every
   /// Dijkstra run this oracle performs charges it, and so does every read
@@ -157,9 +205,15 @@ class PathOracle {
   /// alike, and 1 / 1.42 ~ 0.7.
   static constexpr double kMaxAimedShare = 0.7;
 
+  /// A fresh tree from `source`: a held one from warm(), counted now, or a
+  /// new run.
+  std::unique_ptr<ShortestPathTree> fresh_tree(NodeId source);
+
   const Graph* g_;
   std::uint64_t revision_;
   std::unordered_map<NodeId, std::unique_ptr<ShortestPathTree>> cache_;
+  std::unordered_map<NodeId, std::unique_ptr<ShortestPathTree>> held_;  // warm(), not adopted
+  ThreadPool* pool_ = nullptr;
   std::vector<NodeId> scope_;
   std::optional<DistanceBound> bound_;
   WorkBudget* budget_ = nullptr;

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "core/parallel.hpp"
 #include "fpga/device.hpp"
 #include "graph/congestion_layer.hpp"
 #include "netlist/netlist.hpp"
@@ -36,6 +37,10 @@ struct NetContext {
   /// Pattern-probe accounting over the run.
   long long pattern_attempts = 0;
   long long pattern_accepts = 0;
+  /// The run's pool (RouterOptions::threads), handed to each net's oracle:
+  /// IGMST fans a net's trees and rounds out on it (DESIGN.md §7). Nets
+  /// stay serial. Null, as in repair, routes every net on the caller.
+  ThreadPool* pool = nullptr;
 };
 
 /// Scoped congestion relief for fault retries: remaps every edge weight

@@ -74,6 +74,8 @@ RoutingResult route_circuit_negotiated(Device& device, const Circuit& circuit,
   router_internal::NetContext ctx{device, circuit, options, budget,
                                   router_internal::fault_retry_count(device, options), &layer,
                                   &held};
+  const PoolLease lease(options.threads);
+  ctx.pool = &lease.pool();
 
   RoutingResult result;
   std::vector<std::size_t> order(net_count);

@@ -394,6 +394,7 @@ void route_net_live(NetContext& ctx, std::size_t idx, NetRouteResult& record) {
   if (algorithm_supports_scoped_paths(algo)) {
     oracle.set_scope(terminals, device.distance_bound());
   }
+  oracle.set_pool(ctx.pool);
   RoutingTree tree = route(g, net, algo, oracle, options.route_options);
 
   // Fault-retry ladder (paper mode only): a defect can sever exactly the
@@ -480,6 +481,8 @@ RoutingResult route_circuit(Device& device, const Circuit& circuit,
   WorkBudget budget{options.node_budget};
   router_internal::NetContext ctx{device, circuit, options, budget,
                                   router_internal::fault_retry_count(device, options)};
+  const PoolLease lease(options.threads);
+  ctx.pool = &lease.pool();
 
   int best_failed = static_cast<int>(net_count) + 1;
   int stalled = 0;

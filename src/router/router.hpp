@@ -88,8 +88,12 @@ struct RouterOptions {
   /// and the partial RoutingResult reports budget_exhausted.
   long long node_budget = 0;
 
-  /// Ignored: routing is serial (DESIGN.md §11). Kept only because the
-  /// benchmark suite still sets it.
+  /// Pool for the work inside one net (0 = shared pool, 1 = serial, >= 2 =
+  /// a pool of that size; see PoolLease): IGMST runs a net's terminal trees,
+  /// grows its span-set trees and scores its candidates on it (DESIGN.md
+  /// §7). Nets themselves are routed one at a time (DESIGN.md §11). Every
+  /// output, pop and count is the same at every thread count. The width
+  /// search routes each probe with 1: its lanes already fill the pool.
   int threads = 0;
 
   /// Congestion-resolution mode. Both modes route each net with the same

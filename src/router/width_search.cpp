@@ -132,6 +132,8 @@ WidthSearchResult find_min_channel_width(const ArchSpec& base, const Circuit& ci
       device.install_faults(*search_options.faults);
     }
     RouterOptions opts = router_options;
+    // The lanes fill the pool; a route inside one stays serial.
+    opts.threads = 1;
     if (search_options.node_budget_per_probe > 0) {
       opts.node_budget = search_options.node_budget_per_probe;
     }

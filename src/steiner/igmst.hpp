@@ -2,6 +2,7 @@
 
 #include <concepts>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -12,31 +13,43 @@
 
 namespace fpr {
 
-/// Scores the trials of one IGMST round against its span set S: maps a
-/// candidate t to the cost of H(G, S + {t}) when that tree spans the net,
-/// leaving the tree's edges in the vector, and to nullopt otherwise.
-using TrialScorer = std::function<std::optional<Weight>(NodeId, std::vector<EdgeId>&)>;
+/// Scores the trials of IGMST rounds: H(G, S + {t}) for each candidate t
+/// against the round's span set S. One scorer serves every round of one
+/// IGMST run, so it can keep its buffers from round to round.
+class TrialScorer {
+ public:
+  virtual ~TrialScorer() = default;
+
+  /// Scores one round: costs[i] becomes the cost of H(G, S + {candidates[i]})
+  /// when that tree spans the net, else nullopt.
+  virtual void score(std::span<const NodeId> span_set, std::span<const NodeId> candidates,
+                     std::vector<std::optional<Weight>>& costs) = 0;
+
+  /// The edges of candidate i's tree in the latest score(), ascending; valid
+  /// while costs[i] holds a cost and until the next score().
+  virtual std::span<const EdgeId> edges(std::size_t i) const = 0;
+};
 
 /// A graph Steiner tree heuristic usable inside the IGMST template.
 struct GmstHeuristic {
   using Build = std::function<RoutingTree(const Graph&, std::span<const NodeId>, PathOracle&)>;
-  /// Starts a round: (graph, span set, net, oracle) -> the round's scorer.
-  using Round = std::function<TrialScorer(const Graph&, std::span<const NodeId>,
-                                          std::span<const NodeId>, PathOracle&)>;
+  /// Makes the trial scorer of one IGMST run: (graph, net, oracle) -> scorer.
+  using Scorer = std::function<std::unique_ptr<TrialScorer>(const Graph&, std::span<const NodeId>,
+                                                            PathOracle&)>;
 
   /// Any callable H(graph, terminal set, shared path oracle) -> a spanning
-  /// tree of the set, with no round scorer.
+  /// tree of the set, with no scorer of its own.
   template <class F>
     requires std::invocable<F&, const Graph&, std::span<const NodeId>, PathOracle&>
   GmstHeuristic(F heuristic) : build(std::move(heuristic)) {}
-  GmstHeuristic(Build heuristic, Round scorer)
-      : build(std::move(heuristic)), round(std::move(scorer)) {}
+  GmstHeuristic(Build heuristic, Scorer trials)
+      : build(std::move(heuristic)), scorer(std::move(trials)) {}
 
   Build build;
   /// Optional: scores a round's trials without building each tree. It must
   /// agree with build() bit for bit and read the oracle as build() would.
   /// Without it a trial is scored by building its tree.
-  Round round;
+  Scorer scorer;
 };
 
 /// Options of the iterated constructions (IKMB, IZEL and IDOM), which share
@@ -73,6 +86,11 @@ struct IgmstOptions {
 /// `terminals` must be distinct; they are handed to H in the given order,
 /// with the adopted Steiner points appended, so an H that reads its first
 /// terminal as the source (IDOM's DOM) keeps it first.
+///
+/// When the oracle fans out (PathOracle::fans_out) the terminals' first
+/// trees run on its pool before H's first build (PathOracle::warm), and H's
+/// scorer may score rounds there; the result and every count are the
+/// serial ones.
 RoutingTree igmst_ordered(const Graph& g, std::span<const NodeId> terminals,
                           const GmstHeuristic& heuristic, PathOracle& oracle,
                           const IgmstOptions& options);
@@ -80,6 +98,15 @@ RoutingTree igmst_ordered(const Graph& g, std::span<const NodeId> terminals,
 /// igmst_ordered over the net's distinct terminals in ascending order.
 RoutingTree igmst(const Graph& g, std::span<const NodeId> net, const GmstHeuristic& heuristic,
                   PathOracle& oracle, const IgmstOptions& options = {});
+
+/// KMB with its round scorer: the H of ikmb(). The scorer scores a round on
+/// the oracle's pool when PathOracle::fans_out(): it grows the span set's
+/// trees to every candidate, one task per tree (PathOracle::grow), then
+/// splits the candidates across tasks that read the settled trees alone
+/// (KmbRound::score_settled). Otherwise, and for any trial a task cannot
+/// settle, it scores in candidate order on the caller. Either way the
+/// costs, the edges, the pops and the oracle's counts are the serial ones.
+GmstHeuristic kmb_heuristic();
 
 /// IGMST instantiated with KMB — the "IKMB" algorithm used by the paper's
 /// FPGA router for Tables 2-5. Performance bound 2*(1 - 1/L).

@@ -39,7 +39,7 @@ std::optional<Weight> empty_tree(std::span<const NodeId> net) {
 
 }  // namespace
 
-void KmbRound::DenseIds::reset(std::size_t keys) {
+void KmbRound::DenseIds::reserve(std::size_t keys) {
   std::size_t capacity = 16;
   int bits = 4;
   while (capacity < 2 * keys) {
@@ -51,6 +51,10 @@ void KmbRound::DenseIds::reset(std::size_t keys) {
     shift_ = 32 - bits;
     epoch_ = 0;
   }
+}
+
+void KmbRound::DenseIds::reset(std::size_t keys) {
+  reserve(keys);
   if (++epoch_ == 0) {  // the stamps wrapped: clear them once
     std::fill(slots_.begin(), slots_.end(), Slot{});
     epoch_ = 1;
@@ -83,11 +87,31 @@ std::int32_t KmbRound::DenseIds::find(std::int32_t key) const {
 }
 
 KmbRound::KmbRound(const Graph& g, std::span<const NodeId> span_set, PathOracle& oracle)
-    : g_(&g), oracle_(&oracle), span_(distinct_terminals(span_set)) {
+    : KmbRound(g, oracle) {
+  start(span_set);
+}
+
+KmbRound::KmbRound(const Graph& g, PathOracle& oracle) : g_(&g), oracle_(&oracle) {}
+
+void KmbRound::start(std::span<const NodeId> span_set) {
+  span_ = distinct_terminals(span_set);
   const std::size_t k = span_.size();
-  trees_.reserve(k);
-  for (const NodeId v : span_) trees_.push_back(oracle.cached(v));
+  trees_.clear();
+  for (const NodeId v : span_) trees_.push_back(oracle_->cached(v));
   pairs_.assign(k * k, PairSlot{});
+  path_pool_.clear();
+}
+
+bool KmbRound::score_settled(NodeId t, std::span<const NodeId> net, std::vector<EdgeId>& edges,
+                             std::optional<Weight>& cost, std::size_t& hits) {
+  settled_ = true;
+  unsettled_ = false;
+  served_ = 0;
+  cost = score(t, net, edges);
+  settled_ = false;
+  if (unsettled_) return false;
+  hits += served_;
+  return true;
 }
 
 Weight KmbRound::distance(std::int32_t a, std::int32_t b) {
@@ -97,14 +121,34 @@ Weight KmbRound::distance(std::int32_t a, std::int32_t b) {
   const std::int32_t sb = span_index(b);
   const ShortestPathTree* tu = sa < 0 ? nullptr : trees_[static_cast<std::size_t>(sa)];
   const ShortestPathTree* tv = sb < 0 ? nullptr : trees_[static_cast<std::size_t>(sb)];
-  if (tu == nullptr || tv == nullptr) return oracle_->distance(u, v);
+  if (tu == nullptr || tv == nullptr) {
+    if (!settled_) return oracle_->distance(u, v);
+    // The candidate has no tree: the span node's tree answers, as in
+    // PathOracle::distance.
+    const ShortestPathTree& tree = tu != nullptr ? *tu : *tv;
+    const NodeId probe = tu != nullptr ? v : u;
+    if (!tree.knows_now(probe)) {
+      unsettled_ = true;
+      return 0;
+    }
+    ++served_;
+    return tree.distance(probe);
+  }
   // PathOracle::distance's reads, without its cache lookups, made once.
   Weight& known =
       pairs_[static_cast<std::size_t>(sa) * span_.size() + static_cast<std::size_t>(sb)].distance;
   if (known < 0) {
-    known = tu->knows(v)   ? tu->distance(v)
-            : tv->knows(u) ? tv->distance(u)
-                           : oracle_->from_knowing(u, v).distance(v);
+    if (settled_) {
+      if (!tu->knows_now(v)) {
+        unsettled_ = true;
+        return 0;
+      }
+      known = tu->distance(v);
+    } else {
+      known = tu->knows(v)   ? tu->distance(v)
+              : tv->knows(u) ? tv->distance(u)
+                             : oracle_->from_knowing(u, v).distance(v);
+    }
   }
   return known;
 }
@@ -117,19 +161,43 @@ void KmbRound::append_path(std::int32_t a, std::int32_t b) {
   const ShortestPathTree* tu = sa < 0 ? nullptr : trees_[static_cast<std::size_t>(sa)];
   const ShortestPathTree* tv = sb < 0 ? nullptr : trees_[static_cast<std::size_t>(sb)];
   if (tu == nullptr || tv == nullptr) {
-    const auto path = oracle_->path_between(u, v);
-    expanded_.insert(expanded_.end(), path.begin(), path.end());
+    if (!settled_) {
+      const auto path = oracle_->path_between(u, v);
+      expanded_.insert(expanded_.end(), path.begin(), path.end());
+      return;
+    }
+    // As in PathOracle::path_between: from the span node's tree.
+    const ShortestPathTree& tree = tu != nullptr ? *tu : *tv;
+    const NodeId probe = tu != nullptr ? v : u;
+    if (!tree.knows_now(probe)) {
+      unsettled_ = true;
+      return;
+    }
+    ++served_;
+    tree.append_path_edges_to(probe, expanded_);
     return;
   }
   // PathOracle::path_between's reads, without its cache lookups, made once.
   PairSlot& slot =
       pairs_[static_cast<std::size_t>(sa) * span_.size() + static_cast<std::size_t>(sb)];
   if (slot.begin < 0) {
-    const auto path = tu->knows(v)   ? tu->path_edges_to(v)
-                      : tv->knows(u) ? tv->path_edges_to(u)
-                                     : oracle_->from_knowing(u, v).path_edges_to(v);
+    const ShortestPathTree* tree = tu;
+    NodeId probe = v;
+    if (settled_) {
+      if (!tu->knows_now(v)) {
+        unsettled_ = true;
+        return;
+      }
+    } else if (!tu->knows(v)) {
+      if (tv->knows(u)) {
+        tree = tv;
+        probe = u;
+      } else {
+        tree = &oracle_->from_knowing(u, v);
+      }
+    }
     slot.begin = static_cast<std::int32_t>(path_pool_.size());
-    path_pool_.insert(path_pool_.end(), path.begin(), path.end());
+    tree->append_path_edges_to(probe, path_pool_);
     slot.end = static_cast<std::int32_t>(path_pool_.size());
   }
   expanded_.insert(expanded_.end(), path_pool_.begin() + slot.begin,
@@ -159,6 +227,7 @@ std::optional<Weight> KmbRound::score(NodeId t, std::span<const NodeId> net,
       matrix_[static_cast<std::size_t>(j) * un + static_cast<std::size_t>(i)] = w;
     }
   }
+  if (unsettled_) return std::nullopt;  // score_settled: the caller scores it
 
   // Step 2: Prim from trial node 0, the lowest index winning ties (as
   // DistanceGraph::prim_mst). The fault hook runs it on negated weights and
@@ -198,6 +267,7 @@ std::optional<Weight> KmbRound::score(NodeId t, std::span<const NodeId> net,
   // Step 3: expand each MST edge into its shortest path, in Prim's order.
   expanded_.clear();
   for (const auto& [a, b] : mst_) append_path(a, b);
+  if (unsettled_) return std::nullopt;
   return finish(net, inverted, edges);
 }
 

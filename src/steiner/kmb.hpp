@@ -46,16 +46,42 @@ extern std::atomic<bool> kmb_invert_mst_selection;
 /// the difference. IGMST caches the span set's trees before each round.
 ///
 /// The round holds the oracle and the graph by reference; both must outlive
-/// it, and the graph must not change while it is in use.
+/// it, and the graph must not change while it is in use. start() begins a
+/// new round and keeps the buffers, so one round object serves every round
+/// of an IGMST run.
 class KmbRound {
  public:
   KmbRound(const Graph& g, std::span<const NodeId> span_set, PathOracle& oracle);
+
+  /// A round with no span set yet; start() gives it one.
+  KmbRound(const Graph& g, PathOracle& oracle);
+
+  /// Begins a round over `span_set`: takes the oracle's cached trees of its
+  /// nodes and forgets what the previous round read.
+  void start(std::span<const NodeId> span_set);
+
+  /// The round's span set, sorted and distinct.
+  std::span<const NodeId> span() const { return span_; }
 
   /// KMB over the span set plus `t` (kInvalidNode: the span set alone).
   /// Leaves the tree's edges in `edges`, ascending, and returns its cost
   /// when it spans `net` (as RoutingTree::spans decides), else nullopt. The
   /// edges and cost are bit for bit those of kmb() over the same set.
   std::optional<Weight> score(NodeId t, std::span<const NodeId> net, std::vector<EdgeId>& edges);
+
+  /// score() for a pool task that shares the span set's trees with other
+  /// tasks. Every read goes straight to a span-set tree, and only to a node
+  /// that tree has settled (ShortestPathTree::knows_now), so no tree grows
+  /// and the oracle is not touched. The tree read is the one PathOracle
+  /// would serve from: no tree is cached for `t`, so a pair with `t` is
+  /// read from its span node's tree. Returns false when the trial needs a
+  /// node some tree has not settled; the caller then scores `t` with
+  /// score(). Otherwise sets `cost` as score() would and adds to `hits`
+  /// the cache hits score() would count on the oracle.
+  /// Requires every span node's tree cached when the round started, none
+  /// cached for `t`, and the trees paused with no budget limit.
+  bool score_settled(NodeId t, std::span<const NodeId> net, std::vector<EdgeId>& edges,
+                     std::optional<Weight>& cost, std::size_t& hits);
 
  private:
   /// Distance between trial nodes a < b, read as (a, b).
@@ -94,6 +120,13 @@ class KmbRound {
   std::vector<PairSlot> pairs_;
   std::vector<EdgeId> path_pool_;
 
+  // score_settled's mode: reads go to settled nodes only. `unsettled_`
+  // records a read that would have grown a tree, `served_` the reads
+  // PathOracle would have counted as hits.
+  bool settled_ = false;
+  bool unsettled_ = false;
+  std::size_t served_ = 0;
+
   // Per-trial state: the candidate's trial index (k when there is none) and
   // node, and buffers reused from trial to trial.
   std::int32_t cand_ = 0;
@@ -111,6 +144,8 @@ class KmbRound {
    public:
     /// Empties the table, sized for up to `keys` keys.
     void reset(std::size_t keys);
+    /// Allocates for up to `keys` keys, so reset() need not.
+    void reserve(std::size_t keys);
     /// Adds `key`; false if it was already in.
     bool insert(std::int32_t key);
     /// The index of `key`, adding it as the next one if absent.
