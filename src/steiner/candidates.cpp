@@ -54,25 +54,33 @@ std::vector<NodeId> SteinerCandidates::next(std::span<const NodeId> span_set,
       // The full scan's reads of the new pairs (j >= old), in its i-major
       // order. A pair read before gives the nodes it gave then, and reading
       // a settled node grows nothing, so the old pairs are not read again.
+      // A node joins fresh_ once, on its first sighting, so only the
+      // corridor's new nodes are sorted.
+      in_corridor_.resize(static_cast<std::size_t>(g.node_count()), 0);
+      const auto add = [this](NodeId v) {
+        char& seen = in_corridor_[static_cast<std::size_t>(v)];
+        if (seen == 0) {
+          seen = 1;
+          fresh_.push_back(v);
+        }
+      };
       fresh_.clear();
       for (std::size_t i = 0; i < scanned_.size(); ++i) {
         const auto& spt = oracle.from(scanned_[i]);
         for (std::size_t j = std::max(i + 1, old); j < scanned_.size(); ++j) {
           if (!spt.reached(scanned_[j])) continue;
           for (const NodeId v : spt.path_nodes_to(scanned_[j])) {
-            fresh_.push_back(v);
+            add(v);
             for (const EdgeId e : g.incident_edges(v)) {
-              if (g.edge_usable(e)) fresh_.push_back(g.other_end(e, v));
+              if (g.edge_usable(e)) add(g.other_end(e, v));
             }
           }
         }
       }
       std::sort(fresh_.begin(), fresh_.end());
-      fresh_.erase(std::unique(fresh_.begin(), fresh_.end()), fresh_.end());
       const auto mid = static_cast<std::ptrdiff_t>(corridor_.size());
       corridor_.insert(corridor_.end(), fresh_.begin(), fresh_.end());
       std::inplace_merge(corridor_.begin(), corridor_.begin() + mid, corridor_.end());
-      corridor_.erase(std::unique(corridor_.begin(), corridor_.end()), corridor_.end());
       for (const NodeId v : corridor_) {
         if (candidate(v)) nodes.push_back(v);
       }

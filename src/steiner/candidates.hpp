@@ -48,7 +48,8 @@ class SteinerCandidates {
   std::vector<NodeId> scanned_;      // the span set of the previous call
   std::vector<NodeId> sorted_span_;  // scanned_, sorted
   std::vector<NodeId> corridor_;     // sorted, distinct
-  std::vector<NodeId> fresh_;
+  std::vector<char> in_corridor_;    // by node: 1 once in corridor_ (or fresh_)
+  std::vector<NodeId> fresh_;        // this call's new corridor nodes
 };
 
 /// Candidate Steiner nodes for the given terminal set: one call of a fresh
