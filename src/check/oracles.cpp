@@ -284,8 +284,9 @@ CheckResult check_routing_feasibility(const ArchSpec& arch, const Circuit& circu
   Device device(arch);
   if (faults != nullptr && faults->any()) device.install_faults(*faults);
   if (events != nullptr && !events->empty()) device.apply_fault_event(*events);
-  const FaultModel* fault_model = device.faults();
-  const bool any_events = events != nullptr && !events->empty();
+  const FaultEvent none;
+  const FaultEvent& installed = device.faults() != nullptr ? *device.faults() : none;
+  const FaultEvent& overlay = device.fault_event_overlay();
   const Graph& g = device.graph();
   std::unordered_map<NodeId, std::size_t> wire_owner;  // wire node -> net index
   std::map<std::tuple<int, int, int>, int> tile_tracks_used;  // (dir, x, y) -> wires
@@ -324,21 +325,17 @@ CheckResult check_routing_feasibility(const ArchSpec& arch, const Circuit& circu
     // neither the installed distribution nor the live event overlay. (Tree
     // validity below also rejects unusable edges, but these messages name
     // the defect explicitly.)
-    if (fault_model != nullptr || any_events) {
-      for (const EdgeId e : nr.edges) {
-        if ((fault_model != nullptr && fault_model->edge_faulted(e)) ||
-            (any_events && events->edge_faulted(e))) {
+    for (const EdgeId e : nr.edges) {
+      if (installed.edge_faulted(e) || overlay.edge_faulted(e)) {
+        std::ostringstream os;
+        os << where.str() << "route traverses faulted edge " << e;
+        r.fail(os.str());
+      }
+      for (const NodeId v : {g.edge(e).u, g.edge(e).v}) {
+        if (device.is_wire(v) && (installed.wire_faulted(v) || overlay.wire_faulted(v))) {
           std::ostringstream os;
-          os << where.str() << "route traverses faulted edge " << e;
+          os << where.str() << "route occupies faulted wire node " << v;
           r.fail(os.str());
-        }
-        for (const NodeId v : {g.edge(e).u, g.edge(e).v}) {
-          if (device.is_wire(v) && ((fault_model != nullptr && fault_model->wire_faulted(v)) ||
-                                    (any_events && events->wire_faulted(v)))) {
-            std::ostringstream os;
-            os << where.str() << "route occupies faulted wire node " << v;
-            r.fail(os.str());
-          }
         }
       }
     }
@@ -452,7 +449,7 @@ CheckResult check_routing_feasibility(const ArchSpec& arch, const Circuit& circu
        << " kAbortedBudget nets";
     r.fail(os.str());
   }
-  if (blocked > 0 && (faults == nullptr || !faults->any()) && !any_events) {
+  if (blocked > 0 && installed.empty() && overlay.empty()) {
     r.fail("kBlockedByFault nets reported on a device with no installed faults");
   }
 
@@ -713,12 +710,12 @@ CheckResult check_repair(const ArchSpec& arch, const Circuit& seed,
         r.fail(os.str());
       }
     }
-    const FaultModel* fault_model = device.faults();
+    const FaultEvent* installed = device.faults();
     int activity_mismatches = 0;
     for (NodeId v = 0; v < g.node_count(); ++v) {
       if (!device.is_wire(v)) continue;
       const bool expect_dead = owner[static_cast<std::size_t>(v)] >= 0 ||
-                               (fault_model != nullptr && fault_model->wire_faulted(v)) ||
+                               (installed != nullptr && installed->wire_faulted(v)) ||
                                cumulative.wire_faulted(v);
       if (g.node_active(v) == expect_dead && ++activity_mismatches <= 3) {
         std::ostringstream os;

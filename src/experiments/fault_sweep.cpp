@@ -56,13 +56,13 @@ FaultSweepResult run_fault_sweep(std::span<const CircuitProfile> profiles, ArchF
 
     WidthSearchOptions search;
     search.max_width = options.max_width;
-    search.node_budget_per_probe = options.node_budget_per_probe;
     // Nested width-probe parallelism rides the shared pool; a serial sweep
     // stays serial all the way down.
     search.threads = options.threads == 1 ? 1 : 0;
 
     RouterOptions router;
     router.max_passes = options.max_passes;
+    router.node_budget = options.node_budget_per_probe;
 
     row.cells.reserve(options.fault_permilles.size());
     for (const int permille : options.fault_permilles) {
@@ -87,9 +87,7 @@ FaultSweepResult run_fault_sweep(std::span<const CircuitProfile> profiles, ArchF
       if (row.fault_free_width > 0) {
         Device device(base.with_width(row.fault_free_width));
         if (cell.faults.any()) device.install_faults(cell.faults);
-        RouterOptions degraded_router = router;
-        degraded_router.node_budget = options.node_budget_per_probe;
-        cell.degraded = route_circuit(device, circuit, degraded_router);
+        cell.degraded = route_circuit(device, circuit, router);
         cell.routed_fraction = cell.degraded.routed_fraction();
         cell.nets_blocked_by_fault = cell.degraded.nets_blocked_by_fault;
         cell.nets_rerouted_around_faults = cell.degraded.nets_rerouted_around_faults;

@@ -29,9 +29,10 @@ struct FaultSweepOptions {
   int max_passes = 12;
   int max_width = 24;
 
-  /// Deterministic per-probe node-expansion budget (0 = unlimited); keeps
-  /// the sweep's wall-clock bounded on pathological defect draws without
-  /// introducing wall-clock nondeterminism.
+  /// Deterministic node-expansion budget of each width probe and of the
+  /// yield route (0 = unlimited); keeps the sweep's wall-clock bounded on
+  /// pathological defect draws without introducing wall-clock
+  /// nondeterminism.
   long long node_budget_per_probe = 0;
 
   /// Worker threads for the circuit sweep (0 = shared pool, 1 = serial);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iterator>
 
 #include "core/contract.hpp"
 #include "fpga/switchbox.hpp"
@@ -214,20 +215,20 @@ int Device::used_wire_count() const {
   for (NodeId v = block_count_; v < graph_.node_count(); ++v) {
     if (!graph_.node_active(v)) ++used;
   }
-  // Faulted wires are permanently inactive but were never consumed by a
-  // net; reporting them as "used" would make degradation stats double-count
-  // defects as routing demand. Event-dead wires likewise — minus any
-  // overlap with the installed fault set, which was already subtracted.
-  if (faults_ != nullptr) used -= static_cast<int>(faults_->dead_wires().size());
-  for (const NodeId v : events_.dead_wires) {
-    if (faults_ == nullptr || !faults_->wire_faulted(v)) --used;
-  }
-  return used;
+  // Dead wires are permanently inactive but were never consumed by a net;
+  // reporting them as "used" would make degradation stats double-count
+  // defects as routing demand. A wire both layers name counts once.
+  const std::vector<NodeId> none;
+  const std::vector<NodeId>& installed = faults_ != nullptr ? faults_->dead_wires : none;
+  std::vector<NodeId> dead;
+  std::set_union(installed.begin(), installed.end(), events_.dead_wires.begin(),
+                 events_.dead_wires.end(), std::back_inserter(dead));
+  return used - static_cast<int>(dead.size());
 }
 
 void Device::install_faults(const FaultSpec& spec) {
   FPR_CHECK(spec.valid(), "install_faults: invalid spec " << spec.describe());
-  faults_ = std::make_shared<const FaultModel>(FaultModel::draw(*this, spec));
+  faults_ = std::make_shared<const FaultEvent>(draw_faults(*this, spec));
   reset();
 }
 
@@ -236,20 +237,28 @@ void Device::clear_faults() {
   reset();
 }
 
+void Device::remove_dead(const FaultEvent& dead) {
+  for (const NodeId v : dead.dead_wires) {
+    if (graph_.node_active(v)) graph_.remove_node(v);
+  }
+  for (const EdgeId e : dead.dead_edges) {
+    if (graph_.edge_active(e)) graph_.remove_edge(e);
+  }
+}
+
 void Device::apply_fault_event(const FaultEvent& event) {
   for (const NodeId v : event.dead_wires) {
     FPR_CHECK(is_wire(v), "apply_fault_event: node " << v << " is not a wire (wires are ["
                                                      << block_count_ << ", "
                                                      << graph_.node_count() << "))");
-    // Activity-guarded: a wire already consumed by a net (or already dead)
-    // stays as-is; the overlay record below is what makes it permanent.
-    if (graph_.node_active(v)) graph_.remove_node(v);
   }
   for (const EdgeId e : event.dead_edges) {
     FPR_CHECK(e >= 0 && e < graph_.edge_count(),
               "apply_fault_event: edge " << e << " outside [0, " << graph_.edge_count() << ")");
-    if (graph_.edge_active(e)) graph_.remove_edge(e);
   }
+  // A wire already consumed by a net stays as it is; the overlay record is
+  // what makes it permanent.
+  remove_dead(event);
   events_.merge(event);
 }
 
@@ -259,46 +268,26 @@ void Device::clear_fault_events() {
 }
 
 void Device::reset() {
-  if (graph_.touch_tracking()) {
-    // Replay only what this pass mutated, in ascending id order — the same
-    // subsequence of operations the full scan below would perform (elements
-    // it skips were never mutated), so the restored state is bit-identical.
-    std::vector<NodeId> nodes(graph_.touched_nodes().begin(), graph_.touched_nodes().end());
-    std::vector<EdgeId> edges(graph_.touched_edges().begin(), graph_.touched_edges().end());
-    std::sort(nodes.begin(), nodes.end());
-    std::sort(edges.begin(), edges.end());
-    graph_.clear_touched();
-    for (const NodeId v : nodes) {
-      if (!graph_.node_active(v)) graph_.restore_node(v);
-    }
-    for (const EdgeId e : edges) {
-      if (!graph_.edge_active(e)) graph_.restore_edge(e);
-      if (graph_.edge_weight(e) != 1.0) graph_.set_edge_weight(e, 1.0);
-    }
-  } else {
-    for (NodeId v = 0; v < graph_.node_count(); ++v) {
-      if (!graph_.node_active(v)) graph_.restore_node(v);
-    }
-    for (EdgeId e = 0; e < graph_.edge_count(); ++e) {
-      if (!graph_.edge_active(e)) graph_.restore_edge(e);
-      if (graph_.edge_weight(e) != 1.0) graph_.set_edge_weight(e, 1.0);
-    }
+  FPR_CHECK(graph_.touch_tracking(), "Device::reset: touch tracking is off");
+  // Replay only what this pass mutated, in ascending id order. Elements a
+  // scan over every id would also visit were never mutated, so the
+  // restored state is bit-identical to that scan's.
+  std::vector<NodeId> nodes(graph_.touched_nodes().begin(), graph_.touched_nodes().end());
+  std::vector<EdgeId> edges(graph_.touched_edges().begin(), graph_.touched_edges().end());
+  std::sort(nodes.begin(), nodes.end());
+  std::sort(edges.begin(), edges.end());
+  graph_.clear_touched();
+  for (const NodeId v : nodes) {
+    if (!graph_.node_active(v)) graph_.restore_node(v);
   }
-  if (faults_ != nullptr) {
-    // Defects outlive routing state: every pass starts from the same
-    // faulted-but-empty device.
-    for (const NodeId v : faults_->dead_wires()) graph_.remove_node(v);
-    for (const EdgeId e : faults_->dead_edges()) graph_.remove_edge(e);
+  for (const EdgeId e : edges) {
+    if (!graph_.edge_active(e)) graph_.restore_edge(e);
+    if (graph_.edge_weight(e) != 1.0) graph_.set_edge_weight(e, 1.0);
   }
-  // The live-event overlay outlives routing state the same way. Guarded
-  // because an event may name an element the installed fault set already
-  // killed above.
-  for (const NodeId v : events_.dead_wires) {
-    if (graph_.node_active(v)) graph_.remove_node(v);
-  }
-  for (const EdgeId e : events_.dead_edges) {
-    if (graph_.edge_active(e)) graph_.remove_edge(e);
-  }
+  // Defects outlive routing state: every pass starts from the same
+  // faulted-but-empty device, installed set first, then the overlay.
+  if (faults_ != nullptr) remove_dead(*faults_);
+  remove_dead(events_);
 }
 
 }  // namespace fpr

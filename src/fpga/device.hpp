@@ -138,8 +138,8 @@ class Device {
   /// faulted — injected defects are permanent, not routing state).
   int used_wire_count() const;
 
-  /// Draws the defect set `spec` induces on this device (FaultModel::draw)
-  /// and applies it. Faults are persistent: every subsequent reset()
+  /// Draws the defect set `spec` induces on this device (draw_faults) and
+  /// applies it. Faults are persistent: every subsequent reset()
   /// restores the base state and then re-applies them, so rip-up passes
   /// never resurrect a dead wire. Replaces any previously installed fault
   /// set. FPR_CHECKs that the spec is valid.
@@ -149,7 +149,7 @@ class Device {
   void clear_faults();
 
   /// The installed fault set, or nullptr for a pristine device.
-  const FaultModel* faults() const { return faults_.get(); }
+  const FaultEvent* faults() const { return faults_.get(); }
   bool has_faults() const { return faults_ != nullptr && !faults_->empty(); }
 
   /// Applies a live fault event on top of whatever is installed AND routed:
@@ -169,22 +169,27 @@ class Device {
   const FaultEvent& fault_event_overlay() const { return events_; }
   bool has_fault_events() const { return !events_.empty(); }
   bool event_wire_faulted(NodeId v) const { return events_.wire_faulted(v); }
-  bool event_edge_faulted(EdgeId e) const { return events_.edge_faulted(e); }
 
   /// Drops the event overlay and restores the device (routing state
   /// included — same semantics as clear_faults()).
   void clear_fault_events();
 
   /// Restores every node/edge to active and every weight to the base 1.0,
-  /// then re-applies the installed faults (if any). O(touched state), not
-  /// O(V + E): the graph records which elements each pass mutated and only
-  /// those are replayed — in the exact ascending-id order the historical
-  /// full-scan reset used, so the resulting state (weights, activity,
-  /// aggregate float trajectories) is bit-identical to it.
+  /// then re-applies the installed faults and the event overlay. O(touched
+  /// state), not O(V + E): the graph records which elements each pass
+  /// mutated (tracking is on from construction) and only those are
+  /// replayed, in ascending id order — the order a scan over every id
+  /// would visit them, so the restored state (weights, activity, aggregate
+  /// float trajectories) is bit-identical to such a scan's.
   void reset();
 
  private:
   void build_legacy();
+
+  /// Removes the still-active elements of `dead`, wires then edges. Guarded,
+  /// because an element may already be inactive: consumed by a net, or
+  /// killed by the other fault layer.
+  void remove_dead(const FaultEvent& dead);
 
   /// Division by a divisor fixed at construction with one multiply and a
   /// shift (Granlund and Montgomery 1994): with s = ceil(log2 d) and
@@ -238,9 +243,9 @@ class Device {
   NodeId vwire_base_ = 0;  // first vertical wire node
   EdgeId connection_edge_count_ = 0;  // edges below this id are CB edges
   Segment segments_[3];  // tile_of's layout: blocks, h-wires, v-wires
-  // shared_ptr so Device copies (one per width probe) share the immutable
-  // model instead of re-sampling it.
-  std::shared_ptr<const FaultModel> faults_;
+  // shared_ptr so Device copies (one per width probe) share the installed
+  // set instead of re-drawing it.
+  std::shared_ptr<const FaultEvent> faults_;
   FaultEvent events_;  // live-event overlay, re-applied by reset()
 };
 

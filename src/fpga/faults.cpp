@@ -106,10 +106,9 @@ std::optional<FaultSpec> FaultSpec::parse(const std::string& line) {
   return spec;
 }
 
-FaultModel FaultModel::draw(const Device& device, const FaultSpec& spec) {
-  FPR_CHECK(spec.valid(), "FaultModel::draw: invalid spec " << spec.describe());
-  FaultModel model;
-  model.spec_ = spec;
+FaultEvent draw_faults(const Device& device, const FaultSpec& spec) {
+  FPR_CHECK(spec.valid(), "draw_faults: invalid spec " << spec.describe());
+  FaultEvent faults;
 
   const Graph& g = device.graph();
   const NodeId wire_base = device.block_count();
@@ -119,7 +118,7 @@ FaultModel FaultModel::draw(const Device& device, const FaultSpec& spec) {
     const std::uint64_t stream = wire_stream(spec.seed);
     for (NodeId v = wire_base; v < g.node_count(); ++v) {
       if (hit(stream, static_cast<std::uint64_t>(v), spec.wire_permille)) {
-        model.dead_wires_.push_back(v);
+        faults.dead_wires.push_back(v);
       }
     }
   }
@@ -130,12 +129,12 @@ FaultModel FaultModel::draw(const Device& device, const FaultSpec& spec) {
     if (device.is_connection_edge(e)) {
       if (spec.pin_permille > 0 &&
           hit(pin_stream(spec.seed), static_cast<std::uint64_t>(e), spec.pin_permille)) {
-        model.dead_edges_.push_back(e);
+        faults.dead_edges.push_back(e);
       }
     } else if (spec.switch_permille > 0 &&
                hit(switch_stream(spec.seed), static_cast<std::uint64_t>(e),
                    spec.switch_permille)) {
-      model.dead_edges_.push_back(e);
+      faults.dead_edges.push_back(e);
     }
   }
 
@@ -156,26 +155,13 @@ FaultModel FaultModel::draw(const Device& device, const FaultSpec& spec) {
         const Device::WireRef ref = device.wire_ref(v);
         const int dx = ref.x > cx ? ref.x - cx : cx - ref.x;
         const int dy = ref.y > cy ? ref.y - cy : cy - ref.y;
-        if (std::max(dx, dy) <= spec.cluster_radius) model.dead_wires_.push_back(v);
+        if (std::max(dx, dy) <= spec.cluster_radius) faults.dead_wires.push_back(v);
       }
     }
   }
 
-  const auto dedupe = [](auto& ids) {
-    std::sort(ids.begin(), ids.end());
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  };
-  dedupe(model.dead_wires_);
-  dedupe(model.dead_edges_);
-  return model;
-}
-
-bool FaultModel::wire_faulted(NodeId v) const {
-  return std::binary_search(dead_wires_.begin(), dead_wires_.end(), v);
-}
-
-bool FaultModel::edge_faulted(EdgeId e) const {
-  return std::binary_search(dead_edges_.begin(), dead_edges_.end(), e);
+  faults.normalize();
+  return faults;
 }
 
 }  // namespace fpr

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -52,19 +51,20 @@ struct FaultSpec {
   friend bool operator==(const FaultSpec&, const FaultSpec&) = default;
 };
 
-/// A live defect delta against an *already-routed* device — the unit the
-/// incremental repair engine (router/repair.hpp) consumes. Where a
-/// FaultSpec describes a defect *distribution* sampled before routing, a
-/// FaultEvent names the concrete elements that just died mid-service
-/// ("this wire broke, that switch fused"), so it can be applied to a
-/// device without disturbing the routing state already committed on it
-/// (Device::apply_fault_event).
+/// A concrete defect set: the wire nodes and edges that are dead. It is
+/// the one type for both fault layers. draw_faults() returns the set a
+/// FaultSpec induces before routing, which Device::install_faults keeps;
+/// a live event names elements that just died mid-service against an
+/// *already-routed* device ("this wire broke, that switch fused"), the
+/// unit the incremental repair engine (router/repair.hpp) consumes, and
+/// Device::apply_fault_event applies it without disturbing the routing
+/// state already committed.
 ///
 /// Both lists are kept sorted and unique: normalize() enforces it after
-/// hand-assembly, parse() returns normalized events, and the membership
-/// tests below assume it. That also makes describe() canonical — equal
-/// events serialize to equal lines, which the repair journal's replay
-/// bit-identity contract relies on.
+/// hand-assembly, parse() and draw_faults() return normalized sets, and
+/// the membership tests below assume it. That also makes describe()
+/// canonical — equal sets serialize to equal lines, which the repair
+/// journal's replay bit-identity contract relies on.
 struct FaultEvent {
   std::vector<NodeId> dead_wires;  // sorted, unique wire-node ids
   std::vector<EdgeId> dead_edges;  // sorted, unique edge ids
@@ -99,43 +99,11 @@ struct FaultEvent {
   friend bool operator==(const FaultEvent&, const FaultEvent&) = default;
 };
 
-/// The concrete defect set a FaultSpec induces on one Device: the dead wire
-/// nodes and dead edges, materialized once and then re-applied by every
-/// Device::reset() so faults survive router passes.
-///
-/// Deterministic by construction: draw() depends only on (spec, device
-/// topology), so the same seed yields the same fault set on every platform,
-/// which is what makes fault repros replayable and the fault sweep's
-/// committed JSON stable.
-class FaultModel {
- public:
-  FaultModel() = default;
-
-  /// Samples the defect set `spec` induces on `device` (which must be in
-  /// any state — only its topology is read).
-  static FaultModel draw(const Device& device, const FaultSpec& spec);
-
-  const FaultSpec& spec() const { return spec_; }
-
-  /// Stuck-open wire segments (sorted, unique wire-node ids).
-  std::span<const NodeId> dead_wires() const { return dead_wires_; }
-
-  /// Dead switchbox connections + dead connection-block pins (sorted,
-  /// unique edge ids).
-  std::span<const EdgeId> dead_edges() const { return dead_edges_; }
-
-  bool wire_faulted(NodeId v) const;
-  bool edge_faulted(EdgeId e) const;
-
-  int fault_count() const {
-    return static_cast<int>(dead_wires_.size() + dead_edges_.size());
-  }
-  bool empty() const { return dead_wires_.empty() && dead_edges_.empty(); }
-
- private:
-  FaultSpec spec_;
-  std::vector<NodeId> dead_wires_;  // sorted, unique
-  std::vector<EdgeId> dead_edges_;  // sorted, unique
-};
+/// Samples the defect set `spec` induces on `device` (in any state — only
+/// its topology is read). Deterministic by construction: the set depends
+/// only on (spec, device topology), so the same seed yields the same
+/// faults on every platform, which is what makes fault repros replayable
+/// and the fault sweep's committed JSON stable. FPR_CHECKs spec.valid().
+FaultEvent draw_faults(const Device& device, const FaultSpec& spec);
 
 }  // namespace fpr

@@ -81,7 +81,7 @@ JournalReplayResult replay_journal(Device& device, const Circuit& seed,
   JournalReplayResult replay;
   replay.circuit = seed;
 
-  // The seed state: spec faults (FaultModel) are part of the device and
+  // The seed state: the installed fault set is part of the device and
   // stay; any accumulated event overlay is NOT — the journal's events will
   // rebuild it in order.
   device.clear_fault_events();

@@ -293,21 +293,11 @@ RepairOutcome repair_route(Device& device, Circuit& circuit, RoutingResult& resu
   // a zero-pass route): any cone net it missed repairs in index order.
   for (std::size_t idx = 0; idx < pending.size(); ++idx) repair_net(idx);
 
-  // --- 6. Outcome + full recount of the result's summary fields, so the
-  // repaired RoutingResult replays clean through the feasibility oracle. ---
-  for (std::size_t k = 0; k < cone.size(); ++k) {
-    const NetRouteResult& record = result.nets[cone[k]];
-    if (record.routed()) {
-      ++outcome.repaired;
-      if (before[k].routed && record.physical_wirelength > before[k].physical_wirelength) {
-        outcome.detour_overhead += record.physical_wirelength - before[k].physical_wirelength;
-      }
-    } else if (record.status == NetStatus::kAbortedBudget) {
-      ++outcome.aborted;
-    } else {
-      ++outcome.degraded;
-    }
-  }
+  // --- 6. Full recount of the result's summary fields, so the repaired
+  // RoutingResult replays clean through the feasibility oracle, then the
+  // outcome. It is counted after finish_result because classify_fault_blocked
+  // may turn degraded cone nets into fault-blocked ones; routed nets and
+  // their wirelengths stay as they are. ---
   outcome.budget_used = budget.used;
   result.work_used += budget.used;
 
@@ -318,14 +308,14 @@ RepairOutcome repair_route(Device& device, Circuit& circuit, RoutingResult& resu
   result.success = result.failed_nets == 0;
   router_internal::finish_result(device, circuit, options, result);
 
-  // classify_fault_blocked may have reclassified degraded cone nets; keep
-  // the outcome's split consistent with the final statuses.
-  outcome.degraded = 0;
-  outcome.aborted = 0;
-  for (const std::size_t i : cone) {
-    const NetRouteResult& record = result.nets[i];
-    if (record.routed()) continue;
-    if (record.status == NetStatus::kAbortedBudget) {
+  for (std::size_t k = 0; k < cone.size(); ++k) {
+    const NetRouteResult& record = result.nets[cone[k]];
+    if (record.routed()) {
+      ++outcome.repaired;
+      if (before[k].routed && record.physical_wirelength > before[k].physical_wirelength) {
+        outcome.detour_overhead += record.physical_wirelength - before[k].physical_wirelength;
+      }
+    } else if (record.status == NetStatus::kAbortedBudget) {
       ++outcome.aborted;
     } else {
       ++outcome.degraded;

@@ -151,8 +151,8 @@ void classify_fault_blocked(const Device& device, const Circuit& circuit,
       probe = std::make_unique<Device>(device.spec());
       // The probe mirrors the device's defects only: installed fault set
       // plus the live-event overlay (either may be absent on its own).
-      if (device.faults() != nullptr) probe->install_faults(device.faults()->spec());
-      if (device.has_fault_events()) probe->apply_fault_event(device.fault_event_overlay());
+      if (device.faults() != nullptr) probe->apply_fault_event(*device.faults());
+      probe->apply_fault_event(device.fault_event_overlay());
       oracle_storage = std::make_unique<PathOracle>(probe->graph());
       oracle = oracle_storage.get();
     }

@@ -134,9 +134,6 @@ WidthSearchResult find_min_channel_width(const ArchSpec& base, const Circuit& ci
     RouterOptions opts = router_options;
     // The lanes fill the pool; a route inside one stays serial.
     opts.threads = 1;
-    if (search_options.node_budget_per_probe > 0) {
-      opts.node_budget = search_options.node_budget_per_probe;
-    }
     return route_circuit(device, circuit, opts);
   };
 

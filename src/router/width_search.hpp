@@ -19,14 +19,6 @@ struct WidthSearchOptions {
   /// threads only change wall-clock time.
   int threads = 0;
 
-  /// Deterministic node-expansion budget granted to EACH width probe
-  /// (overrides RouterOptions::node_budget when > 0; 0 keeps it). Per-probe
-  /// rather than shared across the search on purpose: a shared pot would
-  /// make one width's outcome depend on which speculative probes ran before
-  /// it, destroying the serial-replay contract. Fresh budgets keep every
-  /// per-width outcome a pure function of the width.
-  long long node_budget_per_probe = 0;
-
   /// Fault spec to install on every probe device (the same defect
   /// distribution re-drawn at each width) — the yield-curve experiments
   /// ask "what width does this DEFECTIVE part need". nullopt = pristine.
@@ -98,6 +90,11 @@ struct WidthSearchResult {
 /// and `undecided_probes` are bit-identical to the serial search for every
 /// thread count. Speculative probes that the serial search would not have
 /// made are NOT recorded.
+///
+/// **Per-probe budget.** Each probe is one route_circuit call, which starts
+/// a fresh WorkBudget of `router_options.node_budget`, so a finite budget
+/// is granted to EACH probe. A pot shared across the search would make one
+/// width's outcome depend on which speculative probes ran before it.
 ///
 /// Degenerate ranges are guarded: `min_width` is clamped up to 1, and an
 /// empty range (`min_width > max_width` after clamping, or

@@ -1,6 +1,7 @@
-// Fault-injection layer: FaultSpec serialization round-trips, FaultModel
-// draw determinism and category targeting, and Device fault persistence
-// across reset() (the property rip-up-and-reroute depends on).
+// Fault-injection layer: FaultSpec serialization round-trips, draw_faults
+// determinism and category targeting, and Device fault persistence across
+// reset() (the property rip-up-and-reroute depends on), for the installed
+// set and the live-event overlay together.
 
 #include "fpga/faults.hpp"
 
@@ -12,6 +13,7 @@
 #include "core/contract.hpp"
 #include "core/rng.hpp"
 #include "fpga/device.hpp"
+#include "router/router.hpp"
 
 namespace fpr {
 namespace {
@@ -77,21 +79,14 @@ TEST(FaultSpecTest, ValidityAndAny) {
 TEST(FaultModelTest, DrawIsDeterministic) {
   const Device device(ArchSpec::xc4000(6, 6, 4));
   const FaultSpec spec = sample_spec();
-  const FaultModel a = FaultModel::draw(device, spec);
-  const FaultModel b = FaultModel::draw(device, spec);
+  const FaultEvent a = draw_faults(device, spec);
+  const FaultEvent b = draw_faults(device, spec);
   ASSERT_FALSE(a.empty());
-  EXPECT_TRUE(std::equal(a.dead_wires().begin(), a.dead_wires().end(),
-                         b.dead_wires().begin(), b.dead_wires().end()));
-  EXPECT_TRUE(std::equal(a.dead_edges().begin(), a.dead_edges().end(),
-                         b.dead_edges().begin(), b.dead_edges().end()));
+  EXPECT_TRUE(a == b);
 
   FaultSpec other = spec;
   other.seed = 8;
-  const FaultModel c = FaultModel::draw(device, other);
-  EXPECT_FALSE(std::equal(a.dead_wires().begin(), a.dead_wires().end(),
-                          c.dead_wires().begin(), c.dead_wires().end()) &&
-               std::equal(a.dead_edges().begin(), a.dead_edges().end(),
-                          c.dead_edges().begin(), c.dead_edges().end()));
+  EXPECT_FALSE(a == draw_faults(device, other));
 }
 
 TEST(FaultModelTest, WireFaultsNeverHitBlockNodes) {
@@ -100,13 +95,13 @@ TEST(FaultModelTest, WireFaultsNeverHitBlockNodes) {
   spec.seed = 11;
   spec.wire_permille = 500;  // dense draw to exercise the whole id range
   spec.clusters = 2;
-  const FaultModel model = FaultModel::draw(device, spec);
+  const FaultEvent model = draw_faults(device, spec);
   ASSERT_FALSE(model.empty());
-  for (const NodeId v : model.dead_wires()) {
+  for (const NodeId v : model.dead_wires) {
     EXPECT_TRUE(device.is_wire(v)) << "fault hit non-wire node " << v;
   }
   // Membership queries agree with the materialized lists.
-  EXPECT_TRUE(model.wire_faulted(model.dead_wires().front()));
+  EXPECT_TRUE(model.wire_faulted(model.dead_wires.front()));
   EXPECT_FALSE(model.wire_faulted(device.block_node(0, 0)));
 }
 
@@ -115,15 +110,15 @@ TEST(FaultModelTest, CategoriesTargetTheRightEdgeKind) {
   FaultSpec pins_only;
   pins_only.seed = 2;
   pins_only.pin_permille = 200;
-  const FaultModel pin_model = FaultModel::draw(device, pins_only);
-  for (const EdgeId e : pin_model.dead_edges()) {
+  const FaultEvent pin_model = draw_faults(device, pins_only);
+  for (const EdgeId e : pin_model.dead_edges) {
     EXPECT_TRUE(device.is_connection_edge(e)) << "pin fault hit edge " << e;
   }
   FaultSpec switches_only;
   switches_only.seed = 2;
   switches_only.switch_permille = 200;
-  const FaultModel switch_model = FaultModel::draw(device, switches_only);
-  for (const EdgeId e : switch_model.dead_edges()) {
+  const FaultEvent switch_model = draw_faults(device, switches_only);
+  for (const EdgeId e : switch_model.dead_edges) {
     EXPECT_TRUE(device.is_switch_edge(e)) << "switch fault hit edge " << e;
   }
 }
@@ -137,11 +132,10 @@ TEST(FaultModelTest, CategoryStreamsAreIndependent) {
   a.wire_permille = 80;
   FaultSpec b = a;
   b.switch_permille = 300;
-  const FaultModel ma = FaultModel::draw(device, a);
-  const FaultModel mb = FaultModel::draw(device, b);
-  EXPECT_TRUE(std::equal(ma.dead_wires().begin(), ma.dead_wires().end(),
-                         mb.dead_wires().begin(), mb.dead_wires().end()));
-  EXPECT_GT(mb.dead_edges().size(), ma.dead_edges().size());
+  const FaultEvent ma = draw_faults(device, a);
+  const FaultEvent mb = draw_faults(device, b);
+  EXPECT_EQ(ma.dead_wires, mb.dead_wires);
+  EXPECT_GT(mb.dead_edges.size(), ma.dead_edges.size());
 }
 
 TEST(FaultModelTest, ClusterKillsChebyshevNeighborhoodOnly) {
@@ -150,15 +144,15 @@ TEST(FaultModelTest, ClusterKillsChebyshevNeighborhoodOnly) {
   spec.seed = 13;
   spec.clusters = 1;
   spec.cluster_radius = 1;
-  const FaultModel model = FaultModel::draw(device, spec);
-  ASSERT_FALSE(model.dead_wires().empty());
+  const FaultEvent model = draw_faults(device, spec);
+  ASSERT_FALSE(model.dead_wires.empty());
 
-  // Recompute the hashed cluster center the way draw() does and confirm
+  // Recompute the hashed cluster center the way draw_faults() does and confirm
   // every dead wire's channel tile lies inside the Chebyshev ball.
   const std::uint64_t stream = mix64(spec.seed ^ salt64("faults.clusters"));
   const int cx = static_cast<int>(mix64(stream, 0) % 8);
   const int cy = static_cast<int>(mix64(stream, 1) % 8);
-  for (const NodeId v : model.dead_wires()) {
+  for (const NodeId v : model.dead_wires) {
     const Device::WireRef ref = device.wire_ref(v);
     EXPECT_LE(std::max(std::abs(ref.x - cx), std::abs(ref.y - cy)), spec.cluster_radius)
         << "wire " << v << " at (" << ref.x << "," << ref.y << ") outside cluster ("
@@ -171,15 +165,15 @@ TEST(DeviceFaultTest, InstallFaultsDeactivatesAndResetPreserves) {
   const int total_edges = device.graph().edge_count();
   device.install_faults(sample_spec());
   ASSERT_TRUE(device.has_faults());
-  const FaultModel* model = device.faults();
+  const FaultEvent* model = device.faults();
   ASSERT_NE(model, nullptr);
   ASSERT_FALSE(model->empty());
 
   const auto faults_applied = [&]() {
-    for (const NodeId v : model->dead_wires()) {
+    for (const NodeId v : model->dead_wires) {
       if (device.graph().node_active(v)) return false;
     }
-    for (const EdgeId e : model->dead_edges()) {
+    for (const EdgeId e : model->dead_edges) {
       if (device.graph().edge_active(e)) return false;
     }
     return true;
@@ -228,6 +222,66 @@ TEST(DeviceFaultTest, CopiedDeviceSharesTheFaultModel) {
   const Device copy(device);
   ASSERT_TRUE(copy.has_faults());
   EXPECT_EQ(copy.faults(), device.faults());  // shared, not re-drawn
+}
+
+// The installed set and the live-event overlay are two layers of one dead
+// set: an event may name a wire the installed set already killed, or a wire
+// a routed net holds. Either wire stays dead and uncounted as routing
+// demand through reset(), and clearing one layer keeps the other.
+TEST(DeviceFaultTest, EventOverlayOverlappingTheInstalledSetStaysDead) {
+  Device device(ArchSpec::xc4000(6, 6, 4));
+  FaultSpec scattered;
+  scattered.seed = 7;
+  scattered.wire_permille = 25;
+  device.install_faults(scattered);
+  const FaultEvent installed = *device.faults();
+  ASSERT_FALSE(installed.dead_wires.empty());
+  const NodeId already_dead = installed.dead_wires.front();
+
+  Circuit circuit;
+  circuit.rows = circuit.cols = 6;
+  circuit.nets.push_back({{0, 0}, {{5, 5}}});
+  const RoutingResult routed = route_circuit(device, circuit, RouterOptions{});
+  ASSERT_TRUE(routed.success);
+  NodeId consumed = -1;
+  for (const EdgeId e : routed.nets[0].edges) {
+    const Graph::Edge ends = device.graph().edge(e);
+    if (device.is_wire(ends.u)) consumed = ends.u;
+  }
+  ASSERT_TRUE(device.is_wire(consumed));
+  ASSERT_FALSE(installed.wire_faulted(consumed));
+  const int used = device.used_wire_count();
+  ASSERT_GT(used, 0);
+
+  FaultEvent event;
+  event.dead_wires = {consumed, already_dead};
+  event.normalize();
+  device.apply_fault_event(event);
+  const auto dead = [&](NodeId v) { return !device.graph().node_active(v); };
+  EXPECT_TRUE(dead(already_dead));
+  EXPECT_TRUE(dead(consumed));
+  // The consumed wire is now a defect, and the doubly named one counts once.
+  EXPECT_EQ(device.used_wire_count(), used - 1);
+
+  device.reset();
+  EXPECT_TRUE(dead(already_dead));
+  EXPECT_TRUE(dead(consumed));
+  EXPECT_EQ(device.used_wire_count(), 0);
+
+  device.clear_fault_events();
+  ASSERT_TRUE(device.has_faults());
+  EXPECT_TRUE(*device.faults() == installed);
+  EXPECT_TRUE(dead(already_dead));
+  EXPECT_FALSE(dead(consumed));
+  EXPECT_EQ(device.used_wire_count(), 0);
+
+  device.apply_fault_event(event);
+  device.clear_faults();
+  EXPECT_FALSE(device.has_faults());
+  EXPECT_TRUE(device.fault_event_overlay() == event);
+  EXPECT_TRUE(dead(already_dead));
+  EXPECT_TRUE(dead(consumed));
+  EXPECT_EQ(device.used_wire_count(), 0);
 }
 
 }  // namespace

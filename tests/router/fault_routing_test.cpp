@@ -257,9 +257,9 @@ TEST(WidthSearchStatusTest, Unroutable) {
 
 TEST(WidthSearchStatusTest, BudgetExhausted) {
   RouterOptions router;
+  router.node_budget = 5;  // expires before any probe decides
   WidthSearchOptions search;
   search.max_width = 6;
-  search.node_budget_per_probe = 5;  // expires before any probe decides
   const WidthSearchResult r =
       find_min_channel_width(ArchSpec::xc4000(4, 4, 1), small_circuit(), router, search);
   EXPECT_EQ(r.status, WidthSearchStatus::kBudgetExhausted);
@@ -292,10 +292,10 @@ TEST(WidthSearchStatusTest, FoundWithBudgetUndecidedProbesIsFlagged) {
   }
   RouterOptions router;
   router.max_passes = 20;
+  router.node_budget = 11'500;
   WidthSearchOptions search;
   search.min_width = 1;
   search.max_width = 6;
-  search.node_budget_per_probe = 11'500;
   const WidthSearchResult r =
       find_min_channel_width(ArchSpec::xc4000(8, 8, 1), c, router, search);
   ASSERT_EQ(r.status, WidthSearchStatus::kFound);
@@ -330,10 +330,10 @@ TEST(WidthSearchStatusTest, FaultedSearchIsThreadCountInvariant) {
   const Circuit circuit = small_circuit();
   RouterOptions router;
   router.max_passes = 6;
+  router.node_budget = 2'000'000;
   WidthSearchOptions serial;
   serial.max_width = 10;
   serial.faults = moderate_faults();
-  serial.node_budget_per_probe = 2'000'000;
   WidthSearchOptions pooled = serial;
   serial.threads = 1;
   pooled.threads = 4;

@@ -24,8 +24,8 @@ Circuit crossing_circuit(int lanes) {
 
 /// The serial binary search written out on its own, as the reference every
 /// thread count must reproduce: max_width first, then the midpoint sequence,
-/// each probe on a fresh Device carrying the search's faults and per-probe
-/// budget.
+/// each probe on a fresh Device carrying the search's faults and routed with
+/// a fresh budget of the router's node_budget.
 WidthSearchResult written_out_serial_search(const ArchSpec& base, const Circuit& circuit,
                                             const RouterOptions& router,
                                             const WidthSearchOptions& search) {
@@ -33,9 +33,7 @@ WidthSearchResult written_out_serial_search(const ArchSpec& base, const Circuit&
   const auto probe = [&](int width) {
     Device device(base.with_width(width));
     if (search.faults.has_value() && search.faults->any()) device.install_faults(*search.faults);
-    RouterOptions options = router;
-    if (search.node_budget_per_probe > 0) options.node_budget = search.node_budget_per_probe;
-    RoutingResult r = route_circuit(device, circuit, options);
+    RoutingResult r = route_circuit(device, circuit, router);
     ref.attempts.push_back({width, r.success, r.budget_exhausted});
     if (!r.success && r.budget_exhausted) ++ref.undecided_probes;
     return r;
@@ -334,9 +332,10 @@ TEST(WidthSearchMatrixTest, FaultedBudgetedAndNegotiatedSearches) {
     WidthSearchOptions search;
     search.min_width = 1;
     search.max_width = 6;
-    search.node_budget_per_probe = budget;
+    RouterOptions router = paper_router(20);
+    router.node_budget = budget;
     cases.push_back({"budget " + std::to_string(budget), ArchSpec::xc4000(8, 8, 1), crossings,
-                     paper_router(20), search});
+                     router, search});
   }
   RouterOptions negotiated = paper_router(5);
   negotiated.mode = RouterMode::kNegotiated;
